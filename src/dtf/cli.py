@@ -336,11 +336,11 @@ def run(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"dtf: {exc}", file=sys.stderr)
         return EXIT_SYSTEM
-    except OSError as exc:
-        print(f"dtf: {exc}", file=sys.stderr)
+    except Exception as exc:  # last resort: one line, never a traceback
+        print(f"dtf: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SYSTEM
 
 

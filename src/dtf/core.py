@@ -29,18 +29,6 @@ class Name:
         return self.text
 
 
-def type_name(text: str) -> Name:
-    return Name(text, NameKind.TYPE)
-
-
-def const_name(text: str) -> Name:
-    return Name(text, NameKind.CONST)
-
-
-def var_name(text: str) -> Name:
-    return Name(text, NameKind.VAR)
-
-
 # ---------------------------------------------------------------------------
 # Types
 
@@ -66,6 +54,11 @@ class Pi(Type):
     domain: Type
     codomain: Type
     span: Span | None = field(default=None, compare=False, kw_only=True)
+
+    @property
+    def body(self) -> Type:
+        """The codomain: the scope of the binder, named as in Binder."""
+        return self.codomain
 
 
 @dataclass(frozen=True)
@@ -105,14 +98,6 @@ class Const(Term):
 
 
 @dataclass(frozen=True)
-class Lam(Term):
-    binder: Name
-    domain: Type
-    body: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
-
-
-@dataclass(frozen=True)
 class App(Term):
     fun: Term
     arg: Term
@@ -120,50 +105,56 @@ class App(Term):
 
 
 @dataclass(frozen=True)
-class Forall(Term):
+class Binder(Term):
+    """A variable, its type (`domain`) and the scope it is bound in (`body`).
+
+    The subclasses are the term binders; `op` is their TPTP symbol.  Equality
+    and repr still tell them apart.
+    """
+
     binder: Name
     domain: Type
     body: Term
     span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
-class Exists(Term):
-    binder: Name
-    domain: Type
-    body: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+class Lam(Binder):
+    op = "^"
 
 
-@dataclass(frozen=True)
-class Choice(Term):
+class Forall(Binder):
+    op = "!"
+
+
+class Exists(Binder):
+    op = "?"
+
+
+class Choice(Binder):
     """Hilbert choice: some x of the domain satisfying the body."""
 
-    binder: Name
-    domain: Type
-    body: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+    op = "@+"
 
 
 @dataclass(frozen=True)
-class Implies(Term):
+class Connective(Term):
+    """A binary connective; `op` is the TPTP symbol of each subclass."""
+
     left: Term
     right: Term
     span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
-class And(Term):
-    left: Term
-    right: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+class Implies(Connective):
+    op = "=>"
 
 
-@dataclass(frozen=True)
-class Or(Term):
-    left: Term
-    right: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+class And(Connective):
+    op = "&"
+
+
+class Or(Connective):
+    op = "|"
 
 
 @dataclass(frozen=True)
@@ -195,10 +186,6 @@ class Top(Term):
 @dataclass(frozen=True)
 class Bottom(Term):
     span: Span | None = field(default=None, compare=False, kw_only=True)
-
-
-_BINDER_TERMS = (Lam, Forall, Exists, Choice)
-_BINARY_TERMS = (Implies, And, Or)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +237,6 @@ class Theory:
     def axioms(self) -> tuple:
         return tuple(d for d in self.decls if isinstance(d, Axiom))
 
-    def extended(self, decl) -> "Theory":
-        return Theory(self.decls + (decl,))
-
 
 @dataclass(frozen=True)
 class VarDecl:
@@ -284,12 +268,49 @@ class Context:
                 return entry.ty
         return None
 
-    def assumptions(self):
-        return tuple(e for e in self.entries if isinstance(e, Assumption))
-
 
 # ---------------------------------------------------------------------------
-# Free variables and fresh names
+# Generic structure, free variables and fresh names
+
+
+def children(t) -> tuple:
+    """The immediate subterms and subtypes of a node, in source order.
+
+    A binder's variable is bound in its last child; `Eq.at` is last and only
+    present when set.
+    """
+    if isinstance(t, (Var, Const, Top, Bottom, BoolType)):
+        return ()
+    if isinstance(t, App):
+        return (t.fun, t.arg)
+    if isinstance(t, (Binder, Pi)):
+        return (t.domain, t.body)
+    if isinstance(t, Connective):
+        return (t.left, t.right)
+    if isinstance(t, Not):
+        return (t.arg,)
+    if isinstance(t, Eq):
+        return (t.left, t.right) if t.at is None else (t.left, t.right, t.at)
+    if isinstance(t, BaseApp):
+        return t.args
+    raise TypeError(f"children: unexpected node {t!r}")
+
+
+def map_children(t, f, *args):
+    """Rebuild a leaf, connective, negation or equation with each child c
+    replaced by f(c, *args).  Per-node walks handle their frequent node kinds
+    inline, which is faster, and call this for the rest.
+    """
+    if isinstance(t, Connective):
+        return type(t)(f(t.left, *args), f(t.right, *args), span=t.span)
+    if isinstance(t, Eq):
+        at = None if t.at is None else f(t.at, *args)
+        return Eq(f(t.left, *args), f(t.right, *args), at, span=t.span)
+    if isinstance(t, Not):
+        return Not(f(t.arg, *args), span=t.span)
+    if isinstance(t, (Var, Const, Top, Bottom, BoolType)):
+        return t
+    raise TypeError(f"map_children: unexpected node {t!r}")
 
 
 def free_vars(t) -> frozenset:
@@ -303,34 +324,22 @@ def _free_into(t, acc: set, bound: tuple) -> None:
     if isinstance(t, Var):
         if t.name.text not in bound:
             acc.add(t.name.text)
-    elif isinstance(t, (Const, Top, Bottom, BoolType)):
+    elif isinstance(t, (Const, BoolType)):
         pass
     elif isinstance(t, App):
         _free_into(t.fun, acc, bound)
         _free_into(t.arg, acc, bound)
-    elif isinstance(t, _BINDER_TERMS):
+    elif isinstance(t, (Binder, Pi)):
         _free_into(t.domain, acc, bound)
         _free_into(t.body, acc, bound + (t.binder.text,))
-    elif isinstance(t, _BINARY_TERMS):
-        _free_into(t.left, acc, bound)
-        _free_into(t.right, acc, bound)
-    elif isinstance(t, Not):
-        _free_into(t.arg, acc, bound)
-    elif isinstance(t, Eq):
-        _free_into(t.left, acc, bound)
-        _free_into(t.right, acc, bound)
-        if t.at is not None:
-            _free_into(t.at, acc, bound)
     elif isinstance(t, BaseApp):
         if t.head.kind is NameKind.VAR and t.head.text not in bound:
             acc.add(t.head.text)
         for a in t.args:
             _free_into(a, acc, bound)
-    elif isinstance(t, Pi):
-        _free_into(t.domain, acc, bound)
-        _free_into(t.codomain, acc, bound + (t.binder.text,))
     else:
-        raise TypeError(f"free_vars: unexpected node {t!r}")
+        for child in children(t):
+            _free_into(child, acc, bound)
 
 
 def term_size(t) -> int:
@@ -344,18 +353,14 @@ def term_size(t) -> int:
         return 1
     if isinstance(t, App):
         return 1 + term_size(t.fun) + term_size(t.arg)
-    if isinstance(t, _BINDER_TERMS):
+    if isinstance(t, (Binder, Pi)):
         return 1 + term_size(t.domain) + term_size(t.body)
-    if isinstance(t, _BINARY_TERMS):
+    if isinstance(t, (Connective, Eq)):
         return 1 + term_size(t.left) + term_size(t.right)
     if isinstance(t, Not):
         return 1 + term_size(t.arg)
-    if isinstance(t, Eq):
-        return 1 + term_size(t.left) + term_size(t.right)
     if isinstance(t, BaseApp):
         return 1 + sum(term_size(a) for a in t.args)
-    if isinstance(t, Pi):
-        return 1 + term_size(t.domain) + term_size(t.codomain)
     raise TypeError(f"term_size: unexpected node {t!r}")
 
 
@@ -375,53 +380,27 @@ def fresh_name(base: str, avoid) -> str:
 # Substitution (capture avoiding)
 
 
-def substitute(t: Term, x: Name, u: Term) -> Term:
+def substitute(t, x: Name, u: Term):
+    """Replace the free variable x by u in a term or type."""
     if isinstance(t, Var):
         return u if t.name == x else t
-    if isinstance(t, (Const, Top, Bottom)):
+    if isinstance(t, (Const, Top, Bottom, BoolType)):
         return t
     if isinstance(t, App):
         return App(substitute(t.fun, x, u), substitute(t.arg, x, u), span=t.span)
-    if isinstance(t, _BINDER_TERMS):
-        binder, domain, body = _subst_under_binder(t.binder, t.domain, t.body, x, u)
-        return type(t)(binder, domain, body, span=t.span)
-    if isinstance(t, _BINARY_TERMS):
-        return type(t)(substitute(t.left, x, u), substitute(t.right, x, u), span=t.span)
-    if isinstance(t, Not):
-        return Not(substitute(t.arg, x, u), span=t.span)
-    if isinstance(t, Eq):
-        at = substitute_type(t.at, x, u) if t.at is not None else None
-        return Eq(substitute(t.left, x, u), substitute(t.right, x, u), at, span=t.span)
-    raise TypeError(f"substitute: unexpected term {t!r}")
-
-
-def substitute_type(ty: Type, x: Name, u: Term) -> Type:
-    if isinstance(ty, BoolType):
-        return ty
-    if isinstance(ty, BaseApp):
-        return BaseApp(ty.head, tuple(substitute(a, x, u) for a in ty.args), span=ty.span)
-    if isinstance(ty, Pi):
-        domain = substitute_type(ty.domain, x, u)
-        if ty.binder == x:
-            return Pi(ty.binder, domain, ty.codomain, span=ty.span)
-        binder, codomain = ty.binder, ty.codomain
-        if binder.text in free_vars(u) and x.text in free_vars(codomain):
-            renamed = Name(fresh_name(binder.text, free_vars(u) | free_vars(codomain) | {x.text}), binder.kind)
-            codomain = substitute_type(codomain, binder, Var(renamed))
+    if isinstance(t, BaseApp):
+        return BaseApp(t.head, tuple(substitute(a, x, u) for a in t.args), span=t.span)
+    if isinstance(t, (Binder, Pi)):
+        domain = substitute(t.domain, x, u)
+        binder, body = t.binder, t.body
+        if binder == x:
+            return type(t)(binder, domain, body, span=t.span)
+        if binder.text in free_vars(u) and x.text in free_vars(body):
+            renamed = Name(fresh_name(binder.text, free_vars(u) | free_vars(body) | {x.text}), binder.kind)
+            body = substitute(body, binder, Var(renamed))
             binder = renamed
-        return Pi(binder, domain, substitute_type(codomain, x, u), span=ty.span)
-    raise TypeError(f"substitute_type: unexpected type {ty!r}")
-
-
-def _subst_under_binder(binder: Name, domain: Type, body: Term, x: Name, u: Term):
-    domain = substitute_type(domain, x, u)
-    if binder == x:
-        return binder, domain, body
-    if binder.text in free_vars(u) and x.text in free_vars(body):
-        renamed = Name(fresh_name(binder.text, free_vars(u) | free_vars(body) | {x.text}), binder.kind)
-        body = substitute(body, binder, Var(renamed))
-        binder = renamed
-    return binder, domain, substitute(body, x, u)
+        return type(t)(binder, domain, substitute(body, x, u), span=t.span)
+    return map_children(t, substitute, x, u)
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +410,6 @@ def _subst_under_binder(binder: Name, domain: Type, body: Term, x: Name, u: Term
 def alpha_equal(a, b) -> bool:
     """Alpha equivalence of two terms or two types (Eq annotations included)."""
     return _alpha(a, b, {}, {})
-
-
-def _binders_match(a, b, lr: dict, rl: dict) -> bool:
-    if not _alpha(a.domain, b.domain, lr, rl):
-        return False
-    lr2 = dict(lr)
-    rl2 = dict(rl)
-    lr2[a.binder.text] = b.binder.text
-    rl2[b.binder.text] = a.binder.text
-    return _alpha(a.body if isinstance(a, Term) else a.codomain,
-                  b.body if isinstance(b, Term) else b.codomain, lr2, rl2)
 
 
 def _name_matches(a: Name, b: Name, lr: dict, rl: dict) -> bool:
@@ -459,22 +427,8 @@ def _alpha(a, b, lr: dict, rl: dict) -> bool:
         return _name_matches(a.name, b.name, lr, rl)
     if isinstance(a, Const):
         return a.name == b.name
-    if isinstance(a, (Top, Bottom, BoolType)):
-        return True
     if isinstance(a, App):
         return _alpha(a.fun, b.fun, lr, rl) and _alpha(a.arg, b.arg, lr, rl)
-    if isinstance(a, _BINDER_TERMS):
-        return _binders_match(a, b, lr, rl)
-    if isinstance(a, _BINARY_TERMS):
-        return _alpha(a.left, b.left, lr, rl) and _alpha(a.right, b.right, lr, rl)
-    if isinstance(a, Not):
-        return _alpha(a.arg, b.arg, lr, rl)
-    if isinstance(a, Eq):
-        if (a.at is None) != (b.at is None):
-            return False
-        if a.at is not None and not _alpha(a.at, b.at, lr, rl):
-            return False
-        return _alpha(a.left, b.left, lr, rl) and _alpha(a.right, b.right, lr, rl)
     if isinstance(a, BaseApp):
         # Heads may be bound rank-1 type variables, so route them through the
         # renaming environment like variables.
@@ -483,9 +437,16 @@ def _alpha(a, b, lr: dict, rl: dict) -> bool:
         if len(a.args) != len(b.args):
             return False
         return all(_alpha(x, y, lr, rl) for x, y in zip(a.args, b.args))
-    if isinstance(a, Pi):
-        return _binders_match(a, b, lr, rl)
-    raise TypeError(f"alpha_equal: unexpected node {a!r}")
+    if isinstance(a, (Binder, Pi)):
+        if not _alpha(a.domain, b.domain, lr, rl):
+            return False
+        lr2 = dict(lr)
+        rl2 = dict(rl)
+        lr2[a.binder.text] = b.binder.text
+        rl2[b.binder.text] = a.binder.text
+        return _alpha(a.body, b.body, lr2, rl2)
+    left, right = children(a), children(b)
+    return len(left) == len(right) and all(_alpha(x, y, lr, rl) for x, y in zip(left, right))
 
 
 def theory_alpha_equal(t1: Theory, t2: Theory) -> bool:
@@ -535,9 +496,7 @@ def beta_eta_normalize(t, max_steps: int = 10_000):
     """
     budget = [max_steps]
     try:
-        if isinstance(t, Type):
-            return _norm_type(t, budget)
-        return _norm_term(t, budget)
+        return _norm(t, budget)
     except RecursionError:
         raise NormalizationBudgetExceeded(
             "beta-eta normalization budget exceeded") from None
@@ -549,45 +508,35 @@ def _spend(budget) -> None:
         raise NormalizationBudgetExceeded("beta-eta normalization budget exceeded")
 
 
-def _norm_term(t: Term, budget) -> Term:
-    if isinstance(t, (Var, Const, Top, Bottom)):
+def _norm(t, budget):
+    if isinstance(t, (Var, Const, BoolType)):
         return t
     if isinstance(t, App):
         # Head reduction iterates in place: a looping redex must exhaust the
         # step budget, not the interpreter stack.
         while isinstance(t, App):
-            fun = _norm_term(t.fun, budget)
+            fun = _norm(t.fun, budget)
             if isinstance(fun, Lam):
                 _spend(budget)
                 t = substitute(fun.body, fun.binder, t.arg)
             else:
-                return App(fun, _norm_term(t.arg, budget), span=t.span)
-        return _norm_term(t, budget)
-    if isinstance(t, Lam):
-        domain = _norm_type(t.domain, budget)
-        body = _norm_term(t.body, budget)
-        if isinstance(body, App) and isinstance(body.arg, Var) and body.arg.name == t.binder \
-                and t.binder.text not in free_vars(body.fun):
-            _spend(budget)
+                return App(fun, _norm(t.arg, budget), span=t.span)
+        return _norm(t, budget)
+    if isinstance(t, BaseApp):
+        return BaseApp(t.head, tuple(_norm(a, budget) for a in t.args), span=t.span)
+    if isinstance(t, (Binder, Pi)):
+        domain = _norm(t.domain, budget)
+        body = _norm(t.body, budget)
+        if isinstance(t, Lam) and isinstance(body, App) and isinstance(body.arg, Var) \
+                and body.arg.name == t.binder and t.binder.text not in free_vars(body.fun):
+            _spend(budget)  # eta: ^ [X: A]: (f @ X) is f when X is not free in f
             return body.fun
-        return Lam(t.binder, domain, body, span=t.span)
-    if isinstance(t, (Forall, Exists, Choice)):
-        return type(t)(t.binder, _norm_type(t.domain, budget), _norm_term(t.body, budget), span=t.span)
-    if isinstance(t, _BINARY_TERMS):
-        return type(t)(_norm_term(t.left, budget), _norm_term(t.right, budget), span=t.span)
-    if isinstance(t, Not):
-        return Not(_norm_term(t.arg, budget), span=t.span)
+        return type(t)(t.binder, domain, body, span=t.span)
+    # Every assumption is normalized on every lookup, so the connectives and
+    # equations of formulae stay inline too.
+    if isinstance(t, Connective):
+        return type(t)(_norm(t.left, budget), _norm(t.right, budget), span=t.span)
     if isinstance(t, Eq):
-        at = _norm_type(t.at, budget) if t.at is not None else None
-        return Eq(_norm_term(t.left, budget), _norm_term(t.right, budget), at, span=t.span)
-    raise TypeError(f"beta_eta_normalize: unexpected term {t!r}")
-
-
-def _norm_type(ty: Type, budget) -> Type:
-    if isinstance(ty, BoolType):
-        return ty
-    if isinstance(ty, BaseApp):
-        return BaseApp(ty.head, tuple(_norm_term(a, budget) for a in ty.args), span=ty.span)
-    if isinstance(ty, Pi):
-        return Pi(ty.binder, _norm_type(ty.domain, budget), _norm_type(ty.codomain, budget), span=ty.span)
-    raise TypeError(f"beta_eta_normalize: unexpected type {ty!r}")
+        at = None if t.at is None else _norm(t.at, budget)
+        return Eq(_norm(t.left, budget), _norm(t.right, budget), at, span=t.span)
+    return map_children(t, _norm, budget)

@@ -23,9 +23,11 @@ from .core import (
     Axiom,
     App,
     BaseApp,
+    Binder,
     BoolType,
     Bottom,
     Choice,
+    Connective,
     Const,
     ConstDecl,
     Context,
@@ -33,11 +35,11 @@ from .core import (
     Exists,
     Forall,
     Implies,
-    And,
-    Or,
     Lam,
+    Name,
     Not,
     NormalizationBudgetExceeded,
+    Or,
     Pi,
     Term,
     Theory,
@@ -49,7 +51,8 @@ from .core import (
     alpha_equal,
     beta_eta_normalize,
     free_vars,
-    substitute_type,
+    fresh_name,
+    substitute,
 )
 from .diagnostics import Diagnostic, Span, error
 
@@ -187,9 +190,16 @@ class DeepChecker:
             return
         if isinstance(a_n, Pi) and isinstance(b_n, Pi):
             self.type_equal(ctx, a_n.domain, b_n.domain, span, origin)
-            cod_b = substitute_type(b_n.codomain, b_n.binder, Var(a_n.binder))
-            self.type_equal(ctx.push_var(a_n.binder, a_n.domain),
-                            a_n.codomain, cod_b, span, origin)
+            # Compare the codomains under a_n's binder, renamed when keeping
+            # it would capture a free variable of b_n or shadow the context.
+            x, cod_a = a_n.binder, a_n.codomain
+            if x.text in free_vars(b_n) or ctx.var_type(x.text) is not None:
+                avoid = free_vars(a_n) | free_vars(b_n) | {
+                    e.name.text for e in ctx.entries if isinstance(e, VarDecl)}
+                x = Name(fresh_name(x.text, avoid), x.kind)
+                cod_a = substitute(cod_a, a_n.binder, Var(x))
+            cod_b = substitute(b_n.codomain, b_n.binder, Var(x))
+            self.type_equal(ctx.push_var(x, a_n.domain), cod_a, cod_b, span, origin)
             return
         raise self.fail(f"types differ: {_show_type(a_n)} vs {_show_type(b_n)}", span)
 
@@ -212,26 +222,13 @@ class DeepChecker:
                 raise self.fail(
                     f"applied term has non-function type {_show_type(fun_ty)}", t.span)
             self.check(ctx, t.arg, fun_ty.domain)
-            return substitute_type(fun_ty.codomain, fun_ty.binder, t.arg)
-        if isinstance(t, Lam):
-            self.wf_type(ctx, t.domain)
-            body_ty = self.infer(ctx.push_var(t.binder, t.domain), t.body)
-            return Pi(t.binder, t.domain, body_ty)
-        if isinstance(t, (Forall, Exists)):
-            self.wf_type(ctx, t.domain)
-            self.check(ctx.push_var(t.binder, t.domain), t.body, BOOL)
-            return BOOL
-        if isinstance(t, Implies):
+            return substitute(fun_ty.codomain, fun_ty.binder, t.arg)
+        if isinstance(t, Connective):
+            # Connectives are dependent: `F => G` and `F & G` check G assuming
+            # F, and `F | G` checks G assuming ~F.
             self.check(ctx, t.left, BOOL)
-            self.check(ctx.push_assumption(t.left), t.right, BOOL)
-            return BOOL
-        if isinstance(t, And):
-            self.check(ctx, t.left, BOOL)
-            self.check(ctx.push_assumption(t.left), t.right, BOOL)
-            return BOOL
-        if isinstance(t, Or):
-            self.check(ctx, t.left, BOOL)
-            self.check(ctx.push_assumption(Not(t.left)), t.right, BOOL)
+            assumed = Not(t.left) if isinstance(t, Or) else t.left
+            self.check(ctx.push_assumption(assumed), t.right, BOOL)
             return BOOL
         if isinstance(t, Not):
             self.check(ctx, t.arg, BOOL)
@@ -242,12 +239,17 @@ class DeepChecker:
             self.type_equal(ctx, left_ty, right_ty, t.span,
                             "equation sides must have equal types")
             return BOOL
-        if isinstance(t, Choice):
+        if isinstance(t, Binder):
             self.wf_type(ctx, t.domain)
-            self.check(ctx.push_var(t.binder, t.domain), t.body, BOOL)
-            witness = Exists(t.binder, t.domain, t.body, span=t.span)
-            self.emit(ctx, witness, "choice requires a provable witness", t.span)
-            return t.domain
+            inner = ctx.push_var(t.binder, t.domain)
+            if isinstance(t, Lam):
+                return Pi(t.binder, t.domain, self.infer(inner, t.body))
+            self.check(inner, t.body, BOOL)
+            if isinstance(t, Choice):
+                witness = Exists(t.binder, t.domain, t.body, span=t.span)
+                self.emit(ctx, witness, "choice requires a provable witness", t.span)
+                return t.domain
+            return BOOL
         if isinstance(t, (Top, Bottom)):
             return BOOL
         raise self.fail(f"cannot infer a type for {t!r}", getattr(t, "span", None))
@@ -292,28 +294,12 @@ class DeepChecker:
                 return entry.label or "local assumption"
         return None
 
-    # -- formula and problem entry points ----------------------------------------
-
-    def check_formula(self, formula: Term, label: str = "formula",
-                      context: Context | None = None) -> None:
-        """Check one formula as a proposition, accumulating obligations."""
-        self._current_label = label
-        ctx = context if context is not None else self._seeded_context(len(self.theory.decls))
-        self.check(ctx, formula, BOOL)
-
-    def _seeded_context(self, prefix: int) -> Context:
-        ctx = Context()
-        for decl in self.theory.decls[:prefix]:
-            if isinstance(decl, Axiom):
-                ctx = ctx.push_assumption(decl.formula, label=decl.label)
-        return ctx
-
 
 def _instantiate_telescope(telescope, args, i) -> Type:
     """Type of the i-th argument after substituting the earlier ones."""
     ty = telescope[i][1]
     for (name, _), value in zip(telescope[:i], args[:i]):
-        ty = substitute_type(ty, name, value)
+        ty = substitute(ty, name, value)
     return ty
 
 
@@ -341,10 +327,10 @@ def check_problem(problem) -> CheckReport:
 
     decls = problem.theory.decls
     checker = DeepChecker(Theory(()), problem.path)
+    ctx = Context()  # every earlier axiom, as a labeled assumption
     for k, decl in enumerate(decls):
         checker.theory = Theory(decls[:k])
         checker._theory_prefix = k
-        ctx = checker._seeded_context(k)
         try:
             if isinstance(decl, TypeDecl):
                 checker._current_label = decl.label or decl.name.text
@@ -360,10 +346,11 @@ def check_problem(problem) -> CheckReport:
                 checker.check(ctx, decl.formula, BOOL)
         except _DeepError as exc:
             report.diagnostics.append(exc.diagnostic)
+        if isinstance(decl, Axiom):
+            ctx = ctx.push_assumption(decl.formula, label=decl.label)
     if problem.conjecture is not None:
         checker.theory = Theory(decls)
         checker._theory_prefix = len(decls)
-        ctx = checker._seeded_context(len(decls))
         checker._current_label = problem.conjecture_name or "conjecture"
         try:
             checker.check(ctx, problem.conjecture, BOOL)

@@ -18,17 +18,16 @@ from .core import (
     App,
     Axiom,
     BaseApp,
+    Binder,
     BoolType,
     Bottom,
-    Choice,
+    Connective,
     Const,
     ConstDecl,
     Eq,
-    Exists,
     Forall,
     Implies,
     And,
-    Or,
     Lam,
     Name,
     NameKind,
@@ -42,8 +41,10 @@ from .core import (
     Var,
     free_vars,
     fresh_name,
+    map_children,
+    substitute,
 )
-from .shallow import Arrow, Base, SBool, SimpleType
+from .shallow import Arrow, Base, SBool
 
 
 class ErasureError(Exception):
@@ -55,7 +56,7 @@ class ErasureError(Exception):
 # Simple-type side
 
 
-def erase_type(ty: Type) -> SimpleType:
+def erase_type(ty: Type) -> Base | Arrow | SBool:
     """Collapse a dependent type to its simple-type image."""
     if isinstance(ty, BaseApp):
         return Base(ty.head)
@@ -69,7 +70,7 @@ def erase_type(ty: Type) -> SimpleType:
 _ARROW_BINDER = Name("X_", NameKind.VAR)
 
 
-def embed(simple: SimpleType) -> Type:
+def embed(simple: Base | Arrow | SBool) -> Type:
     """Embed a simple type back into the core type language."""
     if isinstance(simple, Base):
         return BaseApp(simple.head)
@@ -134,9 +135,7 @@ class Eraser:
             domain = erased_image(ty.domain)
             codomain = ty.codomain
             if left != ty.binder:
-                from .core import substitute_type
-
-                codomain = substitute_type(codomain, ty.binder, Var(left))
+                codomain = substitute(codomain, ty.binder, Var(left))
             body = Implies(
                 self.per_of_type(ty.domain, Var(left), Var(right)),
                 self.per_of_type(codomain, App(t, Var(left)), App(u, Var(right))),
@@ -153,27 +152,20 @@ class Eraser:
             return App(self.erase_term(t.fun), self.erase_term(t.arg), span=t.span)
         if isinstance(t, Lam):
             return Lam(t.binder, erased_image(t.domain), self.erase_term(t.body), span=t.span)
-        if isinstance(t, Forall):
+        if isinstance(t, Binder):
+            # Quantifiers and choice guard their variable with its PER: by
+            # `=>` under `!`, by `&` under `?` and `@+`.
             guard = self.per_of_type(t.domain, Var(t.binder), Var(t.binder))
-            return Forall(t.binder, erased_image(t.domain),
-                          Implies(guard, self.erase_term(t.body)), span=t.span)
-        if isinstance(t, Exists):
-            guard = self.per_of_type(t.domain, Var(t.binder), Var(t.binder))
-            return Exists(t.binder, erased_image(t.domain),
-                          And(guard, self.erase_term(t.body)), span=t.span)
-        if isinstance(t, Choice):
-            guard = self.per_of_type(t.domain, Var(t.binder), Var(t.binder))
-            return Choice(t.binder, erased_image(t.domain),
-                          And(guard, self.erase_term(t.body)), span=t.span)
-        if isinstance(t, (Implies, And, Or)):
-            return type(t)(self.erase_term(t.left), self.erase_term(t.right), span=t.span)
-        if isinstance(t, Not):
-            return Not(self.erase_term(t.arg), span=t.span)
+            guarded = Implies if isinstance(t, Forall) else And
+            return type(t)(t.binder, erased_image(t.domain),
+                           guarded(guard, self.erase_term(t.body)), span=t.span)
         if isinstance(t, Eq):
             if t.at is None:
                 raise ErasureError(
                     "equation lacks a type annotation; run the checkers first")
             return self.per_of_type(t.at, self.erase_term(t.left), self.erase_term(t.right))
+        if isinstance(t, (Connective, Not)):
+            return map_children(t, self.erase_term)
         raise ErasureError(f"cannot erase term {t!r}")
 
     # -- declarations -----------------------------------------------------------

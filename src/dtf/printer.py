@@ -11,21 +11,17 @@ from __future__ import annotations
 import re
 
 from .core import (
+    TYPE_KIND,
     App,
     Axiom,
     BaseApp,
+    Binder,
     BoolType,
     Bottom,
-    Choice,
+    Connective,
     Const,
     ConstDecl,
     Eq,
-    Exists,
-    Forall,
-    Implies,
-    And,
-    Or,
-    Lam,
     Not,
     Pi,
     Term,
@@ -33,6 +29,7 @@ from .core import (
     Type,
     TypeDecl,
     Var,
+    children,
     free_vars,
     is_type_kind,
 )
@@ -59,35 +56,33 @@ def format_type(ty: Type) -> str:
         head = ty.head.text if ty.head.kind.value == "variable" else atom(ty.head.text)
         if not ty.args:
             return head
-        parts = [head] + [_format_arg(a) for a in ty.args]
+        parts = [head] + [_format_operand(a) for a in ty.args]
         return " @ ".join(parts)
     if isinstance(ty, Pi):
-        return _format_pi_chain(ty)
+        binders: list = []
+        while isinstance(ty, Pi):
+            binders.append((ty.binder, ty.domain))
+            ty = ty.codomain
+        return _format_chain(binders, ty)
     raise TypeError(f"format_type: unexpected type {ty!r}")
 
 
-def _format_pi_chain(ty: Type) -> str:
-    binders: list = []
-    while isinstance(ty, Pi):
-        binders.append((ty.binder, ty.domain))
-        ty = ty.codomain
-    tail = ty
+def _format_chain(binders: list, tail: Type) -> str:
+    """Binders (name, domain) then a tail: a dependent `!>` prefix up to the
+    last binder that a later type mentions, then plain arrows."""
     last_dependent = -1
-    for i in range(len(binders)):
+    for i, (name, _) in enumerate(binders):
         rest_types = [d for _, d in binders[i + 1:]] + [tail]
-        if any(binders[i][0].text in free_vars(t) for t in rest_types):
+        if any(name.text in free_vars(t) for t in rest_types):
             last_dependent = i
-    parts: list = []
+    arrow_parts = [_format_component(dom) for _, dom in binders[last_dependent + 1:]]
+    arrow_parts.append(_format_component(tail))
+    arrow = " > ".join(arrow_parts)
     if last_dependent >= 0:
         group = ", ".join(
             f"{name.text}: {_format_domain(dom)}"
             for name, dom in binders[: last_dependent + 1])
-        parts.append(f"!> [{group}]:")
-    arrow_parts = [_format_component(dom) for _, dom in binders[last_dependent + 1:]]
-    arrow_parts.append(_format_component(tail))
-    arrow = " > ".join(arrow_parts)
-    if parts:
-        return f"{parts[0]} ({arrow})" if len(arrow_parts) > 1 else f"{parts[0]} {arrow}"
+        return f"!> [{group}]: ({arrow})" if len(arrow_parts) > 1 else f"!> [{group}]: {arrow}"
     return arrow
 
 
@@ -108,10 +103,6 @@ def _format_component(ty: Type) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
-_BINDER_OPS = {Forall: "!", Exists: "?", Lam: "^", Choice: "@+"}
-_BINARY_OPS = {Implies: "=>", And: "&", Or: "|"}
-
-
 def format_term(t: Term) -> str:
     if isinstance(t, Var) or isinstance(t, Const):
         return t.name.text if isinstance(t, Var) else atom(t.name.text)
@@ -128,17 +119,15 @@ def format_term(t: Term) -> str:
         spine.reverse()
         parts = [_format_operand(fun)] + [_format_operand(a) for a in spine]
         return " @ ".join(parts)
-    if isinstance(t, (Forall, Exists, Lam, Choice)):
-        op = _BINDER_OPS[type(t)]
+    if isinstance(t, Binder):
         group: list = []
         body: Term = t
-        while isinstance(body, type(t)) and _BINDER_OPS[type(body)] == op:
+        while type(body) is type(t):
             group.append(f"{body.binder.text}: {_format_domain(body.domain)}")
             body = body.body
-        return f"{op} [{', '.join(group)}]: ({format_term(body)})"
-    if isinstance(t, (Implies, And, Or)):
-        op = _BINARY_OPS[type(t)]
-        return f"({_format_operand(t.left)} {op} {_format_operand(t.right)})"
+        return f"{t.op} [{', '.join(group)}]: ({format_term(body)})"
+    if isinstance(t, Connective):
+        return f"({_format_operand(t.left)} {t.op} {_format_operand(t.right)})"
     if isinstance(t, Not):
         return f"~ {_format_operand(t.arg)}"
     if isinstance(t, Eq):
@@ -154,10 +143,6 @@ def _format_operand(t: Term) -> str:
     if text.startswith("(") and _balanced_to_end(text):
         return text
     return f"({text})"
-
-
-def _format_arg(t: Term) -> str:
-    return _format_operand(t)
 
 
 def _balanced_to_end(text: str) -> bool:
@@ -179,33 +164,15 @@ def _balanced_to_end(text: str) -> bool:
 def check_simply_typed(problem) -> None:
     """Raise ValueError if the problem uses dependent types anywhere."""
 
-    def check_type(ty: Type) -> None:
-        if isinstance(ty, BaseApp):
-            if ty.args:
-                raise ValueError(
-                    f"cannot print TH0: type {ty.head.text!r} takes term arguments")
-        elif isinstance(ty, Pi):
-            if ty.binder.text in free_vars(ty.codomain):
-                raise ValueError(
-                    f"cannot print TH0: dependent product over {ty.binder.text!r}")
-            check_type(ty.domain)
-            check_type(ty.codomain)
-
-    def check_term(t: Term) -> None:
-        if isinstance(t, (Lam, Forall, Exists, Choice)):
-            check_type(t.domain)
-            check_term(t.body)
-        elif isinstance(t, App):
-            check_term(t.fun)
-            check_term(t.arg)
-        elif isinstance(t, (Implies, And, Or)):
-            check_term(t.left)
-            check_term(t.right)
-        elif isinstance(t, Not):
-            check_term(t.arg)
-        elif isinstance(t, Eq):
-            check_term(t.left)
-            check_term(t.right)
+    def check(node) -> None:
+        if isinstance(node, BaseApp) and node.args:
+            raise ValueError(
+                f"cannot print TH0: type {node.head.text!r} takes term arguments")
+        if isinstance(node, Pi) and node.binder.text in free_vars(node.codomain):
+            raise ValueError(
+                f"cannot print TH0: dependent product over {node.binder.text!r}")
+        for child in children(node):
+            check(child)
 
     for decl in problem.theory.decls:
         if isinstance(decl, TypeDecl):
@@ -213,11 +180,11 @@ def check_simply_typed(problem) -> None:
                 raise ValueError(
                     f"cannot print TH0: type {decl.name.text!r} takes term arguments")
         elif isinstance(decl, ConstDecl):
-            check_type(decl.ty)
+            check(decl.ty)
         elif isinstance(decl, Axiom):
-            check_term(decl.formula)
+            check(decl.formula)
     if problem.conjecture is not None:
-        check_term(problem.conjecture)
+        check(problem.conjecture)
 
 
 def format_annotated(name: str, role: str, body: str, width: int = 80) -> str:
@@ -231,7 +198,7 @@ def _decl_lines(problem) -> list:
     lines: list = []
     for decl in problem.theory.decls:
         if isinstance(decl, TypeDecl):
-            ty = _telescope_type(decl)
+            ty = _format_chain(list(decl.telescope), TYPE_KIND)
             label = decl.label or decl.name.text
             lines.append(format_annotated(label, "type", f"{atom(decl.name.text)}: {ty}"))
         elif isinstance(decl, ConstDecl):
@@ -240,27 +207,6 @@ def _decl_lines(problem) -> list:
         elif isinstance(decl, Axiom):
             lines.append(format_annotated(decl.label, decl.role, format_term(decl.formula)))
     return lines
-
-
-def _telescope_type(decl: TypeDecl) -> str:
-    ty: Type = BaseApp(decl.name)  # placeholder tail, swapped for $tType below
-    chain = list(decl.telescope)
-    last_dependent = -1
-    for i, (name, _) in enumerate(chain):
-        rest = [d for _, d in chain[i + 1:]]
-        if any(name.text in free_vars(t) for t in rest):
-            last_dependent = i
-    parts: list = []
-    prefix = ""
-    if last_dependent >= 0:
-        group = ", ".join(f"{n.text}: {_format_domain(d)}" for n, d in chain[: last_dependent + 1])
-        prefix = f"!> [{group}]: "
-    arrow_parts = [_format_component(d) for _, d in chain[last_dependent + 1:]]
-    arrow_parts.append("$tType")
-    arrow = " > ".join(arrow_parts)
-    if prefix and len(arrow_parts) > 1:
-        return f"{prefix}({arrow})"
-    return f"{prefix}{arrow}"
 
 
 def print_problem(problem, conjecture_role: str = "conjecture") -> str:

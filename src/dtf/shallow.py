@@ -13,17 +13,14 @@ from .core import (
     App,
     Axiom,
     BaseApp,
+    Binder,
     BoolType,
     Bottom,
     Choice,
+    Connective,
     Const,
     ConstDecl,
     Eq,
-    Exists,
-    Forall,
-    Implies,
-    And,
-    Or,
     Lam,
     Name,
     Not,
@@ -52,8 +49,8 @@ class Base:
 
 @dataclass(frozen=True)
 class Arrow:
-    arg: "SimpleType"
-    res: "SimpleType"
+    arg: Base | Arrow | SBool
+    res: Base | Arrow | SBool
 
     def __str__(self) -> str:
         arg = f"({self.arg})" if isinstance(self.arg, Arrow) else str(self.arg)
@@ -66,12 +63,10 @@ class SBool:
         return "$o"
 
 
-SimpleType = object  # Base | Arrow | SBool
-
 BOOL_SKEL = SBool()
 
 
-def skeletonize(ty: Type) -> SimpleType:
+def skeletonize(ty: Type) -> Base | Arrow | SBool:
     """Drop term arguments and dependencies from a type."""
     if isinstance(ty, BaseApp):
         return Base(ty.head)
@@ -91,7 +86,7 @@ class _ShallowChecker:
         self.path = path
         self.diagnostics: list[Diagnostic] = []
         self.type_arity: dict = {}   # text -> tuple of telescope skeletons
-        self.const_skel: dict = {}   # text -> SimpleType
+        self.const_skel: dict = {}   # text -> skeleton
 
     def report(self, message: str, span: Span | None) -> None:
         self.diagnostics.append(error(message, span, self.path))
@@ -159,15 +154,7 @@ class _ShallowChecker:
                 self.report(f"function expects argument skeleton {fun.arg}, got {arg}", t.span)
                 return None
             return fun.res
-        if isinstance(t, Lam):
-            if not self.check_type(t.domain, env):
-                return None
-            dom = skeletonize(t.domain)
-            env2 = dict(env)
-            env2[t.binder.text] = dom
-            body = self.infer(t.body, env2)
-            return Arrow(dom, body) if body is not None else None
-        if isinstance(t, (Forall, Exists, Choice)):
+        if isinstance(t, Binder):
             if not self.check_type(t.domain, env):
                 return None
             dom = skeletonize(t.domain)
@@ -176,11 +163,13 @@ class _ShallowChecker:
             body = self.infer(t.body, env2)
             if body is None:
                 return None
+            if isinstance(t, Lam):
+                return Arrow(dom, body)
             if body != BOOL_SKEL:
                 self.report(f"binder body must have skeleton $o, got {body}", t.span)
                 return None
             return dom if isinstance(t, Choice) else BOOL_SKEL
-        if isinstance(t, (Implies, And, Or)):
+        if isinstance(t, Connective):
             ok = True
             for side in (t.left, t.right):
                 got = self.infer(side, env)

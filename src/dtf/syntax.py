@@ -18,6 +18,7 @@ from .core import (
     App,
     Axiom,
     BaseApp,
+    Binder,
     Bottom,
     Choice,
     Const,
@@ -40,7 +41,8 @@ from .core import (
     Var,
     fresh_name,
     is_type_kind,
-    substitute_type,
+    map_children,
+    substitute,
 )
 from .diagnostics import Diagnostic, Span, error, warning
 
@@ -263,8 +265,43 @@ class Problem:
         return counts
 
 
+def _too_deep(tree: object, limit: int) -> object:
+    """The first surface node nested deeper than limit, or None.
+
+    Depth counts the nodes on the path from the root, so a chain such as
+    `a & b & c` nests one level per operator, and a binder with k variables
+    counts k levels, one per core binder.  The walk keeps its own stack: the
+    tree may be too deep to recurse over.
+    """
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > limit:
+            return node
+        if isinstance(node, SName):
+            continue
+        if isinstance(node, SApp):
+            stack += [(node.fun, depth + 1), (node.arg, depth + 1)]
+        elif isinstance(node, (SBin, SEq)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+        elif isinstance(node, SBinder):
+            depth += len(node.variables)
+            stack.extend((ty, depth) for _, ty in node.variables)
+            stack.append((node.body, depth))
+        elif isinstance(node, SNot):
+            stack.append((node.operand, depth + 1))
+        elif isinstance(node, STyping):
+            stack.append((node.ty, depth))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Parser
+
+# The parser and every later stage recurse over the formula, using up to four
+# interpreter frames per level; at this depth every subcommand stays within
+# Python's default recursion limit of 1000.
+MAX_NESTING = 200
 
 _ROLES = {"type", "axiom", "lemma", "hypothesis", "definition", "conjecture"}
 _BINARY_OPS = {"&", "|", "=>", "<=", "<=>", "<~>", ">"}
@@ -276,6 +313,7 @@ class _Parser:
         self.pos = 0
         self.path = path
         self.source_text: str | None = None
+        self.depth = 0  # nested parse_unit calls: parentheses, negations, binders
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -366,6 +404,10 @@ class _Parser:
             body: object = self.parse_typing()
         else:
             body = self.parse_expr()
+        too_deep = _too_deep(body, MAX_NESTING)
+        if too_deep is not None:
+            raise _SyntaxError(error(f"formula nests deeper than {MAX_NESTING} levels",
+                                     too_deep.span, self.path))
         source = useful = None
         if self.peek().kind == ",":
             self.next()
@@ -406,7 +448,7 @@ class _Parser:
             raise self.fail("expected the declared symbol name", subject_tok)
         self.next()
         self.expect(":")
-        ty = self.parse_type_expr()
+        ty = self.parse_expr()  # type expressions reuse the formula grammar
         for _ in range(parens):
             self.expect(")")
         return STyping(SName("lower", subject_tok.text, subject_tok.span), ty, subject_tok.span)
@@ -415,10 +457,6 @@ class _Parser:
         tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
         after = self.tokens[self.pos + 2] if self.pos + 2 < len(self.tokens) else None
         return bool(tok and tok.kind in ("lower", "quoted") and after and after.kind == ":")
-
-    def parse_type_expr(self) -> object:
-        """Type expressions reuse the formula grammar; '>' is parsed here."""
-        return self.parse_expr()
 
     # -- formulae ---------------------------------------------------------
 
@@ -460,20 +498,27 @@ class _Parser:
                 f"{nxt.kind!r} after {op!r} needs parentheses", nxt)
 
     def parse_unit(self) -> object:
+        # Every recursive path of the parser passes through here.
         tok = self.peek()
-        if tok.kind == "~":
-            self.next()
-            return SNot(self.parse_unit(), tok.span)
-        left = self.parse_apply()
-        nxt = self.peek()
-        if nxt.kind in ("=", "!="):
-            self.next()
-            right = self.parse_apply()
-            after = self.peek()
-            if after.kind in ("=", "!="):
-                raise self.fail("chained equality needs parentheses", after)
-            return SEq(left, right, nxt.kind == "!=", nxt.span)
-        return left
+        self.depth += 1
+        try:
+            if self.depth > MAX_NESTING:
+                raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
+            if tok.kind == "~":
+                self.next()
+                return SNot(self.parse_unit(), tok.span)
+            left = self.parse_apply()
+            nxt = self.peek()
+            if nxt.kind in ("=", "!="):
+                self.next()
+                right = self.parse_apply()
+                after = self.peek()
+                if after.kind in ("=", "!="):
+                    raise self.fail("chained equality needs parentheses", after)
+                return SEq(left, right, nxt.kind == "!=", nxt.span)
+            return left
+        finally:
+            self.depth -= 1
 
     def parse_apply(self) -> object:
         result = self.parse_atom()
@@ -558,6 +603,8 @@ class _ElabError(Exception):
 
 
 _AXIOM_ROLES = ("axiom", "lemma", "hypothesis", "definition")
+_CONNECTIVES = {c.op: c for c in (Implies, And, Or)}
+_BINDERS = {b.op: b for b in (Forall, Exists, Lam, Choice)}
 
 
 class _Elaborator:
@@ -593,7 +640,7 @@ class _Elaborator:
             self.elaborate_declaration(f)
             return
         body = self.elaborate_term(f.body, {})
-        body = self.annotate_term(body, {})
+        body = self.annotate(body, {})
         if f.role == "conjecture":
             if self.conjecture is not None:
                 raise self.err("a problem may contain at most one conjecture", f.span)
@@ -628,14 +675,14 @@ class _Elaborator:
             env: dict = {}
             annotated: list = []
             for n, ty in telescope:
-                ty = self.annotate_type(ty, env)
+                ty = self.annotate(ty, env)
                 annotated.append((n, ty))
                 env[n.text] = ty
             telescope = annotated
             decl = TypeDecl(Name(symbol, NameKind.TYPE), tuple(telescope), f.name, span=f.span)
         else:
             ty = self.elaborate_type(typing.ty, {}, allow_pi=True)
-            ty = self.annotate_type(ty, {})
+            ty = self.annotate(ty, {})
             decl = ConstDecl(Name(symbol, NameKind.CONST), ty, f.name, span=f.span)
         self.decls.append(decl)
         self.symbols[symbol] = decl
@@ -747,12 +794,8 @@ class _Elaborator:
                 raise self.err("arrow cannot appear in a formula", s.span)
             left = self.elaborate_term(s.left, venv)
             right = self.elaborate_term(s.right, venv)
-            if s.op == "&":
-                return And(left, right, span=s.span)
-            if s.op == "|":
-                return Or(left, right, span=s.span)
-            if s.op == "=>":
-                return Implies(left, right, span=s.span)
+            if s.op in _CONNECTIVES:
+                return _CONNECTIVES[s.op](left, right, span=s.span)
             if s.op == "<=":
                 return Implies(right, left, span=s.span)
             if s.op == "<=>":
@@ -791,7 +834,7 @@ class _Elaborator:
     def _elaborate_binder(self, s: SBinder, venv: dict) -> Term:
         if s.op == "!>":
             raise self.err("'!>' is only allowed in declaration types", s.span)
-        node = {"!": Forall, "?": Exists, "^": Lam, "@+": Choice}[s.op]
+        node = _BINDERS[s.op]
         venv = dict(venv)
         bound: list = []
         for var, vty in s.variables:
@@ -817,35 +860,24 @@ class _Elaborator:
 
     # -- equation annotations -------------------------------------------------
 
-    def annotate_term(self, t: Term, env: dict) -> Term:
+    def annotate(self, t, env: dict):
+        """Fill in the type of every equation in a term or type."""
         if isinstance(t, (Var, Const, Top, Bottom)):
             return t
         if isinstance(t, App):
-            return App(self.annotate_term(t.fun, env), self.annotate_term(t.arg, env), span=t.span)
-        if isinstance(t, (Lam, Forall, Exists, Choice)):
-            domain = self.annotate_type(t.domain, env)
+            return App(self.annotate(t.fun, env), self.annotate(t.arg, env), span=t.span)
+        if isinstance(t, (Binder, Pi)):
+            domain = self.annotate(t.domain, env)
             env2 = dict(env)
             env2[t.binder.text] = domain
-            return type(t)(t.binder, domain, self.annotate_term(t.body, env2), span=t.span)
-        if isinstance(t, (Implies, And, Or)):
-            return type(t)(self.annotate_term(t.left, env), self.annotate_term(t.right, env), span=t.span)
-        if isinstance(t, Not):
-            return Not(self.annotate_term(t.arg, env), span=t.span)
+            return type(t)(t.binder, domain, self.annotate(t.body, env2), span=t.span)
+        if isinstance(t, BaseApp):
+            return BaseApp(t.head, tuple(self.annotate(a, env) for a in t.args), span=t.span)
         if isinstance(t, Eq):
-            left = self.annotate_term(t.left, env)
-            right = self.annotate_term(t.right, env)
+            left = self.annotate(t.left, env)
+            right = self.annotate(t.right, env)
             return Eq(left, right, self._synth(left, env), span=t.span)
-        raise TypeError(f"annotate_term: unexpected {t!r}")
-
-    def annotate_type(self, ty: Type, env: dict) -> Type:
-        if isinstance(ty, BaseApp):
-            return BaseApp(ty.head, tuple(self.annotate_term(a, env) for a in ty.args), span=ty.span)
-        if isinstance(ty, Pi):
-            domain = self.annotate_type(ty.domain, env)
-            env2 = dict(env)
-            env2[ty.binder.text] = domain
-            return Pi(ty.binder, domain, self.annotate_type(ty.codomain, env2), span=ty.span)
-        return ty
+        return map_children(t, self.annotate, env)
 
     def _synth(self, t: Term, env: dict) -> Type | None:
         """Structural type synthesis; None when the skeleton is broken."""
@@ -857,7 +889,7 @@ class _Elaborator:
         if isinstance(t, App):
             fun_ty = self._synth(t.fun, env)
             if isinstance(fun_ty, Pi):
-                return substitute_type(fun_ty.codomain, fun_ty.binder, t.arg)
+                return substitute(fun_ty.codomain, fun_ty.binder, t.arg)
             return None
         if isinstance(t, Lam):
             env2 = dict(env)
@@ -866,9 +898,7 @@ class _Elaborator:
             return Pi(t.binder, t.domain, body_ty) if body_ty is not None else None
         if isinstance(t, Choice):
             return t.domain
-        if isinstance(t, (Forall, Exists, Implies, And, Or, Not, Eq, Top, Bottom)):
-            return BOOL
-        return None
+        return BOOL  # every other term former is a proposition
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,152 @@
+"""The deep check must not depend on the names of bound variables."""
+
+import dataclasses
+import random
+
+import pytest
+
+from dtf.core import (
+    App,
+    Axiom,
+    BaseApp,
+    Binder,
+    ConstDecl,
+    Name,
+    Pi,
+    Theory,
+    TypeDecl,
+    Var,
+    alpha_equal,
+    children,
+    fresh_name,
+    map_children,
+)
+from dtf.deep import check_problem
+from dtf.syntax import Problem, parse_problem
+
+from genutil import gen_problem
+
+CAPTURE_REPRO = """\
+thf(nat_type, type, nat: $tType).
+thf(vec_type, type, vec: nat > $tType).
+thf(f_type, type, f: !> [N: nat]: (vec @ N)).
+thf(g_type, type, g: !> [K: nat]: ((nat > (vec @ K)) > $o)).
+thf(bad, axiom, ! [N: nat]: (g @ N @ f)).
+"""
+
+# The same problem with the bound N of the axiom renamed to M.
+CAPTURE_TWIN = CAPTURE_REPRO.replace("! [N: nat]: (g @ N @ f)", "! [M: nat]: (g @ M @ f)")
+
+
+def rename_bound(t, pick, env=None):
+    """Rename every bound variable of a term or type.
+
+    pick(old_text) proposes the new name.  A proposal already taken by an
+    enclosing binder is freshened, so the result stays alpha-equal to t.
+    """
+    env = env or {}
+    if isinstance(t, Var):
+        return Var(env.get(t.name, t.name))
+    if isinstance(t, (Binder, Pi)):
+        taken = {name.text for name in env.values()}
+        new = Name(fresh_name(pick(t.binder.text), taken), t.binder.kind)
+        domain = rename_bound(t.domain, pick, env)
+        return type(t)(new, domain, rename_bound(t.body, pick, {**env, t.binder: new}))
+    if isinstance(t, App):
+        return App(rename_bound(t.fun, pick, env), rename_bound(t.arg, pick, env))
+    if isinstance(t, BaseApp):
+        return BaseApp(t.head, tuple(rename_bound(a, pick, env) for a in t.args))
+    return map_children(t, rename_bound, pick, env)
+
+
+def _bound_names(t, acc: set) -> set:
+    if isinstance(t, (Binder, Pi)):
+        acc.add(t.binder.text)
+    for child in children(t):
+        _bound_names(child, acc)
+    return acc
+
+
+def bound_names(problem: Problem) -> list:
+    """Every name bound anywhere in the problem, declarations included."""
+    acc: set = set()
+    for decl in problem.theory.decls:
+        if isinstance(decl, TypeDecl):
+            for name, ty in decl.telescope:
+                acc.add(name.text)
+                _bound_names(ty, acc)
+        else:
+            _bound_names(decl.ty if isinstance(decl, ConstDecl) else decl.formula, acc)
+    if problem.conjecture is not None:
+        _bound_names(problem.conjecture, acc)
+    return sorted(acc)
+
+
+def rename_problem(problem: Problem, pick) -> Problem:
+    decls = tuple(
+        dataclasses.replace(d, formula=rename_bound(d.formula, pick)) if isinstance(d, Axiom) else d
+        for d in problem.theory.decls)
+    conjecture = problem.conjecture
+    if conjecture is not None:
+        conjecture = rename_bound(conjecture, pick)
+    return dataclasses.replace(problem, theory=Theory(decls), conjecture=conjecture)
+
+
+def renamings(problem: Problem) -> list:
+    """Renamings onto names bound elsewhere in the problem and onto new ones."""
+    pool = bound_names(problem) + ["Z", "N0", "X1_"]
+    picks = [lambda old: pool[0], lambda old: old + "0"]
+    for seed in range(4):
+        rng = random.Random(seed)
+        picks.append(lambda old, rng=rng: rng.choice(pool))
+    return picks
+
+
+def assert_alpha_invariant(problem: Problem) -> None:
+    base = check_problem(problem)
+    assert base.diagnostics == []
+    for pick in renamings(problem):
+        renamed = rename_problem(problem, pick)
+        for a, b in zip(problem.theory.decls, renamed.theory.decls):
+            if isinstance(a, Axiom):
+                assert alpha_equal(a.formula, b.formula)
+        report = check_problem(renamed)
+        assert report.diagnostics == []
+        assert len(report.obligations) == len(base.obligations)
+        assert len(report.discharged) == len(base.discharged)
+        for ours, theirs in zip(base.obligations + base.discharged,
+                                report.obligations + report.discharged):
+            assert alpha_equal(ours.formula, theirs.formula)
+
+
+POSITIVE = ["choice.p", "dep_impl.p", "dep_impl_rev.p", "desugar.p", "hol.p",
+            "list_append.p", "roles.p", "vect.p"]
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_corpus_is_alpha_invariant(corpus_dir, name):
+    problem = parse_problem((corpus_dir / name).read_text(), str(corpus_dir / name))
+    assert isinstance(problem, Problem)
+    assert_alpha_invariant(problem)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_generated_problems_are_alpha_invariant(seed):
+    assert_alpha_invariant(gen_problem(seed))
+
+
+def test_capture_repro_is_alpha_invariant():
+    problem = parse_problem(CAPTURE_REPRO)
+    assert isinstance(problem, Problem)
+    assert_alpha_invariant(problem)
+
+
+def test_pi_comparison_does_not_capture():
+    # Comparing f's type with the expected `nat > vec @ N` must not rename
+    # f's binder onto the N that is free in the expected type.
+    repro = check_problem(parse_problem(CAPTURE_REPRO))
+    twin = check_problem(parse_problem(CAPTURE_TWIN))
+    assert len(repro.obligations) == len(twin.obligations) == 1
+    assert alpha_equal(repro.obligations[0].formula, twin.obligations[0].formula)
+    ctx = repro.obligations[0].context
+    assert [e.name.text for e in ctx.entries] == ["N", "N0"]
