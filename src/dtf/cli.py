@@ -70,7 +70,7 @@ def cmd_parse(args) -> int:
             counts = problem.role_counts()
             summary = ", ".join(f"{role}: {n}" for role, n in sorted(counts.items()))
             prefix = f"{path}: " if many else ""
-            print(f"{prefix}parsed {len(problem.formulae)} formulae ({summary})")
+            print(f"{prefix}parsed {sum(counts.values())} formulae ({summary})")
     return worst
 
 
@@ -185,7 +185,7 @@ def cmd_stats(args) -> int:
         if problem.conjecture is not None:
             size += term_size(problem.conjecture)
         print(f"file: {path}")
-        print(f"formulae: {len(problem.formulae)} "
+        print(f"formulae: {sum(counts.values())} "
               f"({', '.join(f'{r}: {n}' for r, n in sorted(counts.items()))})")
         print(f"type symbols: {len(type_decls)} ({dependent} with term arguments)")
         print(f"constants: {consts}")

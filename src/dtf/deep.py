@@ -367,7 +367,6 @@ def obligation_problem(problem, ob: Obligation):
 
     visible = problem.theory.decls[: ob.theory_prefix]
     return Problem(
-        formulae=(),
         theory=Theory(tuple(visible)),
         conjecture=ob.formula,
         conjecture_name=ob.label,

@@ -244,7 +244,6 @@ def erase_problem(problem, assume_obligations=()) -> ErasedProblem:
     if problem.conjecture is not None:
         conjecture = eraser.erase_term(problem.conjecture)
     erased_problem = Problem(
-        formulae=(),
         theory=Theory(tuple(decls)),
         conjecture=conjecture,
         conjecture_name=problem.conjecture_name,

@@ -138,23 +138,9 @@ def format_term(t: Term) -> str:
 def _format_operand(t: Term) -> str:
     """Format a term so it can sit under '@', '=', or a binary connective."""
     text = format_term(t)
-    if isinstance(t, (Var, Const, Top, Bottom)):
-        return text
-    if text.startswith("(") and _balanced_to_end(text):
-        return text
+    if isinstance(t, (Var, Const, Top, Bottom, Connective, Eq)):
+        return text  # atomic, or already parenthesized by format_term
     return f"({text})"
-
-
-def _balanced_to_end(text: str) -> bool:
-    depth = 0
-    for i, c in enumerate(text):
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(text) - 1
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -130,17 +130,10 @@ def run_prover(config: ProverConfig, problem_text: str,
 def discharge_all(config: ProverConfig, problems, jobs: int = 1) -> dict:
     """Prove many (label, problem_text) pairs; returns label -> ProverResult."""
     items = list(problems)
-    results: dict = {}
-    if jobs <= 1 or len(items) <= 1:
-        for label, text in items:
-            results[label] = run_prover(config, text, stem=label)
-        return results
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
         futures = {label: pool.submit(run_prover, config, text, label)
                    for label, text in items}
-    for label, future in futures.items():
-        results[label] = future.result()
-    return results
+    return {label: future.result() for label, future in futures.items()}
 
 
 def config_from_env(command: str | None = None,

@@ -8,6 +8,8 @@ returns either an elaborated Problem or a list of Diagnostics.
 from __future__ import annotations
 
 import os
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 from . import core
@@ -18,7 +20,6 @@ from .core import (
     App,
     Axiom,
     BaseApp,
-    Binder,
     Bottom,
     Choice,
     Const,
@@ -41,7 +42,6 @@ from .core import (
     Var,
     fresh_name,
     is_type_kind,
-    map_children,
     substitute,
 )
 from .diagnostics import Diagnostic, Span, error, warning
@@ -55,6 +55,18 @@ _PUNCT = [
     "(", ")", "[", "]", ",", ".", ":", "@", "!", "?", "^",
     "~", "&", "|", "=", ">",
 ]
+
+# One alternative per token class, tried at each position.  `\w` is exactly
+# "alphanumeric or `_`".  A word must also start with a letter, and a token
+# that starts with a digit (`str.isdigit`, wider than `\d`) is lexed by hand.
+_TOKEN = re.compile(r"""
+    (?P<skip> (?: [ \t\r\n]+ | %[^\n]* | /\*[\s\S]*?\*/ )+ )
+  | (?P<quoted> '[^'\\\n]*(?:\\[^\n][^'\\\n]*)*' )
+  | (?P<dollar> \$(?:\$\w*|\w+) )
+  | (?P<word> [^\W\d_]\w* )
+  | (?P<punct> """ + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)) + r""" )
+""", re.X)
+_ESCAPE = re.compile(r"\\(['\\])")
 
 
 @dataclass(frozen=True)
@@ -77,99 +89,51 @@ class _SyntaxError(Exception):
         self.diagnostic = diagnostic
 
 
-def _is_lower_start(c: str) -> bool:
-    return c.isalpha() and c.islower()
-
-
-def _is_word_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
-
-
 def tokenize(text: str, path: str | None = None) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    pos = 0
     line = 1
     line_start = 0
     n = len(text)
-
-    def span_here(length: int = 1) -> Span:
-        return Span(line, i - line_start + 1, length)
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            line_start = i
+    while pos < n:
+        m = _TOKEN.match(text, pos)
+        kind = m.lastgroup if m else None
+        if kind == "skip":
+            end = m.end()
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", pos, end) + 1
+            pos = end
             continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise _SyntaxError(error("unterminated block comment", span_here(2), path))
-            line += text.count("\n", i, end)
-            if "\n" in text[i:end]:
-                line_start = text.rfind("\n", i, end) + 1
-            i = end + 2
-            continue
-        start = i
-        col = i - line_start + 1
-        if c == "'":
-            i += 1
-            value = []
-            while i < n and text[i] != "'":
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in "\\'":
-                    value.append(text[i + 1])
-                    i += 2
-                elif text[i] == "\n":
-                    raise _SyntaxError(error("unterminated quoted atom", Span(line, col, i - start), path))
-                else:
-                    value.append(text[i])
-                    i += 1
-            if i >= n:
-                raise _SyntaxError(error("unterminated quoted atom", Span(line, col, i - start), path))
-            i += 1
-            tokens.append(Token("quoted", "".join(value), line, col, start, i))
-            continue
-        if c == "$":
-            j = i + 1
-            if j < n and text[j] == "$":
-                j += 1
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            if j == i + 1:
-                raise _SyntaxError(error("stray '$'", span_here(), path))
-            tokens.append(Token("dollar", text[i:j], line, col, i, j))
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in ".eE+-/"):
-                j += 1
-            tokens.append(Token("number", text[i:j], line, col, i, j))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and _is_word_char(text[j]):
-                j += 1
-            kind = "lower" if _is_lower_start(c) else "upper"
-            tokens.append(Token(kind, text[i:j], line, col, i, j))
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token(p, p, line, col, i, i + len(p)))
-                i += len(p)
-                break
+        col = pos - line_start + 1
+        c = text[pos]
+        if kind == "quoted":
+            end = m.end()
+            tokens.append(Token("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]), line, col, pos, end))
+        elif kind == "word" and c.isalpha():
+            end = m.end()
+            tokens.append(Token("lower" if c.islower() else "upper", text[pos:end], line, col, pos, end))
+        elif kind in ("dollar", "punct"):
+            end = m.end()
+            token = text[pos:end]
+            tokens.append(Token(kind if kind == "dollar" else token, token, line, col, pos, end))
+        elif c.isdigit():
+            end = pos
+            while end < n and (text[end].isdigit() or text[end] in ".eE+-/"):
+                end += 1
+            tokens.append(Token("number", text[pos:end], line, col, pos, end))
+        elif c == "'":
+            stop = text.find("\n", pos)
+            length = (n if stop < 0 else stop) - pos
+            raise _SyntaxError(error("unterminated quoted atom", Span(line, col, length), path))
+        elif text.startswith("/*", pos):
+            raise _SyntaxError(error("unterminated block comment", Span(line, col, 2), path))
+        elif c == "$":
+            raise _SyntaxError(error("stray '$'", Span(line, col, 1), path))
         else:
-            raise _SyntaxError(error(f"unexpected character {c!r}", span_here(), path))
+            raise _SyntaxError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
+        pos = end
     tokens.append(Token("eof", "", line, n - line_start + 1, n, n))
     return tokens
 
@@ -231,12 +195,9 @@ class STyping:
 
 @dataclass(frozen=True)
 class AnnotatedFormula:
-    language: str
     name: str
     role: str
     body: object  # surface tree (STyping for role type)
-    source: str | None = None
-    useful_info: str | None = None
     span: Span | None = None
 
 
@@ -248,9 +209,9 @@ class _Include:
 
 @dataclass(frozen=True)
 class Problem:
-    """An elaborated problem: original formulae plus the core theory."""
+    """An elaborated problem: the core theory plus how many formulae had each role."""
 
-    formulae: tuple = ()
+    roles: tuple = ()  # (role, count) pairs, in order of first appearance
     theory: Theory = Theory()
     conjecture: Term | None = None
     conjecture_name: str | None = None
@@ -259,10 +220,7 @@ class Problem:
     warnings: tuple = ()
 
     def role_counts(self) -> dict:
-        counts: dict = {}
-        for f in self.formulae:
-            counts[f.role] = counts.get(f.role, 0) + 1
-        return counts
+        return dict(self.roles)
 
 
 def _too_deep(tree: object, limit: int) -> object:
@@ -312,7 +270,6 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
-        self.source_text: str | None = None
         self.depth = 0  # nested parse_unit calls: parentheses, negations, binders
 
     def peek(self) -> Token:
@@ -376,15 +333,7 @@ class _Parser:
         self.next()
         if self.peek().kind == ",":
             self.next()
-            depth = 0
-            while not (depth == 0 and self.peek().kind == ")"):
-                tok = self.next()
-                if tok.kind == "eof":
-                    raise self.fail("unterminated include directive", tok)
-                if tok.kind in ("(", "["):
-                    depth += 1
-                elif tok.kind in (")", "]"):
-                    depth -= 1
+            self._skip_balanced((")",), "unterminated include directive")
             warns.append(warning("include selection list ignored", target.span, self.path))
         self.expect(")")
         self.expect(".")
@@ -408,33 +357,28 @@ class _Parser:
         if too_deep is not None:
             raise _SyntaxError(error(f"formula nests deeper than {MAX_NESTING} levels",
                                      too_deep.span, self.path))
-        source = useful = None
+        # The source and useful-info annotations are checked for balance and skipped.
         if self.peek().kind == ",":
             self.next()
-            source = self._parse_opaque()
+            self._skip_balanced((",", ")"), "unterminated annotation")
             if self.peek().kind == ",":
                 self.next()
-                useful = self._parse_opaque()
+                self._skip_balanced((",", ")"), "unterminated annotation")
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula("thf", name_tok.text, role_tok.text, body,
-                                source, useful, kw.span)
+        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span)
 
-    def _parse_opaque(self) -> str:
-        start_tok = self.peek()
+    def _skip_balanced(self, stops: tuple, message: str) -> None:
+        """Skip tokens up to one of stops outside any brackets."""
         depth = 0
-        end = start_tok.offset
-        while not (depth == 0 and self.peek().kind in (",", ")")):
+        while not (depth == 0 and self.peek().kind in stops):
             tok = self.next()
             if tok.kind == "eof":
-                raise self.fail("unterminated annotation", tok)
+                raise self.fail(message, tok)
             if tok.kind in ("(", "["):
                 depth += 1
             elif tok.kind in (")", "]"):
                 depth -= 1
-            end = tok.end
-        assert self.source_text is not None
-        return self.source_text[start_tok.offset:end]
 
     # -- typings ---------------------------------------------------------
 
@@ -608,6 +552,13 @@ _BINDERS = {b.op: b for b in (Forall, Exists, Lam, Choice)}
 
 
 class _Elaborator:
+    """Surface trees to core declarations and formulae.
+
+    The `venv` threaded through the walk maps each surface variable to
+    ("var", core Name) or ("tyvar",), and each core binder Name in scope to
+    its domain, which `_synth` reads to fill in `Eq.at`.
+    """
+
     def __init__(self, path: str | None):
         self.path = path
         self.decls: list = []
@@ -640,7 +591,6 @@ class _Elaborator:
             self.elaborate_declaration(f)
             return
         body = self.elaborate_term(f.body, {})
-        body = self.annotate(body, {})
         if f.role == "conjecture":
             if self.conjecture is not None:
                 raise self.err("a problem may contain at most one conjecture", f.span)
@@ -668,21 +618,13 @@ class _Elaborator:
                 name = Name(var.text, NameKind.VAR)
                 telescope.append((name, domain))
                 venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
+                venv[name] = domain
             for component in spine[:-1]:
                 domain = self._binder_domain(component, venv, allow_pi=True)
-                name = Name(self._invent_binder(), NameKind.VAR)
-                telescope.append((name, domain))
-            env: dict = {}
-            annotated: list = []
-            for n, ty in telescope:
-                ty = self.annotate(ty, env)
-                annotated.append((n, ty))
-                env[n.text] = ty
-            telescope = annotated
+                telescope.append((Name(self._invent_binder(venv), NameKind.VAR), domain))
             decl = TypeDecl(Name(symbol, NameKind.TYPE), tuple(telescope), f.name, span=f.span)
         else:
             ty = self.elaborate_type(typing.ty, {}, allow_pi=True)
-            ty = self.annotate(ty, {})
             decl = ConstDecl(Name(symbol, NameKind.CONST), ty, f.name, span=f.span)
         self.decls.append(decl)
         self.symbols[symbol] = decl
@@ -706,9 +648,14 @@ class _Elaborator:
             return TYPE_KIND
         return self.elaborate_type(sty, venv, allow_pi=allow_pi)
 
-    def _invent_binder(self) -> str:
-        self._arrow_counter += 1
-        return f"X{self._arrow_counter}_"
+    def _invent_binder(self, venv: dict) -> str:
+        """The next `X<k>_` not taken by a variable in scope or a binder of the formula."""
+        while True:
+            self._arrow_counter += 1
+            text = f"X{self._arrow_counter}_"
+            if text not in venv and Name(text, NameKind.VAR) not in venv \
+                    and text not in self._used_binders:
+                return text
 
     # -- types -------------------------------------------------------------
 
@@ -749,7 +696,7 @@ class _Elaborator:
             args = tuple(self.elaborate_term(a, venv) for a in spine)
             return BaseApp(head_ty.head, args, span=sty.span)
         if isinstance(sty, SBin) and sty.op == ">":
-            name = Name(self._invent_binder(), NameKind.VAR)
+            name = Name(self._invent_binder(venv), NameKind.VAR)
             domain = self.elaborate_type(sty.left, venv)
             codomain = self.elaborate_type(sty.right, venv, allow_pi=False)
             return Pi(name, domain, codomain, span=sty.span)
@@ -762,6 +709,7 @@ class _Elaborator:
                 domain = self._binder_domain(vty, venv)
                 name = Name(var.text, NameKind.VAR)
                 venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
+                venv[name] = domain
                 bound.append((name, domain))
             result = self.elaborate_type(sty.body, venv, allow_pi=True)
             for name, domain in reversed(bound):
@@ -787,7 +735,9 @@ class _Elaborator:
         if isinstance(s, SNot):
             return Not(self.elaborate_term(s.operand, venv), span=s.span)
         if isinstance(s, SEq):
-            eq = Eq(self.elaborate_term(s.left, venv), self.elaborate_term(s.right, venv), None, span=s.span)
+            left = self.elaborate_term(s.left, venv)
+            right = self.elaborate_term(s.right, venv)
+            eq = Eq(left, right, self._synth(left, venv), span=s.span)
             return Not(eq, span=s.span) if s.negated else eq
         if isinstance(s, SBin):
             if s.op == ">":
@@ -847,6 +797,7 @@ class _Elaborator:
                 domain = self.elaborate_type(vty, venv)
                 name = Name(self._fresh_binder(var.text), NameKind.VAR)
                 venv[var.text] = ("var", name)
+            venv[name] = domain
             bound.append((name, domain))
         body = self.elaborate_term(s.body, venv)
         for name, domain in reversed(bound):
@@ -860,29 +811,10 @@ class _Elaborator:
 
     # -- equation annotations -------------------------------------------------
 
-    def annotate(self, t, env: dict):
-        """Fill in the type of every equation in a term or type."""
-        if isinstance(t, (Var, Const, Top, Bottom)):
-            return t
-        if isinstance(t, App):
-            return App(self.annotate(t.fun, env), self.annotate(t.arg, env), span=t.span)
-        if isinstance(t, (Binder, Pi)):
-            domain = self.annotate(t.domain, env)
-            env2 = dict(env)
-            env2[t.binder.text] = domain
-            return type(t)(t.binder, domain, self.annotate(t.body, env2), span=t.span)
-        if isinstance(t, BaseApp):
-            return BaseApp(t.head, tuple(self.annotate(a, env) for a in t.args), span=t.span)
-        if isinstance(t, Eq):
-            left = self.annotate(t.left, env)
-            right = self.annotate(t.right, env)
-            return Eq(left, right, self._synth(left, env), span=t.span)
-        return map_children(t, self.annotate, env)
-
     def _synth(self, t: Term, env: dict) -> Type | None:
         """Structural type synthesis; None when the skeleton is broken."""
         if isinstance(t, Var):
-            return env.get(t.name.text)
+            return env.get(t.name)
         if isinstance(t, Const):
             decl = self.symbols.get(t.name.text)
             return decl.ty if isinstance(decl, ConstDecl) else None
@@ -893,7 +825,7 @@ class _Elaborator:
             return None
         if isinstance(t, Lam):
             env2 = dict(env)
-            env2[t.binder.text] = t.domain
+            env2[t.binder] = t.domain
             body_ty = self._synth(t.body, env2)
             return Pi(t.binder, t.domain, body_ty) if body_ty is not None else None
         if isinstance(t, Choice):
@@ -929,9 +861,7 @@ def _resolve_includes(items: list, path: str | None, seen: set,
         except _SyntaxError as exc:
             diagnostics.append(exc.diagnostic)
             continue
-        sub_parser = _Parser(tokens, target)
-        sub_parser.source_text = text
-        sub_items, sub_diags, sub_warns = sub_parser.parse_items()
+        sub_items, sub_diags, sub_warns = _Parser(tokens, target).parse_items()
         diagnostics.extend(sub_diags)
         warnings_out.extend(sub_warns)
         resolved.extend(_resolve_includes(sub_items, target, seen | {target},
@@ -949,9 +879,7 @@ def parse_problem(text: str, path: str | None = None):
         tokens = tokenize(text, path)
     except _SyntaxError as exc:
         return [exc.diagnostic]
-    parser = _Parser(tokens, path)
-    parser.source_text = text
-    items, diagnostics, warns = parser.parse_items()
+    items, diagnostics, warns = _Parser(tokens, path).parse_items()
     items = _resolve_includes(items, path, {os.path.normpath(os.path.abspath(path))} if path else set(),
                               diagnostics, warns)
     if diagnostics:
@@ -962,7 +890,7 @@ def parse_problem(text: str, path: str | None = None):
     if elab.diagnostics:
         return elab.diagnostics
     return Problem(
-        formulae=tuple(formulae),
+        roles=tuple(Counter(f.role for f in formulae).items()),
         theory=Theory(tuple(elab.decls)),
         conjecture=elab.conjecture,
         conjecture_name=elab.conjecture_name,

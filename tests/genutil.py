@@ -94,7 +94,7 @@ def gen_problem(seed: int, max_decls: int = 5) -> Problem:
             arrows.append((Const(const), dom, cod))
         else:
             decls.append(_gen_axiom(rng, fresh("ax"), bases, ground, arrows))
-    return Problem(formulae=(), theory=Theory(tuple(decls)))
+    return Problem(theory=Theory(tuple(decls)))
 
 
 def _gen_axiom(rng: random.Random, label: str, bases, ground, arrows) -> Axiom:
@@ -205,7 +205,7 @@ def gen_formula_problem(seed: int) -> Problem:
     x = Name("Zz", NameKind.VAR)
     conjecture = Forall(x, BaseApp(base), Eq(Var(x), Var(x), BaseApp(base)))
     return Problem(
-        formulae=problem.formulae,
+        roles=problem.roles,
         theory=problem.theory,
         conjecture=conjecture,
         conjecture_name="generated_goal",

@@ -22,6 +22,7 @@ from dtf.core import (
     map_children,
 )
 from dtf.deep import check_problem
+from dtf.printer import format_type
 from dtf.syntax import Problem, parse_problem
 
 from genutil import gen_problem
@@ -150,3 +151,43 @@ def test_pi_comparison_does_not_capture():
     assert alpha_equal(repro.obligations[0].formula, twin.obligations[0].formula)
     ctx = repro.obligations[0].context
     assert [e.name.text for e in ctx.entries] == ["N", "N0"]
+
+
+# Arrow binders invented by the elaborator (`X1_`, `X2_`, ...) must not
+# capture a user variable of the same name.
+ARROW_PI = """\
+thf(nat_type, type, nat: $tType).
+thf(vec_type, type, vec: nat > $tType).
+thf(f_type, type, f: !> [X1_: nat]: (nat > (vec @ X1_))).
+thf(g_type, type, g: !> [M: nat]: (nat > (vec @ M))).
+thf(fg, axiom, ! [K: nat]: ((f @ K) = (g @ K))).
+"""
+
+ARROW_FORALL = """\
+thf(nat_type, type, nat: $tType).
+thf(vec_type, type, vec: nat > $tType).
+thf(p_type, type, p: !> [N: nat]: ((nat > (vec @ N)) > $o)).
+thf(ax, axiom, ! [X1_: nat, F: nat > (vec @ X1_)]: (p @ X1_ @ F)).
+"""
+
+
+@pytest.mark.parametrize("repro", [ARROW_PI, ARROW_FORALL], ids=["pi", "forall"])
+def test_invented_arrow_binder_does_not_capture(repro):
+    # The repro and its twin with the user variable renamed to Y.
+    for text in (repro, repro.replace("X1_", "Y")):
+        problem = parse_problem(text)
+        assert isinstance(problem, Problem)
+        report = check_problem(problem)
+        assert report.diagnostics == []
+        assert report.obligations == [] and report.discharged == []
+
+
+def test_invented_arrow_binder_prints_back_unchanged():
+    problem = parse_problem(ARROW_PI)
+    f = problem.theory.const_decl("f").ty
+    assert f.binder.text == "X1_" and f.codomain.binder.text != "X1_"
+    assert format_type(f) == "!> [X1_: nat]: (nat > (vec @ X1_))"
+    forall = parse_problem(ARROW_FORALL).theory.axioms()[-1].formula
+    arrow = forall.body.domain
+    assert arrow.binder.text != "X1_"
+    assert format_type(arrow) == "nat > (vec @ X1_)"

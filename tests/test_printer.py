@@ -139,6 +139,27 @@ def test_round_trip_quoted_atoms(corpus_dir):
     _round_trip(parse_file(str(corpus_dir / "roles.p")))
 
 
+PARENTHESES_IN_ATOMS = """
+thf(a_type, type, 'a(': $o).
+thf(b_type, type, 'b)': $o).
+thf(o_type, type, '(': $o).
+thf(c_type, type, c: $o).
+thf(f_type, type, 'f(x)': $o > $o > $o).
+thf(ax1, axiom, ('a(' = 'b)')).
+thf(ax2, axiom, ('f(x)' @ 'a(' @ ('b)' & 'a('))).
+thf(ax3, axiom, ~ ('f(x)' @ ('a(' = 'b)') @ 'b)')).
+thf(ax4, axiom, ('f(x)' @ ((^ [X: $o]: ('(' = X)) @ ('b)' = c)) @ 'a(')).
+"""
+
+
+def test_round_trip_parentheses_inside_quoted_atoms():
+    problem = parse_problem(PARENTHESES_IN_ATOMS)
+    _round_trip(problem)
+    # The application in ax4's first argument must keep its parentheses.
+    assert format_term(problem.theory.axioms()[-1].formula) == (
+        "'f(x)' @ ((^ [X: $o]: (('(' = X))) @ ('b)' = c)) @ 'a('")
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_round_trip_generated_problems(seed):
     _round_trip(genutil.gen_formula_problem(seed))

@@ -147,6 +147,16 @@ def test_discharge_all(fake_prover, jobs):
     assert results["two"].verdict.status == "GaveUp"
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 8])
+def test_discharge_all_clamps_the_pool(fake_prover, jobs):
+    # Any --jobs value runs every task in a pool of at least one worker.
+    config = ProverConfig(f"{fake_prover('echo % SZS status Theorem')} {{file}}", timeout=10)
+    assert discharge_all(config, [], jobs=jobs) == {}
+    results = discharge_all(config, [("one", "p"), ("two", "q")], jobs=jobs)
+    assert list(results) == ["one", "two"]
+    assert all(r.verdict.proved for r in results.values())
+
+
 # -- environment --------------------------------------------------------------------------
 
 

@@ -392,12 +392,13 @@ def test_comments_are_skipped():
     assert problem.theory.type_decl("nat") is not None
 
 
-def test_source_annotations_are_preserved():
+def test_source_annotations_parse_and_are_skipped():
     problem = parse_ok(PRELUDE +
                        "thf(a, axiom, q, file('other.p', a), [useful]).")
-    formula = [f for f in problem.formulae if f.name == "a"][0]
-    assert formula.source == "file('other.p', a)"
-    assert formula.useful_info == "[useful]"
+    assert problem.role_counts() == {"type": 6, "axiom": 1}
+    assert [a.label for a in problem.theory.axioms()] == ["a"]
+    diags = parse_bad(PRELUDE + "thf(a, axiom, q, file('other.p', a).")
+    assert [d.message for d in diags] == ["unterminated annotation"]
 
 
 def test_polymorphic_use_of_type_kind_flag():
@@ -412,7 +413,7 @@ def test_type_symbol_in_term_position_rejected():
 
 def test_empty_input_is_a_problem_without_formulae():
     problem = parse_ok("% nothing here\n")
-    assert problem.formulae == ()
+    assert problem.role_counts() == {}
     assert problem.conjecture is None
 
 
