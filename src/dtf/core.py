@@ -449,33 +449,55 @@ def _alpha(a, b, lr: dict, rl: dict) -> bool:
     return len(left) == len(right) and all(_alpha(x, y, lr, rl) for x, y in zip(left, right))
 
 
+def alpha_key(t) -> object:
+    """A hashable name-free key: alpha_key(a) == alpha_key(b) exactly when
+    alpha_equal(a, b).
+
+    A bound name becomes the de Bruijn level of its binder (how many binders
+    enclose that binder), a free name stays as its Name, every other node is a
+    tuple led by its class, and spans are left out.  Heads of base types go
+    through the binders too, as in alpha_equal.
+    """
+    return _key(t, {}, 0)
+
+
+def _key(t, env: dict, depth: int):
+    if isinstance(t, Var):
+        return env.get(t.name.text, t.name)
+    if isinstance(t, Const):
+        return (Const, t.name)
+    if isinstance(t, App):
+        return (App, _key(t.fun, env, depth), _key(t.arg, env, depth))
+    if isinstance(t, BaseApp):
+        return (BaseApp, env.get(t.head.text, t.head), *(_key(a, env, depth) for a in t.args))
+    if isinstance(t, (Binder, Pi)):
+        return (type(t), _key(t.domain, env, depth),
+                _key(t.body, {**env, t.binder.text: depth}, depth + 1))
+    # One frame per level, as in _norm: a normal form can always be keyed.
+    if isinstance(t, Connective):
+        return (type(t), _key(t.left, env, depth), _key(t.right, env, depth))
+    if isinstance(t, Eq):
+        return (Eq, _key(t.left, env, depth), _key(t.right, env, depth),
+                None if t.at is None else _key(t.at, env, depth))
+    if isinstance(t, Not):
+        return (Not, _key(t.arg, env, depth))
+    return (type(t), *(_key(c, env, depth) for c in children(t)))
+
+
 def theory_alpha_equal(t1: Theory, t2: Theory) -> bool:
-    if len(t1.decls) != len(t2.decls):
-        return False
-    for d1, d2 in zip(t1.decls, t2.decls):
-        if type(d1) is not type(d2):
-            return False
-        if isinstance(d1, TypeDecl):
-            if d1.name != d2.name or len(d1.telescope) != len(d2.telescope):
-                return False
-            lr: dict = {}
-            rl: dict = {}
-            ok = True
-            for (x1, ty1), (x2, ty2) in zip(d1.telescope, d2.telescope):
-                if not _alpha(ty1, ty2, lr, rl):
-                    ok = False
-                    break
-                lr[x1.text] = x2.text
-                rl[x2.text] = x1.text
-            if not ok:
-                return False
-        elif isinstance(d1, ConstDecl):
-            if d1.name != d2.name or not alpha_equal(d1.ty, d2.ty):
-                return False
-        else:
-            if d1.label != d2.label or d1.role != d2.role or not alpha_equal(d1.formula, d2.formula):
-                return False
-    return True
+    return list(map(_decl_key, t1.decls)) == list(map(_decl_key, t2.decls))
+
+
+def _decl_key(d) -> tuple:
+    if isinstance(d, TypeDecl):
+        # Each telescope variable is bound in the later entries, as in a Pi chain.
+        chain = BOOL
+        for name, ty in reversed(d.telescope):
+            chain = Pi(name, ty, chain)
+        return (TypeDecl, d.name, alpha_key(chain))
+    if isinstance(d, ConstDecl):
+        return (ConstDecl, d.name, alpha_key(d.ty))
+    return (Axiom, d.label, d.role, alpha_key(d.formula))
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from .core import (
     Var,
     VarDecl,
     alpha_equal,
+    alpha_key,
     beta_eta_normalize,
     free_vars,
     fresh_name,
@@ -119,17 +120,40 @@ def close_obligation(context: Context, goal: Term) -> Term:
 
 
 class DeepChecker:
-    """Checks formulae against a fixed theory, accumulating obligations."""
+    """Checks formulae against the declarations made so far, accumulating
+    obligations.  `context` holds the declared axioms, which every context
+    passed to `check` extends; each is normalized and keyed once.
+    """
 
-    def __init__(self, theory: Theory, path: str | None = None):
-        self.theory = theory
+    def __init__(self, theory: Theory = Theory(), path: str | None = None):
         self.path = path
         self.obligations: list = []
         self.discharged: list = []
-        self.diagnostics: list = []
+        self.context = Context()
         self._counter = 0
-        self._theory_prefix = len(theory.decls)
+        self._theory_prefix = 0
         self._current_label = "formula"
+        self._types: dict = {}
+        self._consts: dict = {}
+        # Key of an axiom's normal form -> (position, label) of its first axiom;
+        # the key None maps the first axiom past the budget to the label None.
+        self._axiom_index: dict = {}
+        self._local_keys: dict = {}      # id(assumption) -> (assumption, key)
+        for decl in theory.decls:
+            self.declare(decl)
+
+    def declare(self, decl) -> None:
+        """Make decl visible to what is checked after it; the first wins."""
+        if isinstance(decl, TypeDecl):
+            self._types.setdefault(decl.name.text, decl)
+        elif isinstance(decl, ConstDecl):
+            self._consts.setdefault(decl.name.text, decl)
+        elif isinstance(decl, Axiom):
+            key = _normal_key(decl.formula)
+            self._axiom_index.setdefault(
+                key, (len(self.context.entries), None if key is None else decl.label))
+            self.context = self.context.push_assumption(decl.formula, label=decl.label)
+        self._theory_prefix += 1
 
     # -- plumbing -----------------------------------------------------------
 
@@ -148,7 +172,7 @@ class DeepChecker:
         if isinstance(ty, BoolType):
             return
         if isinstance(ty, BaseApp):
-            decl = self.theory.type_decl(ty.head.text)
+            decl = self._types.get(ty.head.text)
             if decl is None:
                 raise self.fail(f"unknown type symbol {ty.head.text!r}", ty.span)
             if len(ty.args) != len(decl.telescope):
@@ -169,6 +193,8 @@ class DeepChecker:
     def type_equal(self, ctx: Context, a: Type, b: Type, span: Span | None,
                    origin: str) -> None:
         """Require a and b equal, emitting obligations for term arguments."""
+        if a is b or alpha_equal(a, b):
+            return
         a_n = self._normalize(a, span)
         b_n = self._normalize(b, span)
         if alpha_equal(a_n, b_n):
@@ -177,12 +203,11 @@ class DeepChecker:
             if a_n.head != b_n.head or len(a_n.args) != len(b_n.args):
                 raise self.fail(
                     f"types differ: {_show_type(a_n)} vs {_show_type(b_n)}", span)
-            decl = self.theory.type_decl(a_n.head.text)
+            decl = self._types.get(a_n.head.text)
             telescope = decl.telescope if decl is not None else ()
+            # The arguments of a normal form are normal already.
             for i, (s, t) in enumerate(zip(a_n.args, b_n.args)):
-                s_n = self._normalize(s, span)
-                t_n = self._normalize(t, span)
-                if alpha_equal(s_n, t_n):
+                if alpha_equal(s, t):
                     continue
                 at = (_instantiate_telescope(telescope, a_n.args, i)
                       if i < len(telescope) else None)
@@ -212,7 +237,7 @@ class DeepChecker:
                 raise self.fail(f"unbound variable {t.name.text!r}", t.span)
             return ty
         if isinstance(t, Const):
-            decl = self.theory.const_decl(t.name.text)
+            decl = self._consts.get(t.name.text)
             if decl is None:
                 raise self.fail(f"unknown constant {t.name.text!r}", t.span)
             return decl.ty
@@ -263,7 +288,8 @@ class DeepChecker:
 
     def emit(self, ctx: Context, goal: Term, origin: str, span: Span | None) -> None:
         self._counter += 1
-        closed = close_obligation(ctx, goal)
+        # The axioms stay out of the closed formula, so close over the rest.
+        closed = close_obligation(Context(self._local_entries(ctx)), goal)
         ob = Obligation(
             label=f"ob{self._counter}",
             context=ctx,
@@ -281,17 +307,43 @@ class DeepChecker:
 
     def _lookup(self, ctx: Context, goal: Term, closed: Term,
                 span: Span | None) -> str | None:
-        """Discharge by assumption: open or closed form, up to normalization."""
+        """Discharge by assumption: open or closed form, up to normalization.
+
+        The answer is that of a scan over the assumptions of ctx, axioms first,
+        which fails at the first axiom past the budget that it reaches.  (The
+        closed form has every local assumption as a premise, so a local
+        assumption past the budget has already failed the lookup.)
+        """
         goal_n = self._normalize(goal, span)
         closed_n = self._normalize(closed, span)
         if isinstance(goal_n, Eq) and alpha_equal(goal_n.left, goal_n.right):
             return "reflexivity"
-        for entry in ctx.entries:
-            if not isinstance(entry, Assumption):
-                continue
-            form_n = self._normalize(entry.formula, span)
-            if alpha_equal(form_n, goal_n) or alpha_equal(form_n, closed_n):
-                return entry.label or "local assumption"
+        keys = (alpha_key(goal_n), alpha_key(closed_n))
+        index = self._axiom_index
+        hit = min((index[k] for k in keys + (None,) if k in index), default=None)
+        if hit is not None:
+            if hit[1] is None:
+                raise self.fail("normalization budget exceeded", span)
+            return hit[1]
+        for entry in self._local_entries(ctx):
+            if isinstance(entry, Assumption):
+                if id(entry) not in self._local_keys:
+                    # Kept with the entry, so that its id is not reused.
+                    self._local_keys[id(entry)] = (entry, _normal_key(entry.formula))
+                if self._local_keys[id(entry)][1] in keys:
+                    return entry.label or "local assumption"
+        return None
+
+    def _local_entries(self, ctx: Context) -> tuple:
+        """The entries of ctx after the declared axioms that it extends."""
+        return ctx.entries[len(self.context.entries):]
+
+
+def _normal_key(formula: Term):
+    """alpha_key of the normal form of formula, or None past the budget."""
+    try:
+        return alpha_key(beta_eta_normalize(formula))
+    except NormalizationBudgetExceeded:
         return None
 
 
@@ -325,12 +377,9 @@ def check_problem(problem) -> CheckReport:
             find_polymorphic_span(problem), problem.path))
         return report
 
-    decls = problem.theory.decls
-    checker = DeepChecker(Theory(()), problem.path)
-    ctx = Context()  # every earlier axiom, as a labeled assumption
-    for k, decl in enumerate(decls):
-        checker.theory = Theory(decls[:k])
-        checker._theory_prefix = k
+    checker = DeepChecker(path=problem.path)
+    for decl in problem.theory.decls:
+        ctx = checker.context
         try:
             if isinstance(decl, TypeDecl):
                 checker._current_label = decl.label or decl.name.text
@@ -346,14 +395,11 @@ def check_problem(problem) -> CheckReport:
                 checker.check(ctx, decl.formula, BOOL)
         except _DeepError as exc:
             report.diagnostics.append(exc.diagnostic)
-        if isinstance(decl, Axiom):
-            ctx = ctx.push_assumption(decl.formula, label=decl.label)
+        checker.declare(decl)
     if problem.conjecture is not None:
-        checker.theory = Theory(decls)
-        checker._theory_prefix = len(decls)
         checker._current_label = problem.conjecture_name or "conjecture"
         try:
-            checker.check(ctx, problem.conjecture, BOOL)
+            checker.check(checker.context, problem.conjecture, BOOL)
         except _DeepError as exc:
             report.diagnostics.append(exc.diagnostic)
     report.obligations = checker.obligations

@@ -30,6 +30,7 @@ from .core import (
     Type,
     TypeDecl,
     Var,
+    children,
     is_type_kind,
 )
 from .diagnostics import Diagnostic, Span, error
@@ -212,7 +213,8 @@ def _term_span(t) -> Span | None:
 
 
 def find_polymorphic_span(problem) -> Span | None:
-    """Span of the first declaration that mentions the kind of types."""
+    """Span of the first declaration that mentions the kind of types, else of
+    the first binder of an axiom or the conjecture that binds a type variable."""
 
     def mentions_kind(ty: Type) -> bool:
         if is_type_kind(ty):
@@ -228,6 +230,13 @@ def find_polymorphic_span(problem) -> Span | None:
             return decl.span
         if isinstance(decl, ConstDecl) and mentions_kind(decl.ty):
             return decl.span
+    formulae = [d.formula for d in problem.theory.decls if isinstance(d, Axiom)]
+    stack = ([problem.conjecture] if problem.conjecture is not None else []) + formulae[::-1]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Binder) and mentions_kind(t.domain):
+            return t.span
+        stack.extend(reversed(children(t)))
     return None
 
 

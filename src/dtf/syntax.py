@@ -691,6 +691,8 @@ class _Elaborator:
             if not isinstance(head, SName):
                 raise self.err("type application needs a type-symbol head", sty.span)
             head_ty = self.elaborate_type(head, venv)
+            if is_type_kind(head_ty):
+                raise self.err("$tType takes no arguments", head.span)
             if not isinstance(head_ty, BaseApp):
                 raise self.err("only base types take term arguments", sty.span)
             args = tuple(self.elaborate_term(a, venv) for a in spine)

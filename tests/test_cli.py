@@ -345,3 +345,37 @@ def test_module_invocation(corpus_dir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == ""
+
+
+# -- located diagnostics for type-level input ------------------------------------------
+
+
+@pytest.mark.parametrize("decl, column", [
+    ("thf(c_type, type, c: !> [X: $tType @ q]: $o).", 29),
+    ("thf(a, axiom, ! [X: $tType @ q]: $true).", 21),
+], ids=["pi_binder", "forall_binder"])
+def test_applied_ttype_is_a_located_parse_error(tmp_path, capsys, decl, column):
+    path = tmp_path / "applied.p"
+    path.write_text(f"thf(q_type, type, q: $o).\n{decl}\n", encoding="utf-8")
+    for argv in (["parse", "--print"], ["check"], ["check", "--deep"]):
+        assert run([*argv, str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:2:{column}: error: $tType takes no arguments\n"
+
+
+@pytest.mark.parametrize("formula, line, column", [
+    ("thf(a, axiom, ! [A: $tType]: $true).", 1, 15),
+    ("thf(nat_type, type, nat: $tType).\nthf(a, axiom, $true & (! [F: $tType > $o]: $true)).",
+     2, 24),
+    ("thf(nat_type, type, nat: $tType).\n"
+     "thf(a, conjecture, ? [A: $tType]: ! [X: A]: (X = X)).", 2, 20),
+    ("thf(a, axiom, ! [A: $tType]: $true).\nthf(b, conjecture, ? [B: $tType]: $true).", 1, 15),
+], ids=["axiom", "axiom_arrow_domain", "conjecture", "axiom_before_conjecture"])
+def test_polymorphic_formula_diagnostic_is_located(tmp_path, capsys, formula, line, column):
+    path = tmp_path / "poly.p"
+    path.write_text(formula + "\n", encoding="utf-8")
+    for argv in (["check"], ["check", "--deep"]):
+        assert run([*argv, str(path)]) == EXIT_CHECK
+        assert capsys.readouterr().err == (
+            f"{path}:{line}:{column}: error: polymorphic declarations are not supported\n")

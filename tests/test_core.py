@@ -10,6 +10,7 @@ from dtf.core import (
     Const,
     ConstDecl,
     Eq,
+    Exists,
     Forall,
     Lam,
     Name,
@@ -20,6 +21,7 @@ from dtf.core import (
     TypeDecl,
     Var,
     alpha_equal,
+    alpha_key,
     beta_eta_normalize,
     free_vars,
     fresh_name,
@@ -27,6 +29,7 @@ from dtf.core import (
     term_size,
     theory_alpha_equal,
 )
+from dtf.diagnostics import Span
 
 
 def v(text: str) -> Var:
@@ -186,6 +189,60 @@ def small_terms(draw, depth: int = 3):
 @given(small_terms())
 def test_alpha_equal_reflexive(t):
     assert alpha_equal(t, t)
+
+
+# -- alpha keys ----------------------------------------------------------------------
+
+
+def rename_binders(t, names, env=None):
+    """Rename every binder of t, in preorder, to the next of names; the
+    variables it binds follow.  A name free in the body may be captured."""
+    env = env or {}
+    if isinstance(t, Var):
+        return Var(env.get(t.name.text, t.name))
+    if isinstance(t, App):
+        return App(rename_binders(t.fun, names, env), rename_binders(t.arg, names, env))
+    if isinstance(t, Eq):
+        return Eq(rename_binders(t.left, names, env), rename_binders(t.right, names, env), t.at)
+    if isinstance(t, (Forall, Lam)):
+        new = Name(next(names), NameKind.VAR)
+        return type(t)(new, t.domain, rename_binders(t.body, names, {**env, t.binder.text: new}))
+    return t
+
+
+@given(small_terms(), small_terms())
+def test_alpha_key_agrees_with_alpha_equal_on_random_pairs(a, b):
+    assert (alpha_key(a) == alpha_key(b)) == alpha_equal(a, b)
+
+
+@given(small_terms(), st.lists(st.sampled_from(["X", "Y", "Z", "W", "V"]), min_size=8, max_size=8))
+def test_alpha_key_agrees_with_alpha_equal_on_renamed_copies(t, targets):
+    renamed = rename_binders(t, iter(targets))
+    assert (alpha_key(t) == alpha_key(renamed)) == alpha_equal(t, renamed)
+    fresh = rename_binders(t, (f"B{k}" for k in range(8)))
+    assert alpha_equal(t, fresh)
+    assert alpha_key(t) == alpha_key(fresh)
+
+
+def test_alpha_key_examples():
+    body = Eq(v("X"), v("X"), NAT)
+    assert alpha_key(Forall(X, NAT, body)) != alpha_key(Exists(X, NAT, body))
+    assert alpha_key(Eq(c("a"), c("a"), NAT)) != alpha_key(Eq(c("a"), c("a"), base("other")))
+    assert alpha_key(Eq(c("a"), c("a"), NAT)) != alpha_key(Eq(c("a"), c("a"), None))
+    assert alpha_key(Forall(X, NAT, body, span=Span(1, 2, 3))) == alpha_key(Forall(Y, NAT, Eq(
+        v("Y"), v("Y"), NAT)))
+    # Which binder a variable refers to counts, not only that it is bound.
+    xy = Forall(X, NAT, Forall(Y, NAT, Eq(v("X"), v("Y"), NAT)))
+    assert alpha_key(xy) != alpha_key(Forall(X, NAT, Forall(Y, NAT, Eq(v("Y"), v("X"), NAT))))
+    assert alpha_key(Lam(X, NAT, Lam(Y, NAT, v("X")))) != alpha_key(Lam(X, NAT, Lam(X, NAT, v("X"))))
+    # A variable free in one term and bound in the other.
+    assert alpha_key(Lam(X, NAT, v("Y"))) != alpha_key(Lam(Y, NAT, v("Y")))
+    # Base-type heads go through the binders, as in alpha_equal.
+    tyvar = Name("A", NameKind.VAR)
+    s = Pi(tyvar, base("$tType"), Pi(X, BaseApp(tyvar), NAT))
+    t = Pi(Y, base("$tType"), Pi(X, BaseApp(Y), NAT))
+    assert alpha_equal(s, t) and alpha_key(s) == alpha_key(t)
+    assert alpha_key(Pi(X, NAT, BaseApp(tyvar))) != alpha_key(Pi(tyvar, NAT, BaseApp(tyvar)))
 
 
 # -- normalization -----------------------------------------------------------------

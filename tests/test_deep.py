@@ -1,5 +1,13 @@
 """Deep checking: obligation generation, discharge, closure, diagnostics."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from dtf import deep
+from dtf.cli import EXIT_CHECK, EXIT_OK, run
 from dtf.core import (
     Assumption,
     Axiom,
@@ -19,8 +27,31 @@ from dtf.core import (
     alpha_equal,
     beta_eta_normalize,
 )
-from dtf.deep import check_problem, close_obligation, export_obligations, obligation_problem
-from dtf.syntax import Problem, parse_file
+from dtf.deep import (
+    DeepChecker,
+    check_problem,
+    close_obligation,
+    export_obligations,
+    obligation_problem,
+)
+from dtf.syntax import Problem, parse_file, parse_problem
+
+from genutil import gen_formula_problem, gen_problem
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_generator():
+    """The benchmark's problem generator, `perfbench/generate.py`."""
+    spec = importlib.util.spec_from_file_location("perfbench_generate",
+                                                  REPO / "perfbench" / "generate.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+generate = _load_generator()
 
 
 def nat() -> BaseApp:
@@ -213,6 +244,22 @@ def test_diagnostics_do_not_stop_later_formulae():
     assert len(report.diagnostics) == 1
 
 
+def test_declarations_see_only_earlier_ones_and_the_first_wins():
+    natd = TypeDecl(Name("nat", NameKind.TYPE), (), "nat_type")
+    zero = ConstDecl(Name("zero", NameKind.CONST), nat(), "zero_type")
+    vec = Name("vec", NameKind.TYPE)
+    vec1 = TypeDecl(vec, ((Name("N", NameKind.VAR), nat()),), "vec_type")
+    vec0 = TypeDecl(vec, (), "vec_again")
+    c = ConstDecl(Name("c", NameKind.CONST), BaseApp(vec, (const("zero"),)), "c_type")
+    c_again = ConstDecl(Name("c", NameKind.CONST), nat(), "c_again")
+    uses_c = Axiom("uses_c", Eq(const("c"), const("c"), BaseApp(vec, (const("zero"),))))
+    assert check_problem(_problem(natd, zero, vec1, vec0, c, c_again, uses_c)).ok
+    early = ConstDecl(Name("early", NameKind.CONST), BaseApp(Name("late", NameKind.TYPE)), "early")
+    late = TypeDecl(Name("late", NameKind.TYPE), (), "late_type")
+    report = check_problem(_problem(early, late))
+    assert [d.message for d in report.diagnostics] == ["unknown type symbol 'late'"]
+
+
 # -- export ------------------------------------------------------------------------
 
 
@@ -236,3 +283,214 @@ def test_export_writes_numbered_files(corpus_dir, tmp_path):
     reparsed = parse_file(str(tmp_path / "list_append__ob1.p"))
     assert isinstance(reparsed, Problem)
     assert reparsed.conjecture is not None
+
+
+# -- normalization budget during lookup --------------------------------------------
+#
+# The axiom `big` normalizes past the step budget (each redex doubles its
+# argument).  Lookup fails on it only where a scan of the assumptions in order
+# would reach it: when no earlier assumption discharges the obligation.
+
+BIG = "$true"
+for _ in range(14):
+    BIG = f"((^ [P: $o]: (P & P)) @ {BIG})"
+
+BUDGET_PRELUDE = """\
+thf(nat_type, type, nat: $tType).
+thf(zero_type, type, zero: nat).
+thf(vec_type, type, vec: nat > $tType).
+thf(f_type, type, f: !> [N: nat]: (vec @ N)).
+"""
+BIG_AXIOM = f"thf(big, axiom, {BIG}).\n"
+LATER = "thf(later, axiom, ! [N: nat]: ((f @ N) = (f @ zero))).\n"
+LEMMA = "thf(lem, axiom, ! [N: nat]: (N = zero)).\n"
+BIG_PREMISE = f"thf(later, axiom, ! [N: nat]: ({BIG} => ((f @ N) = (f @ zero)))).\n"
+
+BUDGET_FILES = {
+    "budget_late": BUDGET_PRELUDE + BIG_AXIOM + LATER,
+    "budget_none": BUDGET_PRELUDE + BIG_AXIOM,
+    "budget_lemma": BUDGET_PRELUDE + LEMMA + BIG_AXIOM + LATER,
+    "budget_local": BUDGET_PRELUDE + BIG_PREMISE,
+}
+
+
+def _check_deep(tmp_path, capsys, name: str):
+    path = tmp_path / f"{name}.p"
+    path.write_text(BUDGET_FILES[name], encoding="utf-8")
+    code = run(["check", "--deep", "--verbose", str(path)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, str(path)
+
+
+def test_budget_exceeded_by_axiom_before_a_later_obligation(tmp_path, capsys):
+    code, out, err, path = _check_deep(tmp_path, capsys, "budget_late")
+    assert code == EXIT_CHECK
+    assert out == ""
+    assert err == f"{path}:6:40: error: normalization budget exceeded\n"
+
+
+def test_budget_axiom_without_obligations_passes(tmp_path, capsys):
+    code, out, err, _ = _check_deep(tmp_path, capsys, "budget_none")
+    assert code == EXIT_OK
+    assert out == "obligations: 0 residual, 0 discharged\n"
+    assert err == ""
+
+
+def test_budget_exceeded_by_local_assumption(tmp_path, capsys):
+    code, out, err, path = _check_deep(tmp_path, capsys, "budget_local")
+    assert code == EXIT_CHECK
+    assert err == f"{path}:5:400: error: normalization budget exceeded\n"
+
+
+def test_budget_axiom_after_the_discharging_lemma_is_not_reached(tmp_path, capsys):
+    code, out, err, _ = _check_deep(tmp_path, capsys, "budget_lemma")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].startswith("ob1 [discharged by lem]:")
+    assert out.splitlines()[-1] == "obligations: 0 residual, 1 discharged"
+    assert err == ""
+
+
+# -- which assumption discharges an obligation -------------------------------------
+#
+# The first assumption in context order wins: the earliest of alpha-equal
+# axioms, the earlier of an axiom matching the closed form and one matching the
+# open goal, and any axiom before a local assumption.
+
+PRIORITY = """\
+thf(nat_type, type, nat: $tType).
+thf(zero_type, type, zero: nat).
+thf(one_type, type, one: nat).
+thf(vec_type, type, vec: nat > $tType).
+thf(f_type, type, f: !> [N: nat]: (vec @ N)).
+thf(q_type, type, q: $o).
+thf(premised, axiom, q => (one = zero)).
+thf(first, axiom, ! [M: nat]: (M = zero)).
+thf(second, axiom, ! [K: nat]: (K = zero)).
+thf(ground, axiom, one = zero).
+thf(ground_again, axiom, one = zero).
+thf(use_closed, axiom, ! [N: nat]: ((f @ N) = (f @ zero))).
+thf(use_ground, axiom, (f @ one) = (f @ zero)).
+thf(use_local, axiom, ! [N: nat]: ((N = one) => ((f @ N) = (f @ one)))).
+thf(taut, axiom, ! [X: nat]: ((X = one) => (X = one))).
+thf(use_taut, axiom, ! [N: nat]: ((N = one) => ((f @ N) = (f @ one)))).
+thf(use_premise, axiom, q => ((f @ one) = (f @ zero))).
+thf(use_none, axiom, ! [N: nat]: ((f @ N) = (f @ one))).
+"""
+
+
+def test_first_matching_assumption_discharges():
+    report = check_problem(parse_problem(PRIORITY, "priority.p"))
+    assert report.ok
+    assert [(ob.label, ob.discharged_by) for ob in report.discharged] == [
+        ("ob1", "first"), ("ob2", "ground"), ("ob3", "local assumption"),
+        ("ob4", "taut"), ("ob5", "premised")]
+    assert [ob.label for ob in report.obligations] == ["ob6"]
+
+
+# -- discharge by key against the linear scan -------------------------------------
+#
+# The linear scan below is the lookup that the key index replaced, kept
+# unchanged as an oracle: check_problem must give the same report with either.
+
+def oracle_lookup(self, ctx: Context, goal, closed, span) -> str | None:
+    """Discharge by assumption: open or closed form, up to normalization."""
+    goal_n = self._normalize(goal, span)
+    closed_n = self._normalize(closed, span)
+    if isinstance(goal_n, Eq) and alpha_equal(goal_n.left, goal_n.right):
+        return "reflexivity"
+    for entry in ctx.entries:
+        if not isinstance(entry, Assumption):
+            continue
+        form_n = self._normalize(entry.formula, span)
+        if alpha_equal(form_n, goal_n) or alpha_equal(form_n, closed_n):
+            return entry.label or "local assumption"
+    return None
+
+
+def _differential_inputs() -> list:
+    problems = [pytest.param(parse_file(str(path)), id=path.name)
+                for path in sorted((REPO / "corpus").glob("*.p"))]
+    problems += [pytest.param(gen_problem(seed), id=f"gen_problem_{seed}") for seed in range(40)]
+    problems += [pytest.param(gen_formula_problem(seed), id=f"gen_formula_problem_{seed}")
+                 for seed in range(40)]
+    for name in ("axioms", "terms", "discharge"):
+        text, expected = generate.family(name, 1, 0.3)
+        problems.append(pytest.param(parse_problem(text, f"{expected.path_stem}.p"),
+                                     id=expected.path_stem))
+    problems += [pytest.param(parse_problem(text, f"{name}.p"), id=name)
+                 for name, text in {**BUDGET_FILES, "priority": PRIORITY}.items()]
+    return problems
+
+
+def _same_obligations(got: list, want: list) -> None:
+    assert [ob.label for ob in got] == [ob.label for ob in want]
+    assert [ob.discharged_by for ob in got] == [ob.discharged_by for ob in want]
+    for a, b in zip(got, want):
+        assert alpha_equal(a.formula, b.formula)
+
+
+@pytest.mark.parametrize("problem", _differential_inputs())
+def test_keyed_lookup_matches_the_linear_scan(monkeypatch, problem):
+    assert isinstance(problem, Problem)
+    report = check_problem(problem)
+    with monkeypatch.context() as patch:
+        patch.setattr(DeepChecker, "_lookup", oracle_lookup)
+        oracle = check_problem(problem)
+    _same_obligations(report.obligations, oracle.obligations)
+    _same_obligations(report.discharged, oracle.discharged)
+    assert report.diagnostics == oracle.diagnostics
+
+
+def test_differential_inputs_reach_every_outcome():
+    # The differential test above is only as good as its inputs: they must
+    # discharge by an axiom and by a local assumption, leave residual
+    # obligations, and fail on the budget.  (No input reaches reflexivity: the
+    # checker only emits equations whose normal forms differ.)
+    outcomes: set = set()
+    for param in _differential_inputs():
+        [problem] = param.values
+        report = check_problem(problem)
+        outcomes |= {"residual"} if report.obligations else set()
+        outcomes |= {"budget" for d in report.diagnostics if "budget" in d.message}
+        for ob in report.discharged:
+            outcomes.add(ob.discharged_by if ob.discharged_by in (
+                "reflexivity", "local assumption") else "axiom")
+    assert outcomes >= {"residual", "budget", "axiom", "local assumption"}
+
+
+# -- cost -------------------------------------------------------------------------
+
+
+def test_normalizations_grow_linearly_with_the_axioms(monkeypatch):
+    # Deterministic, unlike a timing: count the normalizations the deep check
+    # makes when the number of axioms doubles from 50 to 100.
+    calls = [0]
+    normalize = deep.beta_eta_normalize
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return normalize(*args, **kwargs)
+
+    monkeypatch.setattr(deep, "beta_eta_normalize", counting)
+    counts = []
+    for scale in (0.5, 1.0):
+        text, expected = generate.family("axioms", 1, scale)
+        problem = parse_problem(text, "axioms.p")
+        calls[0] = 0
+        report = check_problem(problem)
+        assert [ob.label for ob in report.obligations] == list(expected.residual)
+        counts.append(calls[0])
+    assert counts[1] <= 2.3 * counts[0], counts
+
+
+def test_alpha_equal_types_are_equal_without_normalizing(tmp_path, capsys):
+    # c's type has an argument whose normalization exceeds the budget, but
+    # both sides of `c = c` have that same type, so nothing is normalized.
+    path = tmp_path / "same_type.p"
+    path.write_text("""\
+thf(nat_type, type, nat: $tType).
+thf(vec_type, type, vec: nat > $tType).
+thf(g_type, type, g: $o > nat).
+""" + f"thf(c_type, type, c: vec @ (g @ {BIG})).\nthf(a, axiom, c = c).\n", encoding="utf-8")
+    assert run(["check", "--deep", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "obligations: 0 residual, 0 discharged\n"
