@@ -38,8 +38,12 @@ _BARE_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
 def atom(text: str) -> str:
-    """Render an atomic word, quoting it when necessary."""
-    if _BARE_ATOM.match(text) or text.startswith("$"):
+    """Render an atomic word, quoting it unless it is a bare lower word.
+
+    A user symbol such as `'$false'` stays quoted: printed bare, it would read
+    back as the defined `$false`.
+    """
+    if _BARE_ATOM.match(text):
         return text
     escaped = text.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
@@ -52,6 +56,8 @@ def atom(text: str) -> str:
 def format_type(ty: Type) -> str:
     if isinstance(ty, BoolType):
         return "$o"
+    if is_type_kind(ty):
+        return "$tType"
     if isinstance(ty, BaseApp):
         head = ty.head.text if ty.head.kind.value == "variable" else atom(ty.head.text)
         if not ty.args:
@@ -92,8 +98,6 @@ def _format_domain(ty: Type) -> str:
 
 
 def _format_component(ty: Type) -> str:
-    if is_type_kind(ty):
-        return "$tType"
     text = format_type(ty)
     if isinstance(ty, Pi) or (isinstance(ty, BaseApp) and ty.args):
         return f"({text})"

@@ -7,10 +7,12 @@ returns either an elaborated Problem or a list of Diagnostics.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .core import (
@@ -69,8 +71,7 @@ _TOKEN = re.compile(r"""
 _ESCAPE = re.compile(r"\\(['\\])")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # lower|upper|dollar|quoted|number|one of _PUNCT|eof
     text: str
     line: int
@@ -81,6 +82,11 @@ class Token:
     @property
     def span(self) -> Span:
         return Span(self.line, self.column, max(1, self.end - self.offset))
+
+
+def _found(tok: Token) -> str:
+    """How a diagnostic names the token it found; a quoted atom may be empty."""
+    return repr("end of input" if tok.kind == "eof" else tok.text)
 
 
 class _SyntaxError(Exception):
@@ -142,21 +148,21 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
 # Surface trees
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SName:
     category: str  # lower|upper|dollar|quoted
     text: str
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SApp:
     fun: object
     arg: object
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SBin:
     op: str  # & | => <= <=> <~> >
     left: object
@@ -164,13 +170,13 @@ class SBin:
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SNot:
     operand: object
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SEq:
     left: object
     right: object
@@ -178,7 +184,7 @@ class SEq:
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class SBinder:
     op: str  # ! ? ^ !> @+
     variables: tuple  # tuple[(SName, surface-type), ...]
@@ -186,14 +192,14 @@ class SBinder:
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class STyping:
     subject: SName
     ty: object
     span: Span
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class AnnotatedFormula:
     name: str
     role: str
@@ -201,7 +207,7 @@ class AnnotatedFormula:
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, eq=False)
 class _Include:
     path: str
     span: Span
@@ -284,7 +290,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok)
+            raise self.fail(f"expected {kind!r}, found {_found(tok)}", tok)
         return self.next()
 
     def fail(self, message: str, tok: Token | None = None) -> _SyntaxError:
@@ -309,7 +315,7 @@ class _Parser:
                 elif tok.kind == "lower" and tok.text in ("fof", "cnf", "tff", "tcf"):
                     raise self.fail(f"only thf formulae are supported, found {tok.text!r}", tok)
                 else:
-                    raise self.fail(f"expected 'thf' or 'include', found {tok.text or 'end of input'!r}", tok)
+                    raise self.fail(f"expected 'thf' or 'include', found {_found(tok)}", tok)
             except _SyntaxError as exc:
                 diagnostics.append(exc.diagnostic)
                 if len(diagnostics) >= 20:
@@ -490,7 +496,7 @@ class _Parser:
             return SName(tok.kind, tok.text, tok.span)
         if tok.kind == "number":
             raise self.fail("numbers are not supported", tok)
-        raise self.fail(f"expected a term, found {tok.text or 'end of input'!r}", tok)
+        raise self.fail(f"expected a term, found {_found(tok)}", tok)
 
     def parse_binder(self) -> SBinder:
         op_tok = self.next()
@@ -677,7 +683,7 @@ class _Elaborator:
                 raise self.err(f"unbound type variable {sty.text!r}", sty.span)
             decl = self.symbols.get(sty.text)
             if isinstance(decl, TypeDecl):
-                return BaseApp(Name(sty.text, NameKind.TYPE), span=sty.span)
+                return BaseApp(decl.name, span=sty.span)
             if decl is not None:
                 raise self.err(f"{sty.text!r} is not a type symbol", sty.span)
             raise self.err(f"unknown type symbol {sty.text!r}", sty.span)
@@ -778,7 +784,7 @@ class _Elaborator:
             return Var(entry[1], span=s.span)
         decl = self.symbols.get(s.text)
         if isinstance(decl, ConstDecl):
-            return Const(Name(s.text, NameKind.CONST), span=s.span)
+            return Const(decl.name, span=s.span)
         if isinstance(decl, TypeDecl):
             raise self.err(f"type symbol {s.text!r} used as a term", s.span)
         raise self.err(f"unknown symbol {s.text!r}", s.span)
@@ -875,8 +881,20 @@ def parse_problem(text: str, path: str | None = None):
     """Parse and elaborate a DTF problem.
 
     Returns a Problem on success and a non-empty list of Diagnostics on any
-    lex, parse, or elaboration error.
+    lex, parse, or elaboration error.  The cyclic garbage collector is off
+    while it runs: the tokens and trees it builds are acyclic, so reference
+    counting frees them, and each collection would only walk them again.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_problem(text, path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_problem(text: str, path: str | None):
     try:
         tokens = tokenize(text, path)
     except _SyntaxError as exc:

@@ -11,7 +11,10 @@ variables that lack a relatedness premise.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 from dtf.core import (
     And,
@@ -38,6 +41,18 @@ from dtf.core import (
     free_vars,
 )
 from dtf.syntax import Problem
+
+
+def load_generator():
+    """The benchmark's problem generator, `perfbench/generate.py`."""
+    if "perfbench_generate" in sys.modules:
+        return sys.modules["perfbench_generate"]
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def gen_problem(seed: int, max_decls: int = 5) -> Problem:

@@ -379,3 +379,33 @@ def test_polymorphic_formula_diagnostic_is_located(tmp_path, capsys, formula, li
         assert run([*argv, str(path)]) == EXIT_CHECK
         assert capsys.readouterr().err == (
             f"{path}:{line}:{column}: error: polymorphic declarations are not supported\n")
+
+
+# -- user symbols spelled like defined ones --------------------------------------------
+
+
+def test_quoted_dollar_constants_survive_print_and_translate(tmp_path, capsys):
+    # '$false' here is a user constant of type $o, so the conjecture is not a
+    # theorem; printed bare, it would become the defined $false.
+    path = tmp_path / "quoted.p"
+    path.write_text("thf(t_decl, type, '$true': $o).\n"
+                    "thf(f_decl, type, '$false': $o).\n"
+                    "thf(a, axiom, '$true').\n"
+                    "thf(g, conjecture, ~ '$false').\n", encoding="utf-8")
+    assert run(["parse", "--print", str(path)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == ("thf(t_decl, type, '$true': $o).\n"
+                       "thf(f_decl, type, '$false': $o).\n"
+                       "thf(a, axiom, '$true').\n"
+                       "thf(g, conjecture, ~ '$false').\n")
+    path.write_text(printed, encoding="utf-8")
+    assert run(["parse", "--print", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == printed
+
+    assert run(["translate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == ("thf(t_decl, type, '$true': $o).\n"
+                                       "thf('$true_per', axiom, ('$true' = '$true')).\n"
+                                       "thf(f_decl, type, '$false': $o).\n"
+                                       "thf('$false_per', axiom, ('$false' = '$false')).\n"
+                                       "thf(a, axiom, '$true').\n"
+                                       "thf(g, conjecture, ~ '$false').\n")

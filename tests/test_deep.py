@@ -1,7 +1,5 @@
 """Deep checking: obligation generation, discharge, closure, diagnostics."""
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -36,22 +34,11 @@ from dtf.deep import (
 )
 from dtf.syntax import Problem, parse_file, parse_problem
 
-from genutil import gen_formula_problem, gen_problem
+from genutil import gen_formula_problem, gen_problem, load_generator
 
 REPO = Path(__file__).resolve().parents[1]
 
-
-def _load_generator():
-    """The benchmark's problem generator, `perfbench/generate.py`."""
-    spec = importlib.util.spec_from_file_location("perfbench_generate",
-                                                  REPO / "perfbench" / "generate.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-generate = _load_generator()
+generate = load_generator()
 
 
 def nat() -> BaseApp:

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import genutil
 from dtf.core import (
+    TYPE_KIND,
     App,
     BaseApp,
     Const,
@@ -47,12 +48,12 @@ def test_atom_bare_and_quoted():
     assert atom("zero") == "zero"
     assert atom("my zero") == "'my zero'"
     assert atom("it's") == "'it\\'s'"
-    assert atom("$o") == "$o"
+    assert atom("$o") == "'$o'"
     assert atom("Zebra") == "'Zebra'"
 
 
 @given(st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
-               min_size=1, max_size=12).filter(lambda s: not s.startswith("$")))
+               min_size=1, max_size=12))
 def test_atom_always_lexes_back(text):
     from dtf.syntax import tokenize
 
@@ -70,6 +71,12 @@ def test_format_simple_types():
     assert format_type(Pi(X, nat(), nat())) == "nat > nat"
     arr = Pi(X, Pi(X, nat(), nat()), nat())
     assert format_type(arr) == "(nat > nat) > nat"
+
+
+def test_format_type_kind_and_a_user_dollar_type():
+    assert format_type(TYPE_KIND) == "$tType"
+    assert format_type(Pi(X, TYPE_KIND, BaseApp(X))) == "!> [X: $tType]: X"
+    assert format_type(BaseApp(Name("$i", NameKind.TYPE))) == "'$i'"
 
 
 def test_format_dependent_type():

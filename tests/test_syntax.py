@@ -2,6 +2,8 @@
 
 import textwrap
 
+import pytest
+
 from dtf.core import (
     And,
     App,
@@ -191,6 +193,19 @@ def test_unknown_symbol_has_position():
     diags = parse_bad(PRELUDE + "thf(a, axiom, p @ missing).")
     d = next(d for d in diags if "missing" in d.message)
     assert d.span is not None and d.span.line == 8  # PRELUDE is 7 lines incl. blank
+
+
+@pytest.mark.parametrize("text, message", [
+    ("thf(q_type, type, q: $o > $o).\nthf(a, axiom, q '').", "2:17: expected ')', found ''"),
+    ("thf(a, axiom, $true ''", "1:21: expected ')', found ''"),
+    ("thf(a, axiom, $true", "1:20: expected ')', found 'end of input'"),
+    ("thf(a, axiom, ", "1:15: expected a term, found 'end of input'"),
+    ("''", "1:1: expected 'thf' or 'include', found ''"),
+], ids=["empty_quoted_argument", "empty_quoted_after_formula", "eof", "eof_term", "item"])
+def test_empty_quoted_atom_is_not_end_of_input(text, message):
+    diags = parse_bad(text)
+    located = [f"{d.span.line}:{d.span.column}: {d.message}" for d in diags]
+    assert located[0] == message
 
 
 def test_unbound_variable_rejected():
