@@ -211,21 +211,16 @@ def cmd_solve(args) -> int:
         return code
     assert report is not None
 
-    tasks: list = []
-    if not args.conjecture_only:
-        for ob in report.obligations:
-            sub = deep.obligation_problem(problem, ob)
-            erased = erasure.erase_problem(sub)
-            tasks.append((ob.label, print_th0(erased.problem)))
+    th0 = erasure.TH0Printer(problem)
+    obligations = () if args.conjecture_only else report.obligations
+    tasks = [(ob.label, th0.print(deep.obligation_problem(problem, ob))) for ob in obligations]
     conjecture_label = None
     if not args.obligations_only and problem.conjecture is not None:
-        erased = erasure.erase_problem(
-            problem, assume_obligations=tuple(report.obligations))
         goal_label = problem.conjecture_name or "goal"
         while goal_label in {label for label, _ in tasks}:
             goal_label += "_goal"
         conjecture_label = goal_label
-        tasks.append((goal_label, print_th0(erased.problem)))
+        tasks.append((goal_label, th0.print(problem, tuple(report.obligations))))
 
     if not tasks:
         if args.obligations_only:

@@ -242,10 +242,10 @@ class DeepChecker:
                 raise self.fail(f"unknown constant {t.name.text!r}", t.span)
             return decl.ty
         if isinstance(t, App):
-            fun_ty = self._normalize(self.infer(ctx, t.fun), t.span)
+            fun_ty = self.infer(ctx, t.fun)  # not normalized: a type has no redex at its top
             if not isinstance(fun_ty, Pi):
-                raise self.fail(
-                    f"applied term has non-function type {_show_type(fun_ty)}", t.span)
+                shown = _show_type(self._normalize(fun_ty, t.span))
+                raise self.fail(f"applied term has non-function type {shown}", t.span)
             self.check(ctx, t.arg, fun_ty.domain)
             return substitute(fun_ty.codomain, fun_ty.binder, t.arg)
         if isinstance(t, Connective):
@@ -423,16 +423,19 @@ def obligation_problem(problem, ob: Obligation):
 
 def export_obligations(problem, obligations, out_dir: str) -> list:
     """Write each obligation as `<stem>__ob<k>.p`; returns the paths."""
-    from .printer import print_problem
+    from .printer import decl_line
 
     os.makedirs(out_dir, exist_ok=True)
     stem = "problem"
     if problem.path:
         stem = os.path.splitext(os.path.basename(problem.path))[0]
     paths: list = []
+    lines = [decl_line(decl) for decl in problem.theory.decls]  # each printed once
     for k, ob in enumerate(obligations, start=1):
         path = os.path.join(out_dir, f"{stem}__ob{k}.p")
-        text = print_problem(obligation_problem(problem, ob))
+        # The text of print_problem(obligation_problem(problem, ob)):
+        goal = decl_line(Axiom(ob.label, ob.formula, "conjecture"))
+        text = "\n".join(lines[:ob.theory_prefix] + [goal]) + "\n"
         header = f"% {ob.label}: {ob.origin}\n"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(header + text)

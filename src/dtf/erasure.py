@@ -44,6 +44,7 @@ from .core import (
     map_children,
     substitute,
 )
+from .printer import check_simple, decl_line
 from .shallow import Arrow, Base, SBool
 
 
@@ -99,19 +100,30 @@ class ErasedProblem:
 
 class Eraser:
     def __init__(self, theory: Theory):
-        self.theory = theory
-        used = set()
-        for decl in theory.decls:
-            if isinstance(decl, (TypeDecl, ConstDecl)):
-                used.add(decl.name.text)
+        self._used = {decl.name.text for decl in theory.decls
+                      if isinstance(decl, (TypeDecl, ConstDecl))}
         self.per_names: dict = {}
         for decl in theory.decls:
             if isinstance(decl, TypeDecl):
-                candidate = f"per_{decl.name.text}"
-                while candidate in used:
-                    candidate += "_"
-                used.add(candidate)
-                self.per_names[decl.name.text] = Name(candidate, NameKind.CONST)
+                self._name_per(decl.name.text)
+
+    def _name_per(self, text: str) -> None:
+        candidate = f"per_{text}"
+        while candidate in self._used:
+            candidate += "_"
+        self._used.add(candidate)
+        self.per_names[text] = Name(candidate, NameKind.CONST)
+
+    def extend(self, decl) -> bool:
+        """Name the PERs as for the theory followed by decl, or return False if
+        decl's name is taken: a PER named so far may then have to change."""
+        if isinstance(decl, (TypeDecl, ConstDecl)):
+            if decl.name.text in self._used:
+                return False
+            self._used.add(decl.name.text)
+            if isinstance(decl, TypeDecl):
+                self._name_per(decl.name.text)
+        return True
 
     # -- relations ---------------------------------------------------------
 
@@ -170,6 +182,17 @@ class Eraser:
 
     # -- declarations -----------------------------------------------------------
 
+    def erase_decl(self, decl) -> list:
+        """(label, erased declaration, source) for each declaration decl erases to."""
+        if isinstance(decl, TypeDecl):
+            return self.erase_type_decl(decl)
+        if isinstance(decl, ConstDecl):
+            return self.erase_const_decl(decl)
+        if isinstance(decl, Axiom):
+            erased = Axiom(decl.label, self.erase_term(decl.formula), decl.role)
+            return [(decl.label, erased, f"{decl.role} {decl.label!r}")]
+        raise ErasureError(f"cannot erase declaration {decl!r}")
+
     def erase_type_decl(self, decl: TypeDecl) -> list:
         a = decl.name
         per = self.per_names[a.text]
@@ -224,16 +247,7 @@ def erase_problem(problem, assume_obligations=()) -> ErasedProblem:
     decls: list = []
     provenance: dict = {}
     for decl in problem.theory.decls:
-        if isinstance(decl, TypeDecl):
-            rows = eraser.erase_type_decl(decl)
-        elif isinstance(decl, ConstDecl):
-            rows = eraser.erase_const_decl(decl)
-        elif isinstance(decl, Axiom):
-            erased = Axiom(decl.label, eraser.erase_term(decl.formula), decl.role)
-            rows = [(decl.label, erased, f"{decl.role} {decl.label!r}")]
-        else:
-            raise ErasureError(f"cannot erase declaration {decl!r}")
-        for label, payload, source in rows:
+        for label, payload, source in eraser.erase_decl(decl):
             decls.append(payload)
             provenance[label] = source
     for ob in assume_obligations:
@@ -251,3 +265,35 @@ def erase_problem(problem, assume_obligations=()) -> ErasedProblem:
         path=problem.path,
     )
     return ErasedProblem(erased_problem, provenance)
+
+
+def th0_lines(eraser: Eraser, decl) -> str:
+    """Erase one declaration, check that it is simply typed and print it."""
+    return "\n".join(decl_line(check_simple(payload))
+                     for _, payload, _ in eraser.erase_decl(decl))
+
+
+class TH0Printer:
+    """print_th0(erase_problem(sub, assumed).problem) for the sub-problems of one
+    problem whose theories are prefixes of its theory, as `solve` makes them.
+    Each declaration is erased, checked and printed once per PER naming.
+    """
+
+    def __init__(self, problem):
+        self.decls = problem.theory.decls
+        naming = (Eraser(Theory()), [])        # an Eraser and its printed decls
+        self._namings = [naming]               # prefix length -> its naming
+        for k, decl in enumerate(self.decls, start=1):
+            if not naming[0].extend(decl):
+                naming = (Eraser(Theory(self.decls[:k])), [])
+            self._namings.append(naming)
+
+    def print(self, sub, assume_obligations=()) -> str:
+        prefix = len(sub.theory.decls)
+        eraser, lines = self._namings[prefix]
+        while len(lines) < prefix:
+            lines.append(th0_lines(eraser, self.decls[len(lines)]))
+        extra = [Axiom(f"{ob.label}_assumed", ob.formula) for ob in assume_obligations]
+        if sub.conjecture is not None:
+            extra.append(Axiom(sub.conjecture_name or "goal", sub.conjecture, "conjecture"))
+        return "\n".join(lines[:prefix] + [th0_lines(eraser, d) for d in extra]) + "\n"

@@ -153,28 +153,23 @@ def _format_operand(t: Term) -> str:
 
 def check_simply_typed(problem) -> None:
     """Raise ValueError if the problem uses dependent types anywhere."""
+    for decl in _with_conjecture(problem, "conjecture"):
+        check_simple(decl)
 
-    def check(node) -> None:
-        if isinstance(node, BaseApp) and node.args:
-            raise ValueError(
-                f"cannot print TH0: type {node.head.text!r} takes term arguments")
-        if isinstance(node, Pi) and node.binder.text in free_vars(node.codomain):
-            raise ValueError(
-                f"cannot print TH0: dependent product over {node.binder.text!r}")
+
+def check_simple(node):
+    """Raise ValueError if a declaration, type or term is dependently typed; else return it."""
+    if isinstance(node, (ConstDecl, Axiom)):
+        check_simple(node.ty if isinstance(node, ConstDecl) else node.formula)
+    elif isinstance(node, TypeDecl) and node.telescope or isinstance(node, BaseApp) and node.args:
+        head = node.name if isinstance(node, TypeDecl) else node.head
+        raise ValueError(f"cannot print TH0: type {head.text!r} takes term arguments")
+    elif isinstance(node, Pi) and node.binder.text in free_vars(node.codomain):
+        raise ValueError(f"cannot print TH0: dependent product over {node.binder.text!r}")
+    elif not isinstance(node, TypeDecl):
         for child in children(node):
-            check(child)
-
-    for decl in problem.theory.decls:
-        if isinstance(decl, TypeDecl):
-            if decl.telescope:
-                raise ValueError(
-                    f"cannot print TH0: type {decl.name.text!r} takes term arguments")
-        elif isinstance(decl, ConstDecl):
-            check(decl.ty)
-        elif isinstance(decl, Axiom):
-            check(decl.formula)
-    if problem.conjecture is not None:
-        check(problem.conjecture)
+            check_simple(child)
+    return node
 
 
 def format_annotated(name: str, role: str, body: str, width: int = 80) -> str:
@@ -184,28 +179,26 @@ def format_annotated(name: str, role: str, body: str, width: int = 80) -> str:
     return f"thf({atom(name)}, {role},\n    {body})."
 
 
-def _decl_lines(problem) -> list:
-    lines: list = []
-    for decl in problem.theory.decls:
-        if isinstance(decl, TypeDecl):
-            ty = _format_chain(list(decl.telescope), TYPE_KIND)
-            label = decl.label or decl.name.text
-            lines.append(format_annotated(label, "type", f"{atom(decl.name.text)}: {ty}"))
-        elif isinstance(decl, ConstDecl):
-            label = decl.label or decl.name.text
-            lines.append(format_annotated(label, "type", f"{atom(decl.name.text)}: {format_type(decl.ty)}"))
-        elif isinstance(decl, Axiom):
-            lines.append(format_annotated(decl.label, decl.role, format_term(decl.formula)))
-    return lines
+def decl_line(decl) -> str:
+    """Render one declaration as a `thf` line (or two, when long)."""
+    if isinstance(decl, Axiom):
+        return format_annotated(decl.label, decl.role, format_term(decl.formula))
+    is_const = isinstance(decl, ConstDecl)
+    ty = format_type(decl.ty) if is_const else _format_chain(list(decl.telescope), TYPE_KIND)
+    return format_annotated(decl.label or decl.name.text, "type", f"{atom(decl.name.text)}: {ty}")
+
+
+def _with_conjecture(problem, role: str) -> tuple:
+    """The declarations of a problem, then its conjecture as one more."""
+    if problem.conjecture is None:
+        return problem.theory.decls
+    name = problem.conjecture_name or "goal"
+    return (*problem.theory.decls, Axiom(name, problem.conjecture, role))
 
 
 def print_problem(problem, conjecture_role: str = "conjecture") -> str:
     """Render a problem back to concrete TPTP syntax."""
-    lines = _decl_lines(problem)
-    if problem.conjecture is not None:
-        name = problem.conjecture_name or "goal"
-        lines.append(format_annotated(name, conjecture_role, format_term(problem.conjecture)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(decl_line(d) for d in _with_conjecture(problem, conjecture_role)) + "\n"
 
 
 def print_th0(problem) -> str:

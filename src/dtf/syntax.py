@@ -613,6 +613,8 @@ class _Elaborator:
         symbol = typing.subject.text
         if symbol in self.symbols:
             raise self.err(f"duplicate declaration of {symbol!r}", typing.span)
+        if symbol == "$tType":  # a user type of that name would be the kind itself
+            raise self.err("'$tType' is the kind of types and cannot be declared", typing.subject.span)
 
         binders, spine = self._split_decl_type(typing.ty)
         tail = spine[-1]

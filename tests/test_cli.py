@@ -409,3 +409,23 @@ def test_quoted_dollar_constants_survive_print_and_translate(tmp_path, capsys):
                                        "thf('$false_per', axiom, ('$false' = '$false')).\n"
                                        "thf(a, axiom, '$true').\n"
                                        "thf(g, conjecture, ~ '$false').\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["parse", "--print"], ["check", "--deep"], ["translate", "--assume-obligations"],
+    ["solve"],
+], ids=["parse", "check", "translate", "solve"])
+def test_declared_quoted_ttype_is_refused(command, fixtures_dir, fake_prover, capsys):
+    # A user type named '$tType' used to be the kind itself: `c: '$tType'`
+    # translated to `c: $tType`, and the quantifier went over types.
+    path = str(fixtures_dir / "quoted_ttype.p")
+    if command == ["solve"]:
+        command = ["solve", "--prover", f"{fake_prover('echo % SZS status Theorem')} {{file}}"]
+    assert run([*command, path]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{path}:1:15: error: '$tType' is the kind of types and cannot be declared",
+        f"{path}:2:22: error: unknown type symbol '$tType'",
+        f"{path}:3:21: error: unknown type symbol '$tType'",
+    ]

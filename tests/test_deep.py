@@ -481,3 +481,29 @@ thf(g_type, type, g: $o > nat).
 """ + f"thf(c_type, type, c: vec @ (g @ {BIG})).\nthf(a, axiom, c = c).\n", encoding="utf-8")
     assert run(["check", "--deep", str(path)]) == EXIT_OK
     assert capsys.readouterr().out == "obligations: 0 residual, 0 discharged\n"
+
+
+# -- the type of an applied term is normalized only to report it --------------------
+
+APPLIED_PRELUDE = BUDGET_PRELUDE + "thf(g_type, type, g: $o > nat).\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    # A non-function type is shown in normal form, and normalizing it for the
+    # message can still run out of budget, at the application.
+    ("thf(c_type, type, c: vec @ ((^ [X: nat]: X) @ zero)).\nthf(a, axiom, (c @ zero) = c).\n",
+     ["p.p:7:18: error: applied term has non-function type vec @ zero"]),
+    (f"thf(c_type, type, c: vec @ (g @ {BIG})).\nthf(a, axiom, (c @ zero) = c).\n",
+     ["p.p:7:18: error: normalization budget exceeded"]),
+    # A function type is not normalized: an argument of the same type is
+    # accepted, and one of another type fails on the budget at the argument.
+    (f"thf(h_type, type, h: (vec @ (g @ {BIG})) > $o).\n"
+     f"thf(c_type, type, c: vec @ (g @ {BIG})).\nthf(a, axiom, h @ c).\n", []),
+    (f"thf(h_type, type, h: (vec @ (g @ {BIG})) > $o).\nthf(a, axiom, h @ (f @ zero)).\n",
+     ["p.p:7:22: error: normalization budget exceeded"]),
+], ids=["non_function", "non_function_budget", "same_argument", "other_argument"])
+def test_applied_type_is_normalized_only_for_the_diagnostic(text, expected):
+    # check_problem without the shallow pass, which refuses `c @ zero` first.
+    report = check_problem(parse_problem(APPLIED_PRELUDE + text, "p.p"))
+    assert [d.format() for d in report.diagnostics] == expected
+    assert report.obligations == []

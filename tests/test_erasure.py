@@ -1,6 +1,7 @@
 """PER erasure: relation declarations, guards, and the TH0 image."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import genutil
 from dtf.core import (
@@ -11,6 +12,7 @@ from dtf.core import (
     Choice,
     Const,
     ConstDecl,
+    Context,
     Eq,
     Forall,
     Name,
@@ -19,10 +21,11 @@ from dtf.core import (
     TypeDecl,
     Var,
 )
-from dtf.deep import check_problem
+from dtf.deep import Obligation, check_problem, obligation_problem
 from dtf.erasure import (
     Eraser,
     ErasureError,
+    TH0Printer,
     erase_problem,
     erase_type,
     erased_image,
@@ -221,3 +224,72 @@ def test_generated_theories_erase_cleanly():
                       if isinstance(d, Axiom) and d.label.endswith("_functional")]
         assert len(per_decls) == len(source_types), seed
         assert len(functional) == len(source_types), seed
+
+
+# -- one run's TH0 tasks --------------------------------------------------------------
+
+
+def _with_per_collisions(problem, spots) -> Problem:
+    """Declare names that the PERs of earlier types would take, at the given spots."""
+    decls = list(problem.theory.decls)
+    for spot in spots:
+        k = spot % (len(decls) + 1)
+        types = [d.name.text for d in decls[:k] if isinstance(d, TypeDecl)]
+        taken = {d.name.text for d in decls if isinstance(d, (TypeDecl, ConstDecl))}
+        name = f"per_{types[spot % len(types)]}" + "_" * (spot % 3) if types else "per_"
+        if name in taken:
+            continue
+        if spot % 2:
+            decls.insert(k, TypeDecl(Name(name, NameKind.TYPE), (), f"{name}_type"))
+        else:
+            decls.insert(k, ConstDecl(Name(name, NameKind.CONST), BOOL, f"{name}_type"))
+    return Problem(theory=Theory(tuple(decls)), conjecture=problem.conjecture,
+                   conjecture_name=problem.conjecture_name)
+
+
+def _obligations(problem) -> list:
+    """The checker's obligations, plus each axiom and the conjecture posed as an
+    obligation at every prefix that can see its symbols."""
+    report = check_problem(problem)
+    assert report.ok
+    decls = problem.theory.decls
+    posed = [(d.formula, j + 1) for j, d in enumerate(decls) if isinstance(d, Axiom)]
+    if problem.conjecture is not None:
+        posed.append((problem.conjecture, len(decls)))
+    obligations = report.obligations + report.discharged
+    for formula, first in posed:
+        for prefix in range(first, len(decls) + 1):
+            obligations.append(Obligation(
+                label=f"ob{len(obligations) + 1}", context=Context(), goal=formula,
+                origin="posed", formula=formula, theory_prefix=prefix))
+    return obligations
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(),
+       st.lists(st.integers(0, 60), max_size=4), st.randoms(use_true_random=False))
+def test_th0_printer_matches_erasing_each_task(seed, conjecture, spots, rng):
+    generated = (genutil.gen_formula_problem if conjecture else genutil.gen_problem)(seed)
+    problem = _with_per_collisions(generated, spots)
+    obligations = _obligations(problem)
+    rng.shuffle(obligations)   # export runs residual, then discharged obligations
+    printer = TH0Printer(problem)
+    for ob in obligations:
+        sub = obligation_problem(problem, ob)
+        assert printer.print(sub) == print_th0(erase_problem(sub).problem)
+    for assumed in ((), tuple(obligations)):
+        expected = print_th0(erase_problem(problem, assume_obligations=assumed).problem)
+        assert printer.print(problem, assumed) == expected
+
+
+def test_th0_printer_renames_a_per_where_a_later_name_takes_it(fixtures_dir):
+    problem = parse_file(str(fixtures_dir / "per_nat_collision.p"))
+    report = check_problem(problem)
+    printer = TH0Printer(problem)
+    pers = {}
+    for ob in report.obligations:
+        text = printer.print(obligation_problem(problem, ob))
+        assert text == print_th0(erase_problem(obligation_problem(problem, ob)).problem)
+        pers[ob.label] = "per_nat_ @" in text, "per_nat @" in text
+    assert pers["ob1"] == pers["ob2"] == (False, True)
+    assert all(pers[f"ob{k}"] == (True, True) for k in range(3, 9))

@@ -193,3 +193,19 @@ def test_check_simply_typed_rejects_dependent_pi():
     problem = Problem(theory=Theory((decl,)))
     with pytest.raises(ValueError, match="dependent product|term arguments"):
         check_simply_typed(problem)
+
+
+def _vec_zero() -> BaseApp:
+    return BaseApp(Name("vec", NameKind.TYPE), (Const(Name("zero", NameKind.CONST)),))
+
+
+@pytest.mark.parametrize("problem", [
+    Problem(theory=Theory(()),
+            conjecture=Forall(X, _vec_zero(), Eq(Var(X), Var(X), _vec_zero()))),
+    Problem(theory=Theory((ConstDecl(Name("f", NameKind.CONST),
+                                     Pi(X, nat(), Pi(X, nat(), _vec_zero())), "f_type"),))),
+], ids=["binder_domain", "codomain"])
+def test_check_simply_typed_finds_a_nested_dependent_type(problem):
+    for check in (check_simply_typed, print_th0):
+        with pytest.raises(ValueError, match="type 'vec' takes term arguments"):
+            check(problem)
