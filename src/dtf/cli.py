@@ -9,6 +9,7 @@ Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import deep, erasure, prover, shallow
@@ -28,8 +29,15 @@ def _emit_diagnostics(diagnostics) -> None:
 
 
 def _load(path: str):
-    """Parse a problem file; on failure print diagnostics and return None."""
+    """Parse a problem file; on failure print diagnostics and return None.
+
+    Everything alive after the parse, the problem included, is moved out of
+    the cyclic collector's generations (`gc.freeze`), so that no later
+    collection walks the theory again.  Frozen objects are still freed by
+    reference counting, which is all the acyclic trees of a problem need.
+    """
     result = parse_file(path)
+    gc.freeze()
     if isinstance(result, Problem):
         _emit_diagnostics(result.warnings)
         return result

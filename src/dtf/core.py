@@ -298,16 +298,24 @@ def children(t) -> tuple:
 
 def map_children(t, f, *args):
     """Rebuild a leaf, connective, negation or equation with each child c
-    replaced by f(c, *args).  Per-node walks handle their frequent node kinds
-    inline, which is faster, and call this for the rest.
+    replaced by f(c, *args); t itself when every f(c, *args) is c.  Per-node
+    walks handle their frequent node kinds inline, which is faster, and call
+    this for the rest.
     """
     if isinstance(t, Connective):
-        return type(t)(f(t.left, *args), f(t.right, *args), span=t.span)
+        left, right = f(t.left, *args), f(t.right, *args)
+        if left is t.left and right is t.right:
+            return t
+        return type(t)(left, right, span=t.span)
     if isinstance(t, Eq):
+        left, right = f(t.left, *args), f(t.right, *args)
         at = None if t.at is None else f(t.at, *args)
-        return Eq(f(t.left, *args), f(t.right, *args), at, span=t.span)
+        if left is t.left and right is t.right and at is t.at:
+            return t
+        return Eq(left, right, at, span=t.span)
     if isinstance(t, Not):
-        return Not(f(t.arg, *args), span=t.span)
+        arg = f(t.arg, *args)
+        return t if arg is t.arg else Not(arg, span=t.span)
     if isinstance(t, (Var, Const, Top, Bottom, BoolType)):
         return t
     raise TypeError(f"map_children: unexpected node {t!r}")
@@ -381,26 +389,48 @@ def fresh_name(base: str, avoid) -> str:
 
 
 def substitute(t, x: Name, u: Term):
-    """Replace the free variable x by u in a term or type."""
+    """Replace the free variable x by u in a term or type.
+
+    Subtrees in which x is not free are shared, not copied: the result is t
+    itself when x is not free in t.
+    """
+    return _substitute(t, x, u, [])
+
+
+def _substitute(t, x: Name, u: Term, u_free: list):
+    # u_free holds free_vars(u) once the first binder needs it: u may be far
+    # larger than a t without binders, such as an instantiated codomain.
     if isinstance(t, Var):
         return u if t.name == x else t
     if isinstance(t, (Const, Top, Bottom, BoolType)):
         return t
     if isinstance(t, App):
-        return App(substitute(t.fun, x, u), substitute(t.arg, x, u), span=t.span)
+        fun = _substitute(t.fun, x, u, u_free)
+        arg = _substitute(t.arg, x, u, u_free)
+        if fun is t.fun and arg is t.arg:
+            return t
+        return App(fun, arg, span=t.span)
     if isinstance(t, BaseApp):
-        return BaseApp(t.head, tuple(substitute(a, x, u) for a in t.args), span=t.span)
+        args = tuple(_substitute(a, x, u, u_free) for a in t.args)
+        if all(new is old for new, old in zip(args, t.args)):
+            return t
+        return BaseApp(t.head, args, span=t.span)
     if isinstance(t, (Binder, Pi)):
-        domain = substitute(t.domain, x, u)
+        domain = _substitute(t.domain, x, u, u_free)
         binder, body = t.binder, t.body
         if binder == x:
-            return type(t)(binder, domain, body, span=t.span)
-        if binder.text in free_vars(u) and x.text in free_vars(body):
-            renamed = Name(fresh_name(binder.text, free_vars(u) | free_vars(body) | {x.text}), binder.kind)
+            return t if domain is t.domain else type(t)(binder, domain, body, span=t.span)
+        if not u_free:
+            u_free.append(free_vars(u))
+        if binder.text in u_free[0] and x.text in free_vars(body):
+            renamed = Name(fresh_name(binder.text, u_free[0] | free_vars(body) | {x.text}), binder.kind)
             body = substitute(body, binder, Var(renamed))
             binder = renamed
-        return type(t)(binder, domain, substitute(body, x, u), span=t.span)
-    return map_children(t, substitute, x, u)
+        new_body = _substitute(body, x, u, u_free)
+        if binder is t.binder and domain is t.domain and new_body is t.body:
+            return t
+        return type(t)(binder, domain, new_body, span=t.span)
+    return map_children(t, _substitute, x, u, u_free)
 
 
 # ---------------------------------------------------------------------------

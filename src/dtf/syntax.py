@@ -58,17 +58,22 @@ _PUNCT = [
     "~", "&", "|", "=", ">",
 ]
 
-# One alternative per token class, tried at each position.  `\w` is exactly
-# "alphanumeric or `_`".  A word must also start with a letter, and a token
-# that starts with a digit (`str.isdigit`, wider than `\d`) is lexed by hand.
+# One match per token: the blanks and comments before it, then one alternative
+# per token class.  `\w` is exactly "alphanumeric or `_`".  A word must also
+# start with a letter.  The empty `other` alternative hands a token that starts
+# with a digit (`str.isdigit`, wider than `\d`), every lexical error and the end
+# of input to the hand-written branches of `tokenize`.
 _TOKEN = re.compile(r"""
-    (?P<skip> (?: [ \t\r\n]+ | %[^\n]* | /\*[\s\S]*?\*/ )+ )
-  | (?P<quoted> '[^'\\\n]*(?:\\[^\n][^'\\\n]*)*' )
-  | (?P<dollar> \$(?:\$\w*|\w+) )
-  | (?P<word> [^\W\d_]\w* )
-  | (?P<punct> """ + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)) + r""" )
+    (?: [ \t\r\n]+ | %[^\n]* | /\*[\s\S]*?\*/ )*
+    (?: (?P<punct> """ + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)) + r""" )
+      | (?P<word> [^\W\d_]\w* )
+      | (?P<quoted> '[^'\\\n]*(?:\\[^\n][^'\\\n]*)*' )
+      | (?P<dollar> \$(?:\$\w*|\w+) )
+      | (?P<other>)
+    )
 """, re.X)
 _ESCAPE = re.compile(r"\\(['\\])")
+_new_tuple = tuple.__new__  # builds a named tuple without its __new__ frame
 
 
 class Token(NamedTuple):
@@ -101,44 +106,50 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
     line = 1
     line_start = 0
     n = len(text)
-    while pos < n:
+    while True:
         m = _TOKEN.match(text, pos)
-        kind = m.lastgroup if m else None
-        if kind == "skip":
-            end = m.end()
-            newlines = text.count("\n", pos, end)
+        kind = m.lastgroup
+        start = m.start(kind)
+        if start != pos:
+            newlines = text.count("\n", pos, start)
             if newlines:
                 line += newlines
-                line_start = text.rfind("\n", pos, end) + 1
-            pos = end
-            continue
-        col = pos - line_start + 1
-        c = text[pos]
-        if kind == "quoted":
-            end = m.end()
-            tokens.append(Token("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]), line, col, pos, end))
-        elif kind == "word" and c.isalpha():
-            end = m.end()
-            tokens.append(Token("lower" if c.islower() else "upper", text[pos:end], line, col, pos, end))
-        elif kind in ("dollar", "punct"):
-            end = m.end()
+                line_start = text.rfind("\n", pos, start) + 1
+            # Rebound only here, so that a token's offset is the same int
+            # object as the end of the token just before it.
+            pos = start
+        end = m.end()
+        if kind == "punct":
             token = text[pos:end]
-            tokens.append(Token(kind if kind == "dollar" else token, token, line, col, pos, end))
-        elif c.isdigit():
-            end = pos
-            while end < n and (text[end].isdigit() or text[end] in ".eE+-/"):
-                end += 1
-            tokens.append(Token("number", text[pos:end], line, col, pos, end))
-        elif c == "'":
-            stop = text.find("\n", pos)
-            length = (n if stop < 0 else stop) - pos
-            raise _SyntaxError(error("unterminated quoted atom", Span(line, col, length), path))
-        elif text.startswith("/*", pos):
-            raise _SyntaxError(error("unterminated block comment", Span(line, col, 2), path))
-        elif c == "$":
-            raise _SyntaxError(error("stray '$'", Span(line, col, 1), path))
+            tokens.append(_new_tuple(Token, (token, token, line, pos - line_start + 1, pos, end)))
+        elif kind == "word" and (c := text[pos]).isalpha():
+            tokens.append(_new_tuple(Token, ("lower" if c.islower() else "upper", text[pos:end],
+                               line, pos - line_start + 1, pos, end)))
+        elif kind == "dollar":
+            tokens.append(_new_tuple(Token, ("dollar", text[pos:end], line, pos - line_start + 1, pos, end)))
+        elif kind == "quoted":
+            tokens.append(_new_tuple(Token, ("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]),
+                               line, pos - line_start + 1, pos, end)))
+        elif pos == n:
+            break
         else:
-            raise _SyntaxError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
+            col = pos - line_start + 1
+            c = text[pos]
+            if c.isdigit():
+                end = pos
+                while end < n and (text[end].isdigit() or text[end] in ".eE+-/"):
+                    end += 1
+                tokens.append(Token("number", text[pos:end], line, col, pos, end))
+            elif c == "'":
+                stop = text.find("\n", pos)
+                length = (n if stop < 0 else stop) - pos
+                raise _SyntaxError(error("unterminated quoted atom", Span(line, col, length), path))
+            elif text.startswith("/*", pos):
+                raise _SyntaxError(error("unterminated block comment", Span(line, col, 2), path))
+            elif c == "$":
+                raise _SyntaxError(error("stray '$'", Span(line, col, 1), path))
+            else:
+                raise _SyntaxError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
         pos = end
     tokens.append(Token("eof", "", line, n - line_start + 1, n, n))
     return tokens
@@ -269,6 +280,7 @@ MAX_NESTING = 200
 
 _ROLES = {"type", "axiom", "lemma", "hypothesis", "definition", "conjecture"}
 _BINARY_OPS = {"&", "|", "=>", "<=", "<=>", "<~>", ">"}
+_NAME_KINDS = {"lower", "upper", "dollar", "quoted"}
 
 
 class _Parser:
@@ -410,16 +422,20 @@ class _Parser:
 
     # -- formulae ---------------------------------------------------------
 
+    # The four methods below are the parser's hot path: they read
+    # `self.tokens[self.pos]` and advance `self.pos` themselves, and build
+    # spans as `tuple.__new__(Span, ...)`, equal to `Token.span`.
+
     def parse_expr(self) -> object:
         left = self.parse_unit()
-        op_tok = self.peek()
-        if op_tok.kind not in _BINARY_OPS:
-            return left
+        op_tok = self.tokens[self.pos]
         op = op_tok.kind
+        if op not in _BINARY_OPS:
+            return left
         if op in ("&", "|"):
             operands = [left]
-            while self.peek().kind == op:
-                self.next()
+            while self.tokens[self.pos].kind == op:
+                self.pos += 1
                 operands.append(self.parse_unit())
             self._reject_chain_mixing(op)
             result = operands[0]
@@ -428,15 +444,15 @@ class _Parser:
             return result
         if op == ">":
             operands = [left]
-            while self.peek().kind == ">":
-                self.next()
+            while self.tokens[self.pos].kind == ">":
+                self.pos += 1
                 operands.append(self.parse_unit())
             self._reject_chain_mixing(op)
             result = operands[-1]
             for lhs in reversed(operands[:-1]):
                 result = SBin(">", lhs, result, op_tok.span)
             return result
-        self.next()
+        self.pos += 1
         right = self.parse_unit()
         self._reject_chain_mixing(op)
         return SBin(op, left, right, op_tok.span)
@@ -449,20 +465,21 @@ class _Parser:
 
     def parse_unit(self) -> object:
         # Every recursive path of the parser passes through here.
-        tok = self.peek()
+        tokens = self.tokens
+        tok = tokens[self.pos]
         self.depth += 1
         try:
             if self.depth > MAX_NESTING:
                 raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
             if tok.kind == "~":
-                self.next()
+                self.pos += 1
                 return SNot(self.parse_unit(), tok.span)
             left = self.parse_apply()
-            nxt = self.peek()
+            nxt = tokens[self.pos]
             if nxt.kind in ("=", "!="):
-                self.next()
+                self.pos += 1
                 right = self.parse_apply()
-                after = self.peek()
+                after = tokens[self.pos]
                 if after.kind in ("=", "!="):
                     raise self.fail("chained equality needs parentheses", after)
                 return SEq(left, right, nxt.kind == "!=", nxt.span)
@@ -472,29 +489,35 @@ class _Parser:
 
     def parse_apply(self) -> object:
         result = self.parse_atom()
-        while self.peek().kind == "@":
-            at = self.next()
-            arg = self.parse_atom()
-            result = SApp(result, arg, at.span)
+        tokens = self.tokens
+        at = tokens[self.pos]
+        while at.kind == "@":
+            self.pos += 1
+            result = SApp(result, self.parse_atom(), _new_tuple(Span, (at.line, at.column, 1)))
+            at = tokens[self.pos]
         return result
 
     def parse_atom(self) -> object:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        tok = self.tokens[self.pos]
+        kind, text, line, column, offset, end = tok
+        if kind in _NAME_KINDS:
+            self.pos += 1
+            return SName(kind, text, _new_tuple(Span, (line, column, end - offset)))
+        if kind == "(":
+            self.pos += 1
             inner = self.parse_expr()
-            self.expect(")")
+            close = self.tokens[self.pos]
+            if close.kind != ")":
+                raise self.fail(f"expected ')', found {_found(close)}", close)
+            self.pos += 1
             return inner
-        if tok.kind in ("!", "?", "^", "!>", "@+"):
+        if kind in ("!", "?", "^", "!>", "@+"):
             return self.parse_binder()
-        if tok.kind == "@-":
+        if kind == "@-":
             raise self.fail("description not supported in DTF checker", tok)
-        if tok.kind == "?*":
+        if kind == "?*":
             raise self.fail("unsupported binder '?*'", tok)
-        if tok.kind in ("lower", "upper", "dollar", "quoted"):
-            self.next()
-            return SName(tok.kind, tok.text, tok.span)
-        if tok.kind == "number":
+        if kind == "number":
             raise self.fail("numbers are not supported", tok)
         raise self.fail(f"expected a term, found {_found(tok)}", tok)
 

@@ -1,9 +1,10 @@
 """The deep check must not depend on the names of bound variables."""
 
 import dataclasses
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtf.core import (
     App,
@@ -11,11 +12,13 @@ from dtf.core import (
     BaseApp,
     Binder,
     ConstDecl,
+    Context,
     Name,
     Pi,
     Theory,
     TypeDecl,
     Var,
+    VarDecl,
     alpha_equal,
     children,
     fresh_name,
@@ -25,7 +28,7 @@ from dtf.deep import check_problem
 from dtf.printer import format_type
 from dtf.syntax import Problem, parse_problem
 
-from genutil import gen_problem
+from genutil import gen_formula_problem, gen_problem
 
 CAPTURE_REPRO = """\
 thf(nat_type, type, nat: $tType).
@@ -93,20 +96,28 @@ def rename_problem(problem: Problem, pick) -> Problem:
     return dataclasses.replace(problem, theory=Theory(decls), conjecture=conjecture)
 
 
+def rename_pool(problem: Problem) -> list:
+    """Names bound elsewhere in the problem, plus new ones."""
+    return bound_names(problem) + ["Z", "N0", "X1_"]
+
+
 def renamings(problem: Problem) -> list:
-    """Renamings onto names bound elsewhere in the problem and onto new ones."""
-    pool = bound_names(problem) + ["Z", "N0", "X1_"]
-    picks = [lambda old: pool[0], lambda old: old + "0"]
-    for seed in range(4):
-        rng = random.Random(seed)
-        picks.append(lambda old, rng=rng: rng.choice(pool))
-    return picks
+    """Two fixed renamings: every binder onto one name, and a suffix."""
+    pool = rename_pool(problem)
+    return [lambda old: pool[0], lambda old: old + "0"]
 
 
-def assert_alpha_invariant(problem: Problem) -> None:
+def drawn_renaming(data, problem: Problem):
+    """A renaming whose every choice hypothesis draws: a name of the pool,
+    the old name itself, or the old name with a suffix."""
+    pool = rename_pool(problem)
+    return lambda old: data.draw(st.sampled_from(pool + [old, old + "0"]), label=old)
+
+
+def assert_alpha_invariant(problem: Problem, picks: list) -> None:
     base = check_problem(problem)
     assert base.diagnostics == []
-    for pick in renamings(problem):
+    for pick in picks:
         renamed = rename_problem(problem, pick)
         for a, b in zip(problem.theory.decls, renamed.theory.decls):
             if isinstance(a, Axiom):
@@ -124,22 +135,43 @@ POSITIVE = ["choice.p", "dep_impl.p", "dep_impl_rev.p", "desugar.p", "hol.p",
             "list_append.p", "roles.p", "vect.p"]
 
 
+def parse_corpus(corpus_dir, name: str) -> Problem:
+    path = corpus_dir / name
+    problem = parse_problem(path.read_text(), str(path))
+    assert isinstance(problem, Problem)
+    return problem
+
+
 @pytest.mark.parametrize("name", POSITIVE)
 def test_corpus_is_alpha_invariant(corpus_dir, name):
-    problem = parse_problem((corpus_dir / name).read_text(), str(corpus_dir / name))
-    assert isinstance(problem, Problem)
-    assert_alpha_invariant(problem)
+    problem = parse_corpus(corpus_dir, name)
+    assert_alpha_invariant(problem, renamings(problem))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_generated_problems_are_alpha_invariant(seed):
-    assert_alpha_invariant(gen_problem(seed))
+    problem = gen_problem(seed)
+    assert_alpha_invariant(problem, renamings(problem))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(POSITIVE), data=st.data())
+def test_corpus_is_alpha_invariant_under_drawn_renamings(corpus_dir, name, data):
+    problem = parse_corpus(corpus_dir, name)
+    assert_alpha_invariant(problem, [drawn_renaming(data, problem)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_conjecture=st.booleans(), data=st.data())
+def test_generated_problems_are_alpha_invariant_under_drawn_renamings(seed, with_conjecture, data):
+    problem = (gen_formula_problem if with_conjecture else gen_problem)(seed)
+    assert_alpha_invariant(problem, [drawn_renaming(data, problem)])
 
 
 def test_capture_repro_is_alpha_invariant():
     problem = parse_problem(CAPTURE_REPRO)
     assert isinstance(problem, Problem)
-    assert_alpha_invariant(problem)
+    assert_alpha_invariant(problem, renamings(problem))
 
 
 def test_pi_comparison_does_not_capture():
@@ -191,3 +223,66 @@ def test_invented_arrow_binder_prints_back_unchanged():
     arrow = forall.body.domain
     assert arrow.binder.text != "X1_"
     assert format_type(arrow) == "nat > (vec @ X1_)"
+
+
+# -- shadowing audit -----------------------------------------------------------------
+#
+# `Context.var_type` and `close_obligation` look variables up by name text, which
+# is sound only while the variables of a context have pairwise distinct names:
+# the elaborator renames a shadowing binder, and `type_equal` freshens its Pi
+# binder.
+
+SHADOWING = """\
+thf(nat_type, type, nat: $tType).
+thf(z_type, type, z: nat).
+thf(s_type, type, s: nat > nat).
+thf(vec_type, type, vec: nat > $tType).
+thf(p_type, type, p: !> [N: nat]: ((vec @ N) > $o)).
+thf(f_type, type, f: !> [N: nat]: (nat > (vec @ N))).
+thf(h_type, type, h: !> [W: nat]: (vec @ W)).
+thf(k_type, type, k: !> [M: nat]: (vec @ (s @ M))).
+thf(nested, axiom, ! [N: nat]: ((N = z) => ! [N: nat]: (N = N))).
+thf(arrow, axiom, ! [X1_: nat, F: nat > (vec @ X1_)]: ! [X1_: nat]: (p @ X1_ @ (F @ X1_))).
+thf(pi, axiom, ! [N: nat, G: nat > (vec @ N)]: (G = (f @ N))).
+thf(pi_binder, axiom, ! [W: nat]: (h = k)).
+"""
+
+
+def context_names(problem: Problem) -> list:
+    """The variable names of every context that the deep check of problem
+    extends by a variable, each asserted pairwise distinct."""
+    built = []
+    push_var = Context.push_var
+
+    def recording_push_var(self, name, ty):
+        ctx = push_var(self, name, ty)
+        built.append([e.name.text for e in ctx.entries if isinstance(e, VarDecl)])
+        return ctx
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Context, "push_var", recording_push_var)
+        report = check_problem(problem)
+    assert report.diagnostics == []
+    for names in built:
+        assert len(set(names)) == len(names), names
+    return built
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_conjecture=st.booleans())
+def test_generated_contexts_have_distinct_names(seed, with_conjecture):
+    context_names((gen_formula_problem if with_conjecture else gen_problem)(seed))
+
+
+@pytest.mark.parametrize("name", POSITIVE)
+def test_corpus_contexts_have_distinct_names(corpus_dir, name):
+    context_names(parse_corpus(corpus_dir, name))
+
+
+def test_shadowing_binders_get_distinct_context_names():
+    problem = parse_problem(SHADOWING)
+    assert isinstance(problem, Problem)
+    # `nested` and `arrow` each bind a name already in their context, and
+    # comparing the types of `h` and `k` binds h's `W` under the axiom's `W`.
+    names = context_names(problem)
+    assert ["N", "N0"] in names and ["X1_", "F", "X1_0"] in names and ["W", "W0"] in names

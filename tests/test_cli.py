@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, output shapes, prover wiring."""
 
+import gc
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from dtf import cli, shallow
 from dtf.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
 from dtf.prover import PROVER_ENV_VAR
 from dtf.shallow import check_shallow
@@ -64,6 +67,39 @@ def test_parse_keeps_going_after_bad_file(corpus_dir, tmp_path, capsys):
 def test_usage_error():
     assert run(["frobnicate", "x.p"]) == EXIT_PARSE
     assert run([]) == EXIT_PARSE
+
+
+# -- the collector after each load ------------------------------------------------------
+
+
+def test_load_freezes_what_the_parse_left_alive(corpus_dir):
+    before = gc.get_freeze_count()
+    assert run(["check", str(corpus_dir / "list_append.p")]) == EXIT_OK
+    assert gc.get_freeze_count() > before
+
+
+def test_each_loaded_problem_is_frozen_and_freed_after_the_next(corpus_dir, monkeypatch):
+    loaded = []    # a weak reference to each problem, in load order
+    observed = []  # per shallow check: (is the problem frozen, which loads are dead)
+    real_parse_file, real_check_shallow = cli.parse_file, shallow.check_shallow
+
+    def recording_parse_file(path):
+        problem = real_parse_file(path)
+        loaded.append(weakref.ref(problem))
+        return problem
+
+    def recording_check_shallow(problem):
+        frozen = not any(obj is problem for obj in gc.get_objects())
+        observed.append((frozen, [ref() is None for ref in loaded]))
+        return real_check_shallow(problem)
+
+    monkeypatch.setattr(cli, "parse_file", recording_parse_file)
+    monkeypatch.setattr(shallow, "check_shallow", recording_check_shallow)
+    files = [str(corpus_dir / "list_append.p"), str(corpus_dir / "hol.p")]
+    assert run(["check", *files]) == EXIT_OK
+    # Freezing keeps nothing alive: reference counting frees the first
+    # problem as soon as the second one replaces it.
+    assert observed == [(True, [False]), (True, [True, False])]
 
 
 # -- check ----------------------------------------------------------------------

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dtf.core import (
+    And,
     App,
     Axiom,
     BaseApp,
+    Bottom,
     Const,
     ConstDecl,
     Eq,
@@ -16,8 +18,11 @@ from dtf.core import (
     Name,
     NameKind,
     NormalizationBudgetExceeded,
+    Not,
+    Or,
     Pi,
     Theory,
+    Top,
     TypeDecl,
     Var,
     alpha_equal,
@@ -30,6 +35,8 @@ from dtf.core import (
     theory_alpha_equal,
 )
 from dtf.diagnostics import Span
+
+from genutil import gen_dependent_type
 
 
 def v(text: str) -> Var:
@@ -189,6 +196,35 @@ def small_terms(draw, depth: int = 3):
 @given(small_terms())
 def test_alpha_equal_reflexive(t):
     assert alpha_equal(t, t)
+
+
+# -- substitution shares what it does not change -------------------------------------
+
+
+@given(small_terms(), st.sampled_from(["X", "Y", "Z", "W"]), small_terms())
+def test_substitute_returns_the_input_when_the_variable_is_not_free(t, x_text, u):
+    x = Name(x_text, NameKind.VAR)
+    got = substitute(t, x, u)
+    if x_text not in free_vars(t):
+        assert got is t
+    # Either way, every subtree without a free x is shared.
+    if isinstance(t, App) and x_text not in free_vars(t.fun):
+        assert got.fun is t.fun
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["X1", "X2", "X3", "X4"]))
+def test_substitute_returns_the_input_type_when_the_variable_is_not_free(seed, x_text):
+    ty = gen_dependent_type(seed)
+    got = substitute(ty, Name(x_text, NameKind.VAR), c("n"))
+    assert (got is ty) == (x_text not in free_vars(ty))
+
+
+def test_substitute_shares_connectives_negations_and_annotations():
+    t = And(Not(Eq(c("a"), v("Y"), base("vec", v("Y")))), Or(Top(), Bottom()))
+    assert substitute(t, X, c("n")) is t
+    got = substitute(t, Y, c("n"))
+    assert got == And(Not(Eq(c("a"), c("n"), base("vec", c("n")))), Or(Top(), Bottom()))
+    assert got.right is t.right
 
 
 # -- alpha keys ----------------------------------------------------------------------
