@@ -4,6 +4,11 @@ Subcommands: parse, check, obligations, translate, stats, solve.
 
 Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
 2 parse or usage error, 3 prover or system error.
+
+Only what every subcommand needs is imported at the top: `deep`, `erasure`
+and `prover` are imported by the subcommands that call them, so `parse`,
+`check` and `stats` load none of them and only `solve` loads the process
+and thread stack.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import gc
 import sys
 
-from . import deep, erasure, prover, shallow
+from . import shallow
 from .core import Axiom, ConstDecl, TypeDecl, VarDecl, term_size
 from .printer import format_term, format_type, print_problem, print_th0
 from .syntax import Problem, parse_file
@@ -47,6 +52,8 @@ def _load(path: str):
 
 def _run_checks(problem: Problem):
     """Shallow then deep check; returns (exit_code, report | None)."""
+    from . import deep
+
     diags = shallow.check_shallow(problem)
     if diags:
         _emit_diagnostics(diags)
@@ -97,6 +104,8 @@ def cmd_check(args) -> int:
             continue
         if not args.deep:
             continue  # shallow success is silent
+        from . import deep
+
         report = deep.check_problem(problem)
         if report.diagnostics:
             _emit_diagnostics(report.diagnostics)
@@ -129,6 +138,8 @@ def _print_obligation(ob) -> None:
 
 
 def cmd_obligations(args) -> int:
+    from . import deep
+
     problem = _load(args.file)
     if problem is None:
         return EXIT_PARSE
@@ -148,6 +159,8 @@ def cmd_obligations(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from . import erasure
+
     problem = _load(args.file)
     if problem is None:
         return EXIT_PARSE
@@ -206,6 +219,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import deep, erasure, prover
+
     config = prover.config_from_env(args.prover, args.timeout)
     if config is None:
         print(f"solve: no prover configured; pass --prover or set "
@@ -317,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "with an external HOL prover")
     p.add_argument("file")
     p.add_argument("--prover", help="command template with a {file} placeholder "
-                                    f"(default: ${prover.PROVER_ENV_VAR})")
-    p.add_argument("--timeout", type=float, default=prover.DEFAULT_TIMEOUT,
+                                    "(default: $DTF_PROVER)")
+    p.add_argument("--timeout", type=float,
                    help="per-task timeout in seconds")
     p.add_argument("--jobs", type=int, default=1, help="parallel prover runs")
     only = p.add_mutually_exclusive_group()

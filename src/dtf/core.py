@@ -561,6 +561,8 @@ def _spend(budget) -> None:
 
 
 def _norm(t, budget):
+    # Like substitute, every case returns t itself when no child changed and
+    # no redex fired, so a term already in normal form is not copied.
     if isinstance(t, (Var, Const, BoolType)):
         return t
     if isinstance(t, App):
@@ -572,10 +574,16 @@ def _norm(t, budget):
                 _spend(budget)
                 t = substitute(fun.body, fun.binder, t.arg)
             else:
-                return App(fun, _norm(t.arg, budget), span=t.span)
+                arg = _norm(t.arg, budget)
+                if fun is t.fun and arg is t.arg:
+                    return t
+                return App(fun, arg, span=t.span)
         return _norm(t, budget)
     if isinstance(t, BaseApp):
-        return BaseApp(t.head, tuple(_norm(a, budget) for a in t.args), span=t.span)
+        args = tuple(_norm(a, budget) for a in t.args)
+        if all(new is old for new, old in zip(args, t.args)):
+            return t
+        return BaseApp(t.head, args, span=t.span)
     if isinstance(t, (Binder, Pi)):
         domain = _norm(t.domain, budget)
         body = _norm(t.body, budget)
@@ -583,12 +591,20 @@ def _norm(t, budget):
                 and body.arg.name == t.binder and t.binder.text not in free_vars(body.fun):
             _spend(budget)  # eta: ^ [X: A]: (f @ X) is f when X is not free in f
             return body.fun
+        if domain is t.domain and body is t.body:
+            return t
         return type(t)(t.binder, domain, body, span=t.span)
     # Every assumption is normalized on every lookup, so the connectives and
     # equations of formulae stay inline too.
     if isinstance(t, Connective):
-        return type(t)(_norm(t.left, budget), _norm(t.right, budget), span=t.span)
+        left, right = _norm(t.left, budget), _norm(t.right, budget)
+        if left is t.left and right is t.right:
+            return t
+        return type(t)(left, right, span=t.span)
     if isinstance(t, Eq):
         at = None if t.at is None else _norm(t.at, budget)
-        return Eq(_norm(t.left, budget), _norm(t.right, budget), at, span=t.span)
+        left, right = _norm(t.left, budget), _norm(t.right, budget)
+        if left is t.left and right is t.right and at is t.at:
+            return t
+        return Eq(left, right, at, span=t.span)
     return map_children(t, _norm, budget)

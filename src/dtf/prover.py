@@ -137,9 +137,10 @@ def discharge_all(config: ProverConfig, problems, jobs: int = 1) -> dict:
 
 
 def config_from_env(command: str | None = None,
-                    timeout: float = DEFAULT_TIMEOUT) -> ProverConfig | None:
-    """Build a config from an explicit command or the DTF_PROVER variable."""
+                    timeout: float | None = None) -> ProverConfig | None:
+    """Build a config from an explicit command or the DTF_PROVER variable;
+    no timeout means DEFAULT_TIMEOUT."""
     command = command or os.environ.get(PROVER_ENV_VAR)
     if not command:
         return None
-    return ProverConfig(command, timeout)
+    return ProverConfig(command, DEFAULT_TIMEOUT if timeout is None else timeout)

@@ -320,6 +320,21 @@ def test_normalization_budget():
         beta_eta_normalize(loop)
 
 
+@given(small_terms())
+def test_normalize_returns_a_normal_form_itself(t):
+    try:
+        normal = beta_eta_normalize(t)
+    except NormalizationBudgetExceeded:
+        return
+    assert beta_eta_normalize(normal) is normal
+
+
+@given(st.integers(0, 10_000))
+def test_normalize_returns_a_normal_type_itself(seed):
+    normal = beta_eta_normalize(gen_dependent_type(seed))
+    assert beta_eta_normalize(normal) is normal
+
+
 # -- theory comparison -----------------------------------------------------------------
 
 
