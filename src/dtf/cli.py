@@ -50,15 +50,21 @@ def _load(path: str):
     return None
 
 
-def _run_checks(problem: Problem):
-    """Shallow then deep check; returns (exit_code, report | None)."""
-    from . import deep
+def _run_checks(problem: Problem, deep: bool = True):
+    """Shallow then, with deep, deep check; returns (exit_code, report | None).
 
+    The report is None when a check failed, after printing its diagnostics,
+    and when deep is false.
+    """
     diags = shallow.check_shallow(problem)
     if diags:
         _emit_diagnostics(diags)
         return EXIT_CHECK, None
-    report = deep.check_problem(problem)
+    if not deep:
+        return EXIT_OK, None
+    from .deep import check_problem
+
+    report = check_problem(problem)
     if report.diagnostics:
         _emit_diagnostics(report.diagnostics)
         return EXIT_CHECK, None
@@ -97,20 +103,10 @@ def cmd_check(args) -> int:
         if problem is None:
             worst = max(worst, EXIT_PARSE)
             continue
-        diags = shallow.check_shallow(problem)
-        if diags:
-            _emit_diagnostics(diags)
-            worst = max(worst, EXIT_CHECK)
-            continue
-        if not args.deep:
-            continue  # shallow success is silent
-        from . import deep
-
-        report = deep.check_problem(problem)
-        if report.diagnostics:
-            _emit_diagnostics(report.diagnostics)
-            worst = max(worst, EXIT_CHECK)
-            continue
+        code, report = _run_checks(problem, deep=args.deep)
+        worst = max(worst, code)
+        if report is None:
+            continue  # a failure, or a silent shallow success
         if many:
             print(f"% {path}")
         shown = list(report.obligations)
@@ -144,9 +140,8 @@ def cmd_obligations(args) -> int:
     if problem is None:
         return EXIT_PARSE
     code, report = _run_checks(problem)
-    if code != EXIT_OK:
+    if report is None:
         return code
-    assert report is not None
     selected = list(report.obligations)
     if args.all:
         selected += report.discharged
@@ -165,9 +160,8 @@ def cmd_translate(args) -> int:
     if problem is None:
         return EXIT_PARSE
     code, report = _run_checks(problem)
-    if code != EXIT_OK:
+    if report is None:
         return code
-    assert report is not None
     assumed = ()
     if report.obligations:
         if not args.assume_obligations:
@@ -230,9 +224,8 @@ def cmd_solve(args) -> int:
     if problem is None:
         return EXIT_PARSE
     code, report = _run_checks(problem)
-    if code != EXIT_OK:
+    if report is None:
         return code
-    assert report is not None
 
     th0 = erasure.TH0Printer(problem)
     obligations = () if args.conjecture_only else report.obligations

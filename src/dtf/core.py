@@ -538,15 +538,15 @@ class NormalizationBudgetExceeded(Exception):
     """Internal error: the reduction step budget ran out."""
 
 
-def beta_eta_normalize(t, max_steps: int = 10_000):
+def beta_eta_normalize(t):
     """Normal-order beta reduction followed by eta contraction.
 
     Works on terms and on types (whose argument terms are normalized).
     Idempotent and alpha-stable; raises NormalizationBudgetExceeded when the
-    step budget runs out (or the term grows past what the interpreter can
-    traverse, which is the same failure for callers).
+    budget of 10,000 reduction steps runs out (or the term grows past what the
+    interpreter can traverse, which is the same failure for callers).
     """
-    budget = [max_steps]
+    budget = [10_000]
     try:
         return _norm(t, budget)
     except RecursionError:
@@ -594,8 +594,10 @@ def _norm(t, budget):
         if domain is t.domain and body is t.body:
             return t
         return type(t)(t.binder, domain, body, span=t.span)
-    # Every assumption is normalized on every lookup, so the connectives and
-    # equations of formulae stay inline too.
+    # Formulae come here too: every lookup normalizes its goal and its closed
+    # formula (an axiom is normalized once, when declared, and a local
+    # assumption once per checker), so connectives and equations stay inline.
+    # Inline, they also take one interpreter frame per tree level, as in _key.
     if isinstance(t, Connective):
         left, right = _norm(t.left, budget), _norm(t.right, budget)
         if left is t.left and right is t.right:

@@ -15,7 +15,7 @@ be exported as self-contained problems.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import (
     BOOL,
@@ -55,7 +55,7 @@ from .core import (
     fresh_name,
     substitute,
 )
-from .diagnostics import Diagnostic, Span, error
+from .diagnostics import Diagnostic, DiagnosticError, Span, error
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,6 @@ class CheckReport:
     @property
     def ok(self) -> bool:
         return not self.diagnostics
-
-
-class _DeepError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
 
 
 def close_obligation(context: Context, goal: Term) -> Term:
@@ -120,12 +114,12 @@ def close_obligation(context: Context, goal: Term) -> Term:
 
 
 class DeepChecker:
-    """Checks formulae against the declarations made so far, accumulating
-    obligations.  `context` holds the declared axioms, which every context
-    passed to `check` extends; each is normalized and keyed once.
+    """Checks declarations and formulae against the declarations made so far,
+    accumulating obligations.  `context` holds the declared axioms, which every
+    context passed to `check` extends; each is normalized and keyed once.
     """
 
-    def __init__(self, theory: Theory = Theory(), path: str | None = None):
+    def __init__(self, path: str | None = None):
         self.path = path
         self.obligations: list = []
         self.discharged: list = []
@@ -139,8 +133,30 @@ class DeepChecker:
         # the key None maps the first axiom past the budget to the label None.
         self._axiom_index: dict = {}
         self._local_keys: dict = {}      # id(assumption) -> (assumption, key)
-        for decl in theory.decls:
+
+    def check_decl(self, decl) -> Diagnostic | None:
+        """Check decl against the declarations before it, then declare it, also
+        when the check fails; a conjecture (an Axiom of role "conjecture") is
+        checked but not declared.  Returns the first error found, or None.
+        """
+        self._current_label = (decl.label if isinstance(decl, Axiom)
+                               else decl.label or decl.name.text)
+        ctx = self.context
+        diagnostic = None
+        try:
+            if isinstance(decl, TypeDecl):
+                for name, ty in decl.telescope:
+                    self.wf_type(ctx, ty)
+                    ctx = ctx.push_var(name, ty)
+            elif isinstance(decl, ConstDecl):
+                self.wf_type(ctx, decl.ty)
+            else:
+                self.check(ctx, decl.formula, BOOL)
+        except DiagnosticError as exc:
+            diagnostic = exc.diagnostic
+        if not (isinstance(decl, Axiom) and decl.role == "conjecture"):
             self.declare(decl)
+        return diagnostic
 
     def declare(self, decl) -> None:
         """Make decl visible to what is checked after it; the first wins."""
@@ -157,8 +173,8 @@ class DeepChecker:
 
     # -- plumbing -----------------------------------------------------------
 
-    def fail(self, message: str, span: Span | None) -> _DeepError:
-        return _DeepError(error(message, span, self.path))
+    def fail(self, message: str, span: Span | None) -> DiagnosticError:
+        return DiagnosticError(error(message, span, self.path))
 
     def _normalize(self, t, span: Span | None):
         try:
@@ -281,7 +297,7 @@ class DeepChecker:
 
     def check(self, ctx: Context, t: Term, expected: Type) -> None:
         inferred = self.infer(ctx, t)
-        self.type_equal(ctx, inferred, expected, getattr(t, "span", None),
+        self.type_equal(ctx, inferred, expected, t.span,
                         "inferred type must match the expected type")
 
     # -- obligations ---------------------------------------------------------------
@@ -290,6 +306,7 @@ class DeepChecker:
         self._counter += 1
         # The axioms stay out of the closed formula, so close over the rest.
         closed = close_obligation(Context(self._local_entries(ctx)), goal)
+        matched = self._lookup(ctx, goal, closed, span)
         ob = Obligation(
             label=f"ob{self._counter}",
             context=ctx,
@@ -298,12 +315,9 @@ class DeepChecker:
             formula=closed,
             theory_prefix=self._theory_prefix,
             source_span=span,
+            discharged_by=matched,
         )
-        matched = self._lookup(ctx, goal, closed, span)
-        if matched is not None:
-            self.discharged.append(replace(ob, discharged_by=matched))
-        else:
-            self.obligations.append(ob)
+        (self.obligations if matched is None else self.discharged).append(ob)
 
     def _lookup(self, ctx: Context, goal: Term, closed: Term,
                 span: Span | None) -> str | None:
@@ -378,30 +392,14 @@ def check_problem(problem) -> CheckReport:
         return report
 
     checker = DeepChecker(path=problem.path)
-    for decl in problem.theory.decls:
-        ctx = checker.context
-        try:
-            if isinstance(decl, TypeDecl):
-                checker._current_label = decl.label or decl.name.text
-                inner = ctx
-                for name, ty in decl.telescope:
-                    checker.wf_type(inner, ty)
-                    inner = inner.push_var(name, ty)
-            elif isinstance(decl, ConstDecl):
-                checker._current_label = decl.label or decl.name.text
-                checker.wf_type(ctx, decl.ty)
-            elif isinstance(decl, Axiom):
-                checker._current_label = decl.label
-                checker.check(ctx, decl.formula, BOOL)
-        except _DeepError as exc:
-            report.diagnostics.append(exc.diagnostic)
-        checker.declare(decl)
+    decls = problem.theory.decls
     if problem.conjecture is not None:
-        checker._current_label = problem.conjecture_name or "conjecture"
-        try:
-            checker.check(checker.context, problem.conjecture, BOOL)
-        except _DeepError as exc:
-            report.diagnostics.append(exc.diagnostic)
+        decls = (*decls, Axiom(problem.conjecture_name or "conjecture", problem.conjecture,
+                               "conjecture"))
+    for decl in decls:
+        diagnostic = checker.check_decl(decl)
+        if diagnostic is not None:
+            report.diagnostics.append(diagnostic)
     report.obligations = checker.obligations
     report.discharged = checker.discharged
     return report

@@ -28,6 +28,15 @@ class Diagnostic:
         return f"{where}: {self.severity}: {self.message}"
 
 
+class DiagnosticError(Exception):
+    """Carries one located diagnostic out of the lexer, the parser, the
+    elaborator or the deep checker."""
+
+    def __init__(self, diagnostic: Diagnostic):
+        super().__init__(diagnostic.message)
+        self.diagnostic = diagnostic
+
+
 def error(message: str, span: Span | None = None, path: str | None = None) -> Diagnostic:
     return Diagnostic("error", span, message, path)
 

@@ -153,7 +153,7 @@ def _format_operand(t: Term) -> str:
 
 def check_simply_typed(problem) -> None:
     """Raise ValueError if the problem uses dependent types anywhere."""
-    for decl in _with_conjecture(problem, "conjecture"):
+    for decl in _with_conjecture(problem):
         check_simple(decl)
 
 
@@ -172,9 +172,10 @@ def check_simple(node):
     return node
 
 
-def format_annotated(name: str, role: str, body: str, width: int = 80) -> str:
+def format_annotated(name: str, role: str, body: str) -> str:
+    """One `thf` line, or two when one would be longer than 80 characters."""
     one_line = f"thf({atom(name)}, {role}, {body})."
-    if len(one_line) <= width:
+    if len(one_line) <= 80:
         return one_line
     return f"thf({atom(name)}, {role},\n    {body})."
 
@@ -188,17 +189,17 @@ def decl_line(decl) -> str:
     return format_annotated(decl.label or decl.name.text, "type", f"{atom(decl.name.text)}: {ty}")
 
 
-def _with_conjecture(problem, role: str) -> tuple:
+def _with_conjecture(problem) -> tuple:
     """The declarations of a problem, then its conjecture as one more."""
     if problem.conjecture is None:
         return problem.theory.decls
     name = problem.conjecture_name or "goal"
-    return (*problem.theory.decls, Axiom(name, problem.conjecture, role))
+    return (*problem.theory.decls, Axiom(name, problem.conjecture, "conjecture"))
 
 
-def print_problem(problem, conjecture_role: str = "conjecture") -> str:
+def print_problem(problem) -> str:
     """Render a problem back to concrete TPTP syntax."""
-    return "\n".join(decl_line(d) for d in _with_conjecture(problem, conjecture_role)) + "\n"
+    return "\n".join(decl_line(d) for d in _with_conjecture(problem)) + "\n"
 
 
 def print_th0(problem) -> str:

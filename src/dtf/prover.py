@@ -31,7 +31,6 @@ KNOWN_STATUSES = frozenset({
 class ProverConfig:
     command: str
     timeout: float = DEFAULT_TIMEOUT
-    name: str = "prover"
 
     def __post_init__(self) -> None:
         if self.command.count("{file}") != 1:

@@ -119,7 +119,7 @@ class _ShallowChecker:
                 elif got != want:
                     self.report(
                         f"argument {i} of type {ty.head.text!r} has skeleton "
-                        f"{got}, expected {want}", _term_span(arg) or ty.span)
+                        f"{got}, expected {want}", arg.span or ty.span)
                     ok = False
             return ok
         if isinstance(ty, Pi):
@@ -178,7 +178,7 @@ class _ShallowChecker:
                     ok = False
                 elif got != BOOL_SKEL:
                     self.report(f"connective operand must have skeleton $o, got {got}",
-                                _term_span(side) or t.span)
+                                side.span or t.span)
                     ok = False
             return BOOL_SKEL if ok else None
         if isinstance(t, Not):
@@ -206,10 +206,6 @@ class _ShallowChecker:
         got = self.infer(formula, {})
         if got is not None and got != BOOL_SKEL:
             self.report(f"formula {label!r} must have skeleton $o, got {got}", span)
-
-
-def _term_span(t) -> Span | None:
-    return getattr(t, "span", None)
 
 
 def find_polymorphic_span(problem) -> Span | None:
@@ -270,5 +266,5 @@ def check_shallow(problem) -> list[Diagnostic]:
             checker.check_formula(decl.label, decl.formula, decl.span)
     if problem.conjecture is not None:
         checker.check_formula(problem.conjecture_name or "conjecture",
-                              problem.conjecture, None)
+                              problem.conjecture, problem.conjecture_span)
     return checker.diagnostics

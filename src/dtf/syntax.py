@@ -11,7 +11,7 @@ import gc
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import core
@@ -46,7 +46,7 @@ from .core import (
     is_type_kind,
     substitute,
 )
-from .diagnostics import Diagnostic, Span, error, warning
+from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +94,7 @@ def _found(tok: Token) -> str:
     return repr("end of input" if tok.kind == "eof" else tok.text)
 
 
-class _SyntaxError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
+_SyntaxError = DiagnosticError  # the name tests/test_lexer.py imports
 
 
 def tokenize(text: str, path: str | None = None) -> list[Token]:
@@ -143,13 +140,13 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
             elif c == "'":
                 stop = text.find("\n", pos)
                 length = (n if stop < 0 else stop) - pos
-                raise _SyntaxError(error("unterminated quoted atom", Span(line, col, length), path))
+                raise DiagnosticError(error("unterminated quoted atom", Span(line, col, length), path))
             elif text.startswith("/*", pos):
-                raise _SyntaxError(error("unterminated block comment", Span(line, col, 2), path))
+                raise DiagnosticError(error("unterminated block comment", Span(line, col, 2), path))
             elif c == "$":
-                raise _SyntaxError(error("stray '$'", Span(line, col, 1), path))
+                raise DiagnosticError(error("stray '$'", Span(line, col, 1), path))
             else:
-                raise _SyntaxError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
+                raise DiagnosticError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
         pos = end
     tokens.append(Token("eof", "", line, n - line_start + 1, n, n))
     return tokens
@@ -232,6 +229,7 @@ class Problem:
     theory: Theory = Theory()
     conjecture: Term | None = None
     conjecture_name: str | None = None
+    conjecture_span: Span | None = field(default=None, compare=False)  # of its `thf`
     polymorphic: bool = False
     path: str | None = None
     warnings: tuple = ()
@@ -305,9 +303,9 @@ class _Parser:
             raise self.fail(f"expected {kind!r}, found {_found(tok)}", tok)
         return self.next()
 
-    def fail(self, message: str, tok: Token | None = None) -> _SyntaxError:
-        tok = tok or self.peek()
-        return _SyntaxError(error(message, tok.span, self.path))
+    def fail(self, message: str, at: object = None) -> DiagnosticError:
+        """An error located at a token or a surface node, by default the next token."""
+        return DiagnosticError(error(message, (at or self.peek()).span, self.path))
 
     # -- items ----------------------------------------------------------
 
@@ -328,7 +326,7 @@ class _Parser:
                     raise self.fail(f"only thf formulae are supported, found {tok.text!r}", tok)
                 else:
                     raise self.fail(f"expected 'thf' or 'include', found {_found(tok)}", tok)
-            except _SyntaxError as exc:
+            except DiagnosticError as exc:
                 diagnostics.append(exc.diagnostic)
                 if len(diagnostics) >= 20:
                     break
@@ -373,8 +371,7 @@ class _Parser:
             body = self.parse_expr()
         too_deep = _too_deep(body, MAX_NESTING)
         if too_deep is not None:
-            raise _SyntaxError(error(f"formula nests deeper than {MAX_NESTING} levels",
-                                     too_deep.span, self.path))
+            raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", too_deep)
         # The source and useful-info annotations are checked for balance and skipped.
         if self.peek().kind == ",":
             self.next()
@@ -533,9 +530,8 @@ class _Parser:
             is_type_var = isinstance(ty, SName) and ty.text == "$tType"
             if op_tok.kind == "!>":
                 if is_type_var and seen_term_var:
-                    raise _SyntaxError(error(
-                        "type variables must precede term variables in '!>'",
-                        var_tok.span, self.path))
+                    raise self.fail("type variables must precede term variables in '!>'",
+                                    var_tok)
                 if not is_type_var:
                     seen_term_var = True
             variables.append((SName("upper", var_tok.text, var_tok.span), ty))
@@ -547,8 +543,7 @@ class _Parser:
         self.expect(":")
         body = self.parse_unit()
         if op_tok.kind == "@+" and len(variables) != 1:
-            raise _SyntaxError(error("choice binds exactly one variable",
-                                     op_tok.span, self.path))
+            raise self.fail("choice binds exactly one variable", op_tok)
         return SBinder(op_tok.kind, tuple(variables), body, op_tok.span)
 
     def parse_var_type(self) -> object:
@@ -567,12 +562,6 @@ class _Parser:
 
 # ---------------------------------------------------------------------------
 # Elaboration
-
-
-class _ElabError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
 
 
 _AXIOM_ROLES = ("axiom", "lemma", "hypothesis", "definition")
@@ -596,11 +585,12 @@ class _Elaborator:
         self.polymorphic = False
         self.conjecture: Term | None = None
         self.conjecture_name: str | None = None
+        self.conjecture_span: Span | None = None
         self._used_binders: set = set()
         self._arrow_counter = 0
 
-    def err(self, message: str, span: Span | None) -> _ElabError:
-        return _ElabError(error(message, span, self.path))
+    def err(self, message: str, span: Span | None) -> DiagnosticError:
+        return DiagnosticError(error(message, span, self.path))
 
     # -- entry ------------------------------------------------------------
 
@@ -608,7 +598,7 @@ class _Elaborator:
         for f in formulae:
             try:
                 self.elaborate_formula(f)
-            except _ElabError as exc:
+            except DiagnosticError as exc:
                 self.diagnostics.append(exc.diagnostic)
 
     def elaborate_formula(self, f: AnnotatedFormula) -> None:
@@ -625,6 +615,7 @@ class _Elaborator:
                 raise self.err("a problem may contain at most one conjecture", f.span)
             self.conjecture = body
             self.conjecture_name = f.name
+            self.conjecture_span = f.span
         else:
             self.decls.append(Axiom(f.name, body, f.role, span=f.span))
 
@@ -642,14 +633,8 @@ class _Elaborator:
         binders, spine = self._split_decl_type(typing.ty)
         tail = spine[-1]
         if isinstance(tail, SName) and tail.category == "dollar" and tail.text == "$tType":
-            telescope: list = []
             venv: dict = {}
-            for var, sty in binders:
-                domain = self._binder_domain(sty, venv)
-                name = Name(var.text, NameKind.VAR)
-                telescope.append((name, domain))
-                venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
-                venv[name] = domain
+            telescope = self._bind_written(binders, venv)
             for component in spine[:-1]:
                 domain = self._binder_domain(component, venv, allow_pi=True)
                 telescope.append((Name(self._invent_binder(venv), NameKind.VAR), domain))
@@ -672,6 +657,18 @@ class _Elaborator:
             spine.append(last.left)
             spine.append(last.right)
         return binders, spine
+
+    def _bind_written(self, variables, venv: dict) -> list:
+        """Bind the (SName, surface type) pairs of a `!>` in venv under their
+        written names; returns their (Name, domain) pairs in order."""
+        bound: list = []
+        for var, sty in variables:
+            domain = self._binder_domain(sty, venv)
+            name = Name(var.text, NameKind.VAR)
+            venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
+            venv[name] = domain
+            bound.append((name, domain))
+        return bound
 
     def _binder_domain(self, sty: object, venv: dict, allow_pi: bool = False) -> Type:
         if isinstance(sty, SName) and sty.category == "dollar" and sty.text == "$tType":
@@ -737,13 +734,7 @@ class _Elaborator:
             if not allow_pi:
                 raise self.err("'!>' is only allowed prenex in declaration types", sty.span)
             venv = dict(venv)
-            bound: list = []
-            for var, vty in sty.variables:
-                domain = self._binder_domain(vty, venv)
-                name = Name(var.text, NameKind.VAR)
-                venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
-                venv[name] = domain
-                bound.append((name, domain))
+            bound = self._bind_written(sty.variables, venv)
             result = self.elaborate_type(sty.body, venv, allow_pi=True)
             for name, domain in reversed(bound):
                 result = Pi(name, domain, result, span=sty.span)
@@ -821,15 +812,9 @@ class _Elaborator:
         venv = dict(venv)
         bound: list = []
         for var, vty in s.variables:
-            if isinstance(vty, SName) and vty.category == "dollar" and vty.text == "$tType":
-                self.polymorphic = True
-                domain: Type = TYPE_KIND
-                name = Name(self._fresh_binder(var.text), NameKind.VAR)
-                venv[var.text] = ("tyvar",)
-            else:
-                domain = self.elaborate_type(vty, venv)
-                name = Name(self._fresh_binder(var.text), NameKind.VAR)
-                venv[var.text] = ("var", name)
+            domain = self._binder_domain(vty, venv)
+            name = Name(self._fresh_binder(var.text), NameKind.VAR)
+            venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
             venv[name] = domain
             bound.append((name, domain))
         body = self.elaborate_term(s.body, venv)
@@ -891,7 +876,7 @@ def _resolve_includes(items: list, path: str | None, seen: set,
             continue
         try:
             tokens = tokenize(text, target)
-        except _SyntaxError as exc:
+        except DiagnosticError as exc:
             diagnostics.append(exc.diagnostic)
             continue
         sub_items, sub_diags, sub_warns = _Parser(tokens, target).parse_items()
@@ -922,7 +907,7 @@ def parse_problem(text: str, path: str | None = None):
 def _parse_problem(text: str, path: str | None):
     try:
         tokens = tokenize(text, path)
-    except _SyntaxError as exc:
+    except DiagnosticError as exc:
         return [exc.diagnostic]
     items, diagnostics, warns = _Parser(tokens, path).parse_items()
     items = _resolve_includes(items, path, {os.path.normpath(os.path.abspath(path))} if path else set(),
@@ -939,6 +924,7 @@ def _parse_problem(text: str, path: str | None):
         theory=Theory(tuple(elab.decls)),
         conjecture=elab.conjecture,
         conjecture_name=elab.conjecture_name,
+        conjecture_span=elab.conjecture_span,
         polymorphic=elab.polymorphic,
         path=path,
         warnings=tuple(warns),

@@ -465,3 +465,59 @@ def test_declared_quoted_ttype_is_refused(command, fixtures_dir, fake_prover, ca
         f"{path}:2:22: error: unknown type symbol '$tType'",
         f"{path}:3:21: error: unknown type symbol '$tType'",
     ]
+
+
+# -- the conjecture's location -----------------------------------------------------------
+
+
+def test_formula_diagnostics_locate_the_conjecture_as_an_axiom(tmp_path, capsys):
+    path = tmp_path / "p.p"
+    path.write_text("thf(nat_type, type, nat: $tType).\n"
+                    "thf(z_decl, type, z: nat).\n"
+                    "thf(ax, axiom, z).\n"
+                    "thf(g, conjecture, z).\n", encoding="utf-8")
+    assert run(["check", str(path)]) == EXIT_CHECK
+    assert capsys.readouterr().err.splitlines() == [
+        f"{path}:3:1: error: formula 'ax' must have skeleton $o, got nat",
+        f"{path}:4:1: error: formula 'g' must have skeleton $o, got nat",
+    ]
+
+
+# -- solve: task names and empty selections ----------------------------------------------
+
+UNGUARDED = ("thf(nat_type, type, nat: $tType).\n"
+             "thf(zero_type, type, zero: nat).\n"
+             "thf(plus_type, type, plus: nat > nat > nat).\n"
+             "thf(vec_type, type, vec: nat > $tType).\n"
+             "thf(f_type, type, f: !> [N: nat]: ((vec @ N) > nat)).\n"
+             "thf(v_type, type, v: vec @ (plus @ zero @ zero)).\n"
+             "thf(unguarded_use, axiom,\n"
+             "    ((f @ zero @ v) = zero) => ((plus @ zero @ zero) = zero)).\n")
+
+
+def test_solve_renames_a_conjecture_that_shares_an_obligation_label(tmp_path, fake_prover, capsys):
+    # The residual obligation is ob1, so the conjecture ob1 goes as ob1_goal.
+    path = tmp_path / "clash.p"
+    path.write_text(UNGUARDED + "thf(ob1, conjecture, zero = zero).\n", encoding="utf-8")
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    script = fake_prover(f"cp \"$1\" {seen}/\necho '% SZS status Theorem'")
+    assert run(["solve", "--prover", f"{script} {{file}}", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.findall(r"^(\S+): Theorem", out, re.M) == ["ob1", "ob1_goal"]
+    assert sorted(p.name for p in seen.iterdir()) == ["ob1.p", "ob1_goal.p"]
+    goal = (seen / "ob1_goal.p").read_text(encoding="utf-8")
+    assert "thf(ob1_assumed, axiom," in goal
+    assert goal.endswith("thf(ob1, conjecture, per_nat @ zero @ zero).\n")
+
+
+def test_solve_conjecture_only_without_a_conjecture(tmp_path, fake_prover, capsys):
+    path = tmp_path / "no_goal.p"
+    path.write_text(UNGUARDED, encoding="utf-8")
+    ran = tmp_path / "ran"
+    script = fake_prover(f"touch {ran}\necho '% SZS status Theorem'")
+    assert run(["solve", "--conjecture-only", "--prover", f"{script} {{file}}",
+                str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        f"nothing to prove: no conjecture\n% SZS status Theorem for {path}\n")
+    assert not ran.exists()

@@ -32,6 +32,7 @@ from dtf.deep import (
     export_obligations,
     obligation_problem,
 )
+from dtf.shallow import check_shallow
 from dtf.syntax import Problem, parse_file, parse_problem
 
 from genutil import gen_formula_problem, gen_problem, load_generator
@@ -507,3 +508,18 @@ def test_applied_type_is_normalized_only_for_the_diagnostic(text, expected):
     report = check_problem(parse_problem(APPLIED_PRELUDE + text, "p.p"))
     assert [d.format() for d in report.diagnostics] == expected
     assert report.obligations == []
+
+
+# -- polymorphic problems -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["neg_poly_const.p", "neg_poly_type.p"])
+def test_polymorphic_problem_is_refused_as_by_the_shallow_check(negative_dir, name):
+    # The CLI's shallow pass refuses these first; check_problem refuses them
+    # on its own, with the same located diagnostic.
+    problem = parse_file(str(negative_dir / name))
+    assert isinstance(problem, Problem) and problem.polymorphic
+    report = check_problem(problem)
+    assert report.diagnostics == check_shallow(problem)
+    assert [d.span is not None for d in report.diagnostics] == [True]
+    assert report.obligations == [] and report.discharged == []

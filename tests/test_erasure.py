@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import genutil
+from dtf.cli import EXIT_OK, run
 from dtf.core import (
     BOOL,
     And,
@@ -293,3 +294,59 @@ def test_th0_printer_renames_a_per_where_a_later_name_takes_it(fixtures_dir):
         pers[ob.label] = "per_nat_ @" in text, "per_nat @" in text
     assert pers["ob1"] == pers["ob2"] == (False, True)
     assert all(pers[f"ob{k}"] == (True, True) for k in range(3, 9))
+
+
+# -- fresh names in the PER of a dependent product ---------------------------------------
+#
+# `Eraser.per_of_type` relates two functions by quantifying over two copies of
+# the argument, both named after the product's binder; the guard names them
+# apart from every variable already free there.
+
+PER_RENAMING = {
+    # The quantified variable takes the name of the invented arrow binder.
+    "arrow_binder": (
+        "thf(a_type, type, a: $tType).\n"
+        "thf(c_decl, type, c: a).\n"
+        "thf(ax, axiom, ! [X1_: a > a]: ((X1_ @ c) = c)).\n",
+        "thf(a_type, type, a: $tType).\n"
+        "thf(per_a_type, type, per_a: a > a > $o).\n"
+        "thf(per_a_functional, axiom, ! [U: a, V: a]: (((per_a @ U @ V) => (U = V)))).\n"
+        "thf(c_decl, type, c: a).\n"
+        "thf(c_per, axiom, per_a @ c @ c).\n"
+        "thf(ax, axiom,\n"
+        "    ! [X1_: (a > a)]: (((! [X1_0: a, X1_1: a]: (((per_a @ X1_0 @ X1_1) => "
+        "(per_a @ (X1_ @ X1_0) @ (X1_ @ X1_1))))) => (per_a @ (X1_ @ c) @ c)))).\n"),
+    # The outer right copy of N is N0, the inner binder; the inner copies are
+    # N1 and N00, and the dependent codomain follows the left one, N1.
+    "inner_binder": (
+        "thf(nat_type, type, nat: $tType).\n"
+        "thf(vec_type, type, vec: nat > $tType).\n"
+        "thf(c_decl, type, c: !> [N: nat, N0: nat]: ((vec @ N) > (vec @ N0) > $o)).\n",
+        "thf(nat_type, type, nat: $tType).\n"
+        "thf(per_nat_type, type, per_nat: nat > nat > $o).\n"
+        "thf(per_nat_functional, axiom,\n"
+        "    ! [U: nat, V: nat]: (((per_nat @ U @ V) => (U = V)))).\n"
+        "thf(vec_type, type, vec: $tType).\n"
+        "thf(per_vec_type, type, per_vec: nat > vec > vec > $o).\n"
+        "thf(per_vec_functional, axiom,\n"
+        "    ! [X1_: nat, U: vec, V: vec]: (((per_vec @ X1_ @ U @ V) => (U = V)))).\n"
+        "thf(c_decl, type, c: nat > nat > vec > vec > $o).\n"
+        "thf(c_per, axiom,\n"
+        "    ! [N: nat, N0: nat]: (((per_nat @ N @ N0) => (! [N1: nat, N00: nat]: "
+        "(((per_nat @ N1 @ N00) => (! [X1_: vec, X1_0: vec]: (((per_vec @ N @ X1_ @ X1_0) => "
+        "(! [X2_: vec, X2_0: vec]: (((per_vec @ N1 @ X2_ @ X2_0) => "
+        "((c @ N @ N1 @ X1_ @ X2_) = (c @ N0 @ N00 @ X1_0 @ X2_0)))))))))))))).\n"),
+}
+
+
+@pytest.mark.parametrize("text, expected", PER_RENAMING.values(), ids=PER_RENAMING.keys())
+def test_per_of_a_product_renames_clashing_binders(tmp_path, capsys, text, expected):
+    path = tmp_path / "per.p"
+    path.write_text(text, encoding="utf-8")
+    assert run(["translate", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == expected
+    reparsed = parse_problem(out)
+    assert isinstance(reparsed, Problem)
+    assert check_shallow(reparsed) == []
+    check_simply_typed(reparsed)
