@@ -33,8 +33,16 @@ class Name:
 # Types
 
 
-class Type:
-    __slots__ = ()
+@dataclass(frozen=True)
+class Node:
+    """Base of the types, terms and declarations: where the node was written,
+    left out of equality."""
+
+    span: Span | None = field(default=None, compare=False, kw_only=True)
+
+
+class Type(Node):
+    """A base type applied to term arguments, a dependent product, or $o."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +51,6 @@ class BaseApp(Type):
 
     head: Name
     args: tuple = ()
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,6 @@ class Pi(Type):
     binder: Name
     domain: Type
     codomain: Type
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
     @property
     def body(self) -> Type:
@@ -61,9 +67,8 @@ class Pi(Type):
         return self.codomain
 
 
-@dataclass(frozen=True)
 class BoolType(Type):
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+    pass
 
 
 BOOL = BoolType()
@@ -81,27 +86,24 @@ def is_type_kind(ty: Type) -> bool:
 # Terms
 
 
-class Term:
-    __slots__ = ()
+class Term(Node):
+    """A term; the formulae are the terms of type $o."""
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: Name
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class Const(Term):
     name: Name
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
 class App(Term):
     fun: Term
     arg: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ class Binder(Term):
     binder: Name
     domain: Type
     body: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 class Lam(Binder):
@@ -142,7 +143,6 @@ class Connective(Term):
 
     left: Term
     right: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 class Implies(Connective):
@@ -160,7 +160,6 @@ class Or(Connective):
 @dataclass(frozen=True)
 class Not(Term):
     arg: Term
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -175,17 +174,14 @@ class Eq(Term):
     left: Term
     right: Term
     at: Type | None = None
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
-@dataclass(frozen=True)
 class Top(Term):
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+    pass
 
 
-@dataclass(frozen=True)
 class Bottom(Term):
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -193,29 +189,33 @@ class Bottom(Term):
 
 
 @dataclass(frozen=True)
-class TypeDecl:
+class Decl(Node):
+    """Base of the declarations: also the file each was read from, left out of equality."""
+
+    path: str | None = field(default=None, compare=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class TypeDecl(Decl):
     """Base-type symbol with a telescope of term-argument types."""
 
     name: Name
     telescope: tuple = ()  # tuple[(Name, Type), ...]
     label: str | None = field(default=None, compare=False)
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
-class ConstDecl:
+class ConstDecl(Decl):
     name: Name
     ty: Type
     label: str | None = field(default=None, compare=False)
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)
-class Axiom:
+class Axiom(Decl):
     label: str
     formula: Term
     role: str = "axiom"  # axiom | lemma | hypothesis | definition
-    span: Span | None = field(default=None, compare=False, kw_only=True)
 
 
 @dataclass(frozen=True)

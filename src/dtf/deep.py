@@ -56,6 +56,9 @@ from .core import (
     substitute,
 )
 from .diagnostics import Diagnostic, DiagnosticError, Span, error
+from .printer import decl_line, format_type
+from .shallow import check_shallow
+from .syntax import Problem
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,7 @@ class DeepChecker:
         self._counter = 0
         self._theory_prefix = 0
         self._current_label = "formula"
+        self._current_path = path
         self._types: dict = {}
         self._consts: dict = {}
         # Key of an axiom's normal form -> (position, label) of its first axiom;
@@ -141,6 +145,7 @@ class DeepChecker:
         """
         self._current_label = (decl.label if isinstance(decl, Axiom)
                                else decl.label or decl.name.text)
+        self._current_path = decl.path or self.path
         ctx = self.context
         diagnostic = None
         try:
@@ -174,7 +179,7 @@ class DeepChecker:
     # -- plumbing -----------------------------------------------------------
 
     def fail(self, message: str, span: Span | None) -> DiagnosticError:
-        return DiagnosticError(error(message, span, self.path))
+        return DiagnosticError(error(message, span, self._current_path))
 
     def _normalize(self, t, span: Span | None):
         try:
@@ -218,7 +223,7 @@ class DeepChecker:
         if isinstance(a_n, BaseApp) and isinstance(b_n, BaseApp):
             if a_n.head != b_n.head or len(a_n.args) != len(b_n.args):
                 raise self.fail(
-                    f"types differ: {_show_type(a_n)} vs {_show_type(b_n)}", span)
+                    f"types differ: {format_type(a_n)} vs {format_type(b_n)}", span)
             decl = self._types.get(a_n.head.text)
             telescope = decl.telescope if decl is not None else ()
             # The arguments of a normal form are normal already.
@@ -242,7 +247,7 @@ class DeepChecker:
             cod_b = substitute(b_n.codomain, b_n.binder, Var(x))
             self.type_equal(ctx.push_var(x, a_n.domain), cod_a, cod_b, span, origin)
             return
-        raise self.fail(f"types differ: {_show_type(a_n)} vs {_show_type(b_n)}", span)
+        raise self.fail(f"types differ: {format_type(a_n)} vs {format_type(b_n)}", span)
 
     # -- terms ------------------------------------------------------------------
 
@@ -260,7 +265,7 @@ class DeepChecker:
         if isinstance(t, App):
             fun_ty = self.infer(ctx, t.fun)  # not normalized: a type has no redex at its top
             if not isinstance(fun_ty, Pi):
-                shown = _show_type(self._normalize(fun_ty, t.span))
+                shown = format_type(self._normalize(fun_ty, t.span))
                 raise self.fail(f"applied term has non-function type {shown}", t.span)
             self.check(ctx, t.arg, fun_ty.domain)
             return substitute(fun_ty.codomain, fun_ty.binder, t.arg)
@@ -330,8 +335,6 @@ class DeepChecker:
         """
         goal_n = self._normalize(goal, span)
         closed_n = self._normalize(closed, span)
-        if isinstance(goal_n, Eq) and alpha_equal(goal_n.left, goal_n.right):
-            return "reflexivity"
         keys = (alpha_key(goal_n), alpha_key(closed_n))
         index = self._axiom_index
         hit = min((index[k] for k in keys + (None,) if k in index), default=None)
@@ -369,12 +372,6 @@ def _instantiate_telescope(telescope, args, i) -> Type:
     return ty
 
 
-def _show_type(ty: Type) -> str:
-    from .printer import format_type
-
-    return format_type(ty)
-
-
 def check_problem(problem) -> CheckReport:
     """Deep-check every declaration and the conjecture of a problem.
 
@@ -383,19 +380,15 @@ def check_problem(problem) -> CheckReport:
     rely on.
     """
     report = CheckReport()
-    if problem.polymorphic:
-        from .shallow import find_polymorphic_span
-
-        report.diagnostics.append(error(
-            "polymorphic declarations are not supported",
-            find_polymorphic_span(problem), problem.path))
+    if problem.polymorphic:  # check_shallow's one diagnostic
+        report.diagnostics = check_shallow(problem)
         return report
 
     checker = DeepChecker(path=problem.path)
     decls = problem.theory.decls
     if problem.conjecture is not None:
         decls = (*decls, Axiom(problem.conjecture_name or "conjecture", problem.conjecture,
-                               "conjecture"))
+                               "conjecture", path=problem.conjecture_path))
     for decl in decls:
         diagnostic = checker.check_decl(decl)
         if diagnostic is not None:
@@ -407,8 +400,6 @@ def check_problem(problem) -> CheckReport:
 
 def obligation_problem(problem, ob: Obligation):
     """Build a self-contained problem whose conjecture is the obligation."""
-    from .syntax import Problem
-
     visible = problem.theory.decls[: ob.theory_prefix]
     return Problem(
         theory=Theory(tuple(visible)),
@@ -421,8 +412,6 @@ def obligation_problem(problem, ob: Obligation):
 
 def export_obligations(problem, obligations, out_dir: str) -> list:
     """Write each obligation as `<stem>__ob<k>.p`; returns the paths."""
-    from .printer import decl_line
-
     os.makedirs(out_dir, exist_ok=True)
     stem = "problem"
     if problem.path:

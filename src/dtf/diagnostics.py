@@ -21,8 +21,8 @@ class Diagnostic:
     message: str
     path: str | None = None
 
-    def format(self, path: str | None = None) -> str:
-        where = path or self.path or "<input>"
+    def format(self) -> str:
+        where = self.path or "<input>"
         if self.span is not None:
             return f"{where}:{self.span.line}:{self.span.column}: {self.severity}: {self.message}"
         return f"{where}: {self.severity}: {self.message}"

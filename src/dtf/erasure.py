@@ -71,19 +71,15 @@ def erase_type(ty: Type) -> Base | Arrow | SBool:
 _ARROW_BINDER = Name("X_", NameKind.VAR)
 
 
-def embed(simple: Base | Arrow | SBool) -> Type:
-    """Embed a simple type back into the core type language."""
-    if isinstance(simple, Base):
-        return BaseApp(simple.head)
-    if isinstance(simple, Arrow):
-        return Pi(_ARROW_BINDER, embed(simple.arg), embed(simple.res))
-    if isinstance(simple, SBool):
-        return BOOL
-    raise ErasureError(f"cannot embed {simple!r}")
-
-
 def erased_image(ty: Type) -> Type:
-    return embed(erase_type(ty))
+    """The simple core type of ty: erase_type's image, written as a core type."""
+    if isinstance(ty, BaseApp):
+        return BaseApp(ty.head)
+    if isinstance(ty, Pi):
+        return Pi(_ARROW_BINDER, erased_image(ty.domain), erased_image(ty.codomain))
+    if isinstance(ty, BoolType):
+        return BOOL
+    raise ErasureError(f"cannot erase type {ty!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,8 @@ def skeletonize(ty: Type) -> Base | Arrow | SBool:
 
 
 class _ShallowChecker:
-    def __init__(self, path: str | None):
-        self.path = path
+    def __init__(self):
+        self.path: str | None = None  # of the declaration being checked
         self.diagnostics: list[Diagnostic] = []
         self.type_arity: dict = {}   # text -> tuple of telescope skeletons
         self.const_skel: dict = {}   # text -> skeleton
@@ -161,34 +161,18 @@ class _ShallowChecker:
             dom = skeletonize(t.domain)
             env2 = dict(env)
             env2[t.binder.text] = dom
-            body = self.infer(t.body, env2)
-            if body is None:
-                return None
             if isinstance(t, Lam):
-                return Arrow(dom, body)
-            if body != BOOL_SKEL:
-                self.report(f"binder body must have skeleton $o, got {body}", t.span)
+                body = self.infer(t.body, env2)
+                return None if body is None else Arrow(dom, body)
+            if not self.infer_bool(t.body, env2, "binder body", t.span):
                 return None
             return dom if isinstance(t, Choice) else BOOL_SKEL
         if isinstance(t, Connective):
-            ok = True
-            for side in (t.left, t.right):
-                got = self.infer(side, env)
-                if got is None:
-                    ok = False
-                elif got != BOOL_SKEL:
-                    self.report(f"connective operand must have skeleton $o, got {got}",
-                                side.span or t.span)
-                    ok = False
-            return BOOL_SKEL if ok else None
+            oks = [self.infer_bool(side, env, "connective operand", side.span or t.span)
+                   for side in (t.left, t.right)]
+            return BOOL_SKEL if all(oks) else None
         if isinstance(t, Not):
-            got = self.infer(t.arg, env)
-            if got is None:
-                return None
-            if got != BOOL_SKEL:
-                self.report(f"negation operand must have skeleton $o, got {got}", t.span)
-                return None
-            return BOOL_SKEL
+            return BOOL_SKEL if self.infer_bool(t.arg, env, "negation operand", t.span) else None
         if isinstance(t, Eq):
             left = self.infer(t.left, env)
             right = self.infer(t.right, env)
@@ -202,15 +186,18 @@ class _ShallowChecker:
             return BOOL_SKEL
         raise TypeError(f"infer: unexpected term {t!r}")
 
-    def check_formula(self, label: str, formula: Term, span: Span | None) -> None:
-        got = self.infer(formula, {})
+    def infer_bool(self, t: Term, env: dict, what: str, span: Span | None) -> bool:
+        """Infer t, which must have skeleton $o; False after reporting an error."""
+        got = self.infer(t, env)
         if got is not None and got != BOOL_SKEL:
-            self.report(f"formula {label!r} must have skeleton $o, got {got}", span)
+            self.report(f"{what} must have skeleton $o, got {got}", span)
+            return False
+        return got is not None
 
 
-def find_polymorphic_span(problem) -> Span | None:
-    """Span of the first declaration that mentions the kind of types, else of
-    the first binder of an axiom or the conjecture that binds a type variable."""
+def find_polymorphic(problem) -> tuple:
+    """(span, path) of the first declaration that mentions the kind of types, else
+    of the first binder of an axiom or the conjecture that binds a type variable."""
 
     def mentions_kind(ty: Type) -> bool:
         if is_type_kind(ty):
@@ -223,17 +210,18 @@ def find_polymorphic_span(problem) -> Span | None:
 
     for decl in problem.theory.decls:
         if isinstance(decl, TypeDecl) and any(mentions_kind(ty) for _, ty in decl.telescope):
-            return decl.span
+            return decl.span, decl.path
         if isinstance(decl, ConstDecl) and mentions_kind(decl.ty):
-            return decl.span
-    formulae = [d.formula for d in problem.theory.decls if isinstance(d, Axiom)]
-    stack = ([problem.conjecture] if problem.conjecture is not None else []) + formulae[::-1]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Binder) and mentions_kind(t.domain):
-            return t.span
-        stack.extend(reversed(children(t)))
-    return None
+            return decl.span, decl.path
+    formulae = [(d.formula, d.path) for d in problem.theory.decls if isinstance(d, Axiom)]
+    for formula, path in formulae + [(problem.conjecture, problem.conjecture_path)]:
+        stack = [formula] if formula is not None else []
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Binder) and mentions_kind(t.domain):
+                return t.span, path
+            stack.extend(reversed(children(t)))
+    return None, None
 
 
 def check_shallow(problem) -> list[Diagnostic]:
@@ -241,12 +229,14 @@ def check_shallow(problem) -> list[Diagnostic]:
 
     Returns an empty list exactly when the problem is shallowly well typed.
     """
-    checker = _ShallowChecker(problem.path)
+    checker = _ShallowChecker()
     if problem.polymorphic:
-        checker.report("polymorphic declarations are not supported",
-                       find_polymorphic_span(problem))
+        span, path = find_polymorphic(problem)
+        checker.path = path or problem.path
+        checker.report("polymorphic declarations are not supported", span)
         return checker.diagnostics
     for decl in problem.theory.decls:
+        checker.path = decl.path or problem.path
         if isinstance(decl, TypeDecl):
             env: dict = {}
             skels: list = []
@@ -263,8 +253,9 @@ def check_shallow(problem) -> list[Diagnostic]:
             checker.check_type(decl.ty, {})
             checker.const_skel[decl.name.text] = skeletonize(decl.ty)
         elif isinstance(decl, Axiom):
-            checker.check_formula(decl.label, decl.formula, decl.span)
+            checker.infer_bool(decl.formula, {}, f"formula {decl.label!r}", decl.span)
     if problem.conjecture is not None:
-        checker.check_formula(problem.conjecture_name or "conjecture",
-                              problem.conjecture, problem.conjecture_span)
+        checker.path = problem.conjecture_path or problem.path
+        label = f"formula {problem.conjecture_name or 'conjecture'!r}"
+        checker.infer_bool(problem.conjecture, {}, label, problem.conjecture_span)
     return checker.diagnostics

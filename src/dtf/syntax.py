@@ -17,7 +17,6 @@ from typing import NamedTuple
 from . import core
 from .core import (
     BOOL,
-    TYPE_KIND,
     And,
     App,
     Axiom,
@@ -213,6 +212,7 @@ class AnnotatedFormula:
     role: str
     body: object  # surface tree (STyping for role type)
     span: Span | None = None
+    path: str | None = None  # of the file it was read from
 
 
 @dataclass(slots=True, eq=False)
@@ -230,6 +230,7 @@ class Problem:
     conjecture: Term | None = None
     conjecture_name: str | None = None
     conjecture_span: Span | None = field(default=None, compare=False)  # of its `thf`
+    conjecture_path: str | None = field(default=None, compare=False)  # of its file
     polymorphic: bool = False
     path: str | None = None
     warnings: tuple = ()
@@ -381,7 +382,7 @@ class _Parser:
                 self._skip_balanced((",", ")"), "unterminated annotation")
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span)
+        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span, self.path)
 
     def _skip_balanced(self, stops: tuple, message: str) -> None:
         """Skip tokens up to one of stops outside any brackets."""
@@ -577,15 +578,13 @@ class _Elaborator:
     its domain, which `_synth` reads to fill in `Eq.at`.
     """
 
-    def __init__(self, path: str | None):
-        self.path = path
+    def __init__(self):
+        self.path: str | None = None  # of the formula being elaborated
         self.decls: list = []
         self.symbols: dict = {}
         self.diagnostics: list[Diagnostic] = []
         self.polymorphic = False
-        self.conjecture: Term | None = None
-        self.conjecture_name: str | None = None
-        self.conjecture_span: Span | None = None
+        self.conjecture: Axiom | None = None  # of role "conjecture"
         self._used_binders: set = set()
         self._arrow_counter = 0
 
@@ -602,6 +601,7 @@ class _Elaborator:
                 self.diagnostics.append(exc.diagnostic)
 
     def elaborate_formula(self, f: AnnotatedFormula) -> None:
+        self.path = f.path
         if f.role not in _ROLES:
             raise self.err(f"unsupported role {f.role!r}", f.span)
         self._used_binders = set()
@@ -609,15 +609,13 @@ class _Elaborator:
         if f.role == "type":
             self.elaborate_declaration(f)
             return
-        body = self.elaborate_term(f.body, {})
-        if f.role == "conjecture":
-            if self.conjecture is not None:
-                raise self.err("a problem may contain at most one conjecture", f.span)
-            self.conjecture = body
-            self.conjecture_name = f.name
-            self.conjecture_span = f.span
+        axiom = Axiom(f.name, self.elaborate_term(f.body, {}), f.role, span=f.span, path=f.path)
+        if f.role != "conjecture":
+            self.decls.append(axiom)
+        elif self.conjecture is not None:
+            raise self.err("a problem may contain at most one conjecture", f.span)
         else:
-            self.decls.append(Axiom(f.name, body, f.role, span=f.span))
+            self.conjecture = axiom
 
     # -- declarations ------------------------------------------------------
 
@@ -636,12 +634,12 @@ class _Elaborator:
             venv: dict = {}
             telescope = self._bind_written(binders, venv)
             for component in spine[:-1]:
-                domain = self._binder_domain(component, venv, allow_pi=True)
+                domain = self.elaborate_type(component, venv, allow_pi=True)
                 telescope.append((Name(self._invent_binder(venv), NameKind.VAR), domain))
-            decl = TypeDecl(Name(symbol, NameKind.TYPE), tuple(telescope), f.name, span=f.span)
+            decl = TypeDecl(Name(symbol, NameKind.TYPE), tuple(telescope), f.name, span=f.span, path=f.path)
         else:
             ty = self.elaborate_type(typing.ty, {}, allow_pi=True)
-            decl = ConstDecl(Name(symbol, NameKind.CONST), ty, f.name, span=f.span)
+            decl = ConstDecl(Name(symbol, NameKind.CONST), ty, f.name, span=f.span, path=f.path)
         self.decls.append(decl)
         self.symbols[symbol] = decl
 
@@ -663,18 +661,12 @@ class _Elaborator:
         written names; returns their (Name, domain) pairs in order."""
         bound: list = []
         for var, sty in variables:
-            domain = self._binder_domain(sty, venv)
+            domain = self.elaborate_type(sty, venv)
             name = Name(var.text, NameKind.VAR)
             venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
             venv[name] = domain
             bound.append((name, domain))
         return bound
-
-    def _binder_domain(self, sty: object, venv: dict, allow_pi: bool = False) -> Type:
-        if isinstance(sty, SName) and sty.category == "dollar" and sty.text == "$tType":
-            self.polymorphic = True
-            return TYPE_KIND
-        return self.elaborate_type(sty, venv, allow_pi=allow_pi)
 
     def _invent_binder(self, venv: dict) -> str:
         """The next `X<k>_` not taken by a variable in scope or a binder of the formula."""
@@ -812,7 +804,7 @@ class _Elaborator:
         venv = dict(venv)
         bound: list = []
         for var, vty in s.variables:
-            domain = self._binder_domain(vty, venv)
+            domain = self.elaborate_type(vty, venv)
             name = Name(self._fresh_binder(var.text), NameKind.VAR)
             venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
             venv[name] = domain
@@ -915,16 +907,18 @@ def _parse_problem(text: str, path: str | None):
     if diagnostics:
         return diagnostics
     formulae = [i for i in items if isinstance(i, AnnotatedFormula)]
-    elab = _Elaborator(path)
+    elab = _Elaborator()
     elab.run(formulae)
     if elab.diagnostics:
         return elab.diagnostics
+    conj = elab.conjecture  # each field below is None when there is none
     return Problem(
         roles=tuple(Counter(f.role for f in formulae).items()),
         theory=Theory(tuple(elab.decls)),
-        conjecture=elab.conjecture,
-        conjecture_name=elab.conjecture_name,
-        conjecture_span=elab.conjecture_span,
+        conjecture=conj and conj.formula,
+        conjecture_name=conj and conj.label,
+        conjecture_span=conj and conj.span,
+        conjecture_path=conj and conj.path,
         polymorphic=elab.polymorphic,
         path=path,
         warnings=tuple(warns),

@@ -8,6 +8,7 @@ from dtf.core import (
     App,
     Axiom,
     BaseApp,
+    BoolType,
     Bottom,
     Const,
     ConstDecl,
@@ -356,3 +357,40 @@ def test_theory_alpha_equal_const_types():
     d1 = ConstDecl(Name("f", NameKind.CONST), Pi(X, NAT, base("vec", v("X"))), "f")
     d2 = ConstDecl(Name("f", NameKind.CONST), Pi(Y, NAT, base("vec", v("Y"))), "f")
     assert theory_alpha_equal(Theory((d1,)), Theory((d2,)))
+
+
+# -- spans and paths -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda **where: Var(X, **where),
+    lambda **where: App(c("f"), c("a"), **where),
+    lambda **where: Lam(X, NAT, v("X"), **where),
+    lambda **where: And(Top(), Bottom(), **where),
+    lambda **where: Not(Top(), **where),
+    lambda **where: Eq(c("a"), c("a"), NAT, **where),
+    lambda **where: Top(**where),
+    lambda **where: Bottom(**where),
+    lambda **where: BoolType(**where),
+    lambda **where: BaseApp(Name("vec", NameKind.TYPE), (c("a"),), **where),
+    lambda **where: Pi(X, NAT, NAT, **where),
+], ids=["Var", "App", "Lam", "And", "Not", "Eq", "Top", "Bottom", "BoolType", "BaseApp", "Pi"])
+def test_span_is_left_out_of_equality_and_hash(make):
+    plain, located = make(), make(span=Span(3, 4, 1))
+    assert located.span == Span(3, 4, 1) and plain.span is None
+    assert plain == located and hash(plain) == hash(located)
+
+
+@pytest.mark.parametrize("make", [
+    lambda **where: TypeDecl(Name("nat", NameKind.TYPE), (), "nat_type", **where),
+    lambda **where: ConstDecl(Name("a", NameKind.CONST), NAT, "a_type", **where),
+    lambda **where: Axiom("ax", Top(), **where),
+], ids=["TypeDecl", "ConstDecl", "Axiom"])
+def test_declaration_span_and_path_are_left_out_of_equality(make):
+    plain, located = make(), make(span=Span(1, 1, 3), path="inc.ax")
+    assert (located.span, located.path) == (Span(1, 1, 3), "inc.ax")
+    assert plain == located and hash(plain) == hash(located)
+
+
+def test_leaf_classes_stay_distinct():
+    assert Top() != Bottom() and Top() != BoolType() and Bottom() != BoolType()

@@ -523,3 +523,38 @@ def test_polymorphic_problem_is_refused_as_by_the_shallow_check(negative_dir, na
     assert report.diagnostics == check_shallow(problem)
     assert [d.span is not None for d in report.diagnostics] == [True]
     assert report.obligations == [] and report.discharged == []
+
+
+# -- type arguments compared one by one ------------------------------------------------
+
+INDEXED_PRELUDE = """\
+thf(nat_type, type, nat: $tType).
+thf(zero_type, type, zero: nat).
+thf(one_type, type, one: nat).
+thf(mat_type, type, mat: nat > nat > $tType).
+thf(vec_type, type, vec: nat > $tType).
+"""
+
+
+def test_two_index_type_with_one_matching_index_gives_one_obligation():
+    problem = parse_problem(INDEXED_PRELUDE + (
+        "thf(c_type, type, c: mat @ zero @ zero).\n"
+        "thf(d_type, type, d: mat @ zero @ one).\n"
+        "thf(a, axiom, c = d).\n"), "p.p")
+    report = check_problem(problem)
+    assert report.diagnostics == [] and report.discharged == []
+    [ob] = report.obligations
+    assert alpha_equal(ob.goal, Eq(const("zero"), const("one"), nat()))
+
+
+def test_beta_redex_in_an_axiom_discharges_through_its_normal_form():
+    problem = parse_problem(INDEXED_PRELUDE + (
+        "thf(c_type, type, c: vec @ zero).\n"
+        "thf(h_type, type, h: (vec @ one) > $o).\n"
+        "thf(ax, axiom, ((^ [X: nat]: X) @ zero) = one).\n"
+        "thf(use, axiom, h @ c).\n"), "p.p")
+    report = check_problem(problem)
+    assert report.diagnostics == [] and report.obligations == []
+    [ob] = report.discharged
+    assert ob.discharged_by == "ax"
+    assert alpha_equal(ob.goal, Eq(const("zero"), const("one"), nat()))

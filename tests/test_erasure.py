@@ -350,3 +350,21 @@ def test_per_of_a_product_renames_clashing_binders(tmp_path, capsys, text, expec
     assert isinstance(reparsed, Problem)
     assert check_shallow(reparsed) == []
     check_simply_typed(reparsed)
+
+
+def test_translate_of_a_lambda_reparses_simply_typed(tmp_path, capsys):
+    path = tmp_path / "lam.p"
+    path.write_text(
+        "thf(nat_type, type, nat: $tType).\n"
+        "thf(vec_type, type, vec: nat > $tType).\n"
+        "thf(zero_type, type, zero: nat).\n"
+        "thf(f_type, type, f: (vec @ zero) > nat).\n"
+        "thf(a, axiom, (^ [V: vec @ zero]: (f @ V)) = (^ [W: vec @ zero]: zero)).\n",
+        encoding="utf-8")
+    assert run(["translate", str(path)]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "^ [V: vec]" in text
+    reparsed = parse_problem(text)
+    assert isinstance(reparsed, Problem)
+    assert check_shallow(reparsed) == []
+    check_simply_typed(reparsed)  # raises on a dependent type
