@@ -196,9 +196,7 @@ def cmd_stats(args) -> int:
         axioms = [d for d in problem.theory.decls if isinstance(d, Axiom)]
         dependent = sum(1 for d in type_decls if d.telescope)
         max_arity = max((len(d.telescope) for d in type_decls), default=0)
-        size = sum(term_size(a.formula) for a in axioms)
-        if problem.conjecture is not None:
-            size += term_size(problem.conjecture)
+        size = sum(term_size(d.formula) for d in problem.decls() if isinstance(d, Axiom))
         print(f"file: {path}")
         print(f"formulae: {sum(counts.values())} "
               f"({', '.join(f'{r}: {n}' for r, n in sorted(counts.items()))})")
@@ -231,8 +229,8 @@ def cmd_solve(args) -> int:
     obligations = () if args.conjecture_only else report.obligations
     tasks = [(ob.label, th0.print(deep.obligation_problem(problem, ob))) for ob in obligations]
     conjecture_label = None
-    if not args.obligations_only and problem.conjecture is not None:
-        goal_label = problem.conjecture_name or "goal"
+    if not args.obligations_only and problem.goal is not None:
+        goal_label = problem.goal.label
         while goal_label in {label for label, _ in tasks}:
             goal_label += "_goal"
         conjecture_label = goal_label

@@ -222,21 +222,6 @@ class Axiom(Decl):
 class Theory:
     decls: tuple = ()
 
-    def type_decl(self, text: str) -> TypeDecl | None:
-        for d in self.decls:
-            if isinstance(d, TypeDecl) and d.name.text == text:
-                return d
-        return None
-
-    def const_decl(self, text: str) -> ConstDecl | None:
-        for d in self.decls:
-            if isinstance(d, ConstDecl) and d.name.text == text:
-                return d
-        return None
-
-    def axioms(self) -> tuple:
-        return tuple(d for d in self.decls if isinstance(d, Axiom))
-
 
 @dataclass(frozen=True)
 class VarDecl:
@@ -512,22 +497,6 @@ def _key(t, env: dict, depth: int):
     if isinstance(t, Not):
         return (Not, _key(t.arg, env, depth))
     return (type(t), *(_key(c, env, depth) for c in children(t)))
-
-
-def theory_alpha_equal(t1: Theory, t2: Theory) -> bool:
-    return list(map(_decl_key, t1.decls)) == list(map(_decl_key, t2.decls))
-
-
-def _decl_key(d) -> tuple:
-    if isinstance(d, TypeDecl):
-        # Each telescope variable is bound in the later entries, as in a Pi chain.
-        chain = BOOL
-        for name, ty in reversed(d.telescope):
-            chain = Pi(name, ty, chain)
-        return (TypeDecl, d.name, alpha_key(chain))
-    if isinstance(d, ConstDecl):
-        return (ConstDecl, d.name, alpha_key(d.ty))
-    return (Axiom, d.label, d.role, alpha_key(d.formula))
 
 
 # ---------------------------------------------------------------------------

@@ -385,11 +385,7 @@ def check_problem(problem) -> CheckReport:
         return report
 
     checker = DeepChecker(path=problem.path)
-    decls = problem.theory.decls
-    if problem.conjecture is not None:
-        decls = (*decls, Axiom(problem.conjecture_name or "conjecture", problem.conjecture,
-                               "conjecture", path=problem.conjecture_path))
-    for decl in decls:
+    for decl in problem.decls():
         diagnostic = checker.check_decl(decl)
         if diagnostic is not None:
             report.diagnostics.append(diagnostic)
@@ -403,8 +399,7 @@ def obligation_problem(problem, ob: Obligation):
     visible = problem.theory.decls[: ob.theory_prefix]
     return Problem(
         theory=Theory(tuple(visible)),
-        conjecture=ob.formula,
-        conjecture_name=ob.label,
+        goal=Axiom(ob.label, ob.formula, "conjecture"),
         polymorphic=False,
         path=problem.path,
     )

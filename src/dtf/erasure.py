@@ -250,13 +250,10 @@ def erase_problem(problem, assume_obligations=()) -> ErasedProblem:
         label = f"{ob.label}_assumed"
         decls.append(Axiom(label, eraser.erase_term(ob.formula)))
         provenance[label] = f"assumed proof obligation {ob.label!r}"
-    conjecture = None
-    if problem.conjecture is not None:
-        conjecture = eraser.erase_term(problem.conjecture)
+    goal = problem.goal
     erased_problem = Problem(
         theory=Theory(tuple(decls)),
-        conjecture=conjecture,
-        conjecture_name=problem.conjecture_name,
+        goal=goal and Axiom(goal.label, eraser.erase_term(goal.formula), "conjecture"),
         polymorphic=False,
         path=problem.path,
     )
@@ -290,6 +287,5 @@ class TH0Printer:
         while len(lines) < prefix:
             lines.append(th0_lines(eraser, self.decls[len(lines)]))
         extra = [Axiom(f"{ob.label}_assumed", ob.formula) for ob in assume_obligations]
-        if sub.conjecture is not None:
-            extra.append(Axiom(sub.conjecture_name or "goal", sub.conjecture, "conjecture"))
+        extra += sub.decls()[prefix:]  # the goal, when there is one
         return "\n".join(lines[:prefix] + [th0_lines(eraser, d) for d in extra]) + "\n"

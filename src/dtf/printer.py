@@ -153,7 +153,7 @@ def _format_operand(t: Term) -> str:
 
 def check_simply_typed(problem) -> None:
     """Raise ValueError if the problem uses dependent types anywhere."""
-    for decl in _with_conjecture(problem):
+    for decl in problem.decls():
         check_simple(decl)
 
 
@@ -189,17 +189,9 @@ def decl_line(decl) -> str:
     return format_annotated(decl.label or decl.name.text, "type", f"{atom(decl.name.text)}: {ty}")
 
 
-def _with_conjecture(problem) -> tuple:
-    """The declarations of a problem, then its conjecture as one more."""
-    if problem.conjecture is None:
-        return problem.theory.decls
-    name = problem.conjecture_name or "goal"
-    return (*problem.theory.decls, Axiom(name, problem.conjecture, "conjecture"))
-
-
 def print_problem(problem) -> str:
     """Render a problem back to concrete TPTP syntax."""
-    return "\n".join(decl_line(d) for d in _with_conjecture(problem)) + "\n"
+    return "\n".join(decl_line(d) for d in problem.decls()) + "\n"
 
 
 def print_th0(problem) -> str:

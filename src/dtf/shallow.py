@@ -213,13 +213,12 @@ def find_polymorphic(problem) -> tuple:
             return decl.span, decl.path
         if isinstance(decl, ConstDecl) and mentions_kind(decl.ty):
             return decl.span, decl.path
-    formulae = [(d.formula, d.path) for d in problem.theory.decls if isinstance(d, Axiom)]
-    for formula, path in formulae + [(problem.conjecture, problem.conjecture_path)]:
-        stack = [formula] if formula is not None else []
+    for decl in problem.decls():
+        stack = [decl.formula] if isinstance(decl, Axiom) else []
         while stack:
             t = stack.pop()
             if isinstance(t, Binder) and mentions_kind(t.domain):
-                return t.span, path
+                return t.span, decl.path
             stack.extend(reversed(children(t)))
     return None, None
 
@@ -235,7 +234,7 @@ def check_shallow(problem) -> list[Diagnostic]:
         checker.path = path or problem.path
         checker.report("polymorphic declarations are not supported", span)
         return checker.diagnostics
-    for decl in problem.theory.decls:
+    for decl in problem.decls():
         checker.path = decl.path or problem.path
         if isinstance(decl, TypeDecl):
             env: dict = {}
@@ -254,8 +253,4 @@ def check_shallow(problem) -> list[Diagnostic]:
             checker.const_skel[decl.name.text] = skeletonize(decl.ty)
         elif isinstance(decl, Axiom):
             checker.infer_bool(decl.formula, {}, f"formula {decl.label!r}", decl.span)
-    if problem.conjecture is not None:
-        checker.path = problem.conjecture_path or problem.path
-        label = f"formula {problem.conjecture_name or 'conjecture'!r}"
-        checker.infer_bool(problem.conjecture, {}, label, problem.conjecture_span)
     return checker.diagnostics

@@ -11,7 +11,7 @@ import gc
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import core
@@ -223,20 +223,30 @@ class _Include:
 
 @dataclass(frozen=True)
 class Problem:
-    """An elaborated problem: the core theory plus how many formulae had each role."""
+    """An elaborated problem: the core theory, its conjecture as an Axiom of role
+    "conjecture", and how many formulae had each role."""
 
     roles: tuple = ()  # (role, count) pairs, in order of first appearance
     theory: Theory = Theory()
-    conjecture: Term | None = None
-    conjecture_name: str | None = None
-    conjecture_span: Span | None = field(default=None, compare=False)  # of its `thf`
-    conjecture_path: str | None = field(default=None, compare=False)  # of its file
+    goal: Axiom | None = None
     polymorphic: bool = False
     path: str | None = None
     warnings: tuple = ()
 
     def role_counts(self) -> dict:
         return dict(self.roles)
+
+    def decls(self) -> tuple:
+        """The declarations of the theory, then the goal when there is one."""
+        return self.theory.decls if self.goal is None else (*self.theory.decls, self.goal)
+
+    @property
+    def conjecture(self) -> Term | None:
+        return self.goal and self.goal.formula
+
+    @property
+    def conjecture_name(self) -> str | None:
+        return self.goal and self.goal.label
 
 
 def _too_deep(tree: object, limit: int) -> object:
@@ -850,14 +860,14 @@ class _Elaborator:
 def _resolve_includes(items: list, path: str | None, seen: set,
                       diagnostics: list[Diagnostic], warnings_out: list[Diagnostic]) -> list:
     resolved: list = []
-    base = os.path.dirname(os.path.abspath(path)) if path else os.getcwd()
     for item in items:
         if not isinstance(item, _Include):
             resolved.append(item)
             continue
-        target = item.path if os.path.isabs(item.path) else os.path.join(base, item.path)
-        target = os.path.normpath(target)
-        if target in seen:
+        # Named relative to the including file's path as typed; `seen` holds
+        # absolute paths, so a cycle is caught however a path is spelled.
+        target = os.path.normpath(os.path.join(os.path.dirname(path or ""), item.path))
+        if os.path.abspath(target) in seen:
             diagnostics.append(error(f"circular include of {item.path!r}", item.span, path))
             continue
         try:
@@ -874,7 +884,7 @@ def _resolve_includes(items: list, path: str | None, seen: set,
         sub_items, sub_diags, sub_warns = _Parser(tokens, target).parse_items()
         diagnostics.extend(sub_diags)
         warnings_out.extend(sub_warns)
-        resolved.extend(_resolve_includes(sub_items, target, seen | {target},
+        resolved.extend(_resolve_includes(sub_items, target, seen | {os.path.abspath(target)},
                                           diagnostics, warnings_out))
     return resolved
 
@@ -902,7 +912,7 @@ def _parse_problem(text: str, path: str | None):
     except DiagnosticError as exc:
         return [exc.diagnostic]
     items, diagnostics, warns = _Parser(tokens, path).parse_items()
-    items = _resolve_includes(items, path, {os.path.normpath(os.path.abspath(path))} if path else set(),
+    items = _resolve_includes(items, path, {os.path.abspath(path)} if path else set(),
                               diagnostics, warns)
     if diagnostics:
         return diagnostics
@@ -911,14 +921,10 @@ def _parse_problem(text: str, path: str | None):
     elab.run(formulae)
     if elab.diagnostics:
         return elab.diagnostics
-    conj = elab.conjecture  # each field below is None when there is none
     return Problem(
         roles=tuple(Counter(f.role for f in formulae).items()),
         theory=Theory(tuple(elab.decls)),
-        conjecture=conj and conj.formula,
-        conjecture_name=conj and conj.label,
-        conjecture_span=conj and conj.span,
-        conjecture_path=conj and conj.path,
+        goal=elab.conjecture,
         polymorphic=elab.polymorphic,
         path=path,
         warnings=tuple(warns),

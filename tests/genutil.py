@@ -222,6 +222,5 @@ def gen_formula_problem(seed: int) -> Problem:
     return Problem(
         roles=problem.roles,
         theory=problem.theory,
-        conjecture=conjecture,
-        conjecture_name="generated_goal",
+        goal=Axiom("generated_goal", conjecture, "conjecture"),
     )

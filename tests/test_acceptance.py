@@ -11,6 +11,7 @@ import time
 import pytest
 
 import genutil
+from theoryutil import theory_alpha_equal
 from dtf.cli import EXIT_OK, run
 from dtf.core import (
     Assumption,
@@ -20,7 +21,6 @@ from dtf.core import (
     TypeDecl,
     alpha_equal,
     beta_eta_normalize,
-    theory_alpha_equal,
 )
 from dtf.deep import check_problem
 from dtf.erasure import Eraser, erase_problem, erase_type

@@ -28,6 +28,8 @@ from dtf.deep import check_problem
 from dtf.printer import format_type
 from dtf.syntax import Problem, parse_problem
 
+from theoryutil import axioms, const_decl
+
 from genutil import gen_formula_problem, gen_problem
 
 CAPTURE_REPRO = """\
@@ -90,10 +92,10 @@ def rename_problem(problem: Problem, pick) -> Problem:
     decls = tuple(
         dataclasses.replace(d, formula=rename_bound(d.formula, pick)) if isinstance(d, Axiom) else d
         for d in problem.theory.decls)
-    conjecture = problem.conjecture
-    if conjecture is not None:
-        conjecture = rename_bound(conjecture, pick)
-    return dataclasses.replace(problem, theory=Theory(decls), conjecture=conjecture)
+    goal = problem.goal
+    if goal is not None:
+        goal = dataclasses.replace(goal, formula=rename_bound(goal.formula, pick))
+    return dataclasses.replace(problem, theory=Theory(decls), goal=goal)
 
 
 def rename_pool(problem: Problem) -> list:
@@ -216,10 +218,10 @@ def test_invented_arrow_binder_does_not_capture(repro):
 
 def test_invented_arrow_binder_prints_back_unchanged():
     problem = parse_problem(ARROW_PI)
-    f = problem.theory.const_decl("f").ty
+    f = const_decl(problem.theory, "f").ty
     assert f.binder.text == "X1_" and f.codomain.binder.text != "X1_"
     assert format_type(f) == "!> [X1_: nat]: (nat > (vec @ X1_))"
-    forall = parse_problem(ARROW_FORALL).theory.axioms()[-1].formula
+    forall = axioms(parse_problem(ARROW_FORALL).theory)[-1].formula
     arrow = forall.body.domain
     assert arrow.binder.text != "X1_"
     assert format_type(arrow) == "nat > (vec @ X1_)"

@@ -33,11 +33,11 @@ from dtf.core import (
     fresh_name,
     substitute,
     term_size,
-    theory_alpha_equal,
 )
 from dtf.diagnostics import Span
 
 from genutil import gen_dependent_type
+from theoryutil import theory_alpha_equal
 
 
 def v(text: str) -> Var:

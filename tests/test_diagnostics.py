@@ -62,6 +62,15 @@ def test_shallow_diagnostic_names_the_included_file(fixtures_dir, capsys):
         EXIT_CHECK, f"{included}:4:1: error: formula 'bad_ax' must have skeleton $o, got nat\n")
 
 
+def test_included_file_is_named_relative_to_the_path_as_typed(fixtures_dir, monkeypatch, capsys):
+    """Not by its absolute path: the diagnostic does not depend on where the
+    repository is checked out."""
+    monkeypatch.chdir(fixtures_dir.parents[1])
+    assert _check(["tests/fixtures/include/inc_main.p"], capsys) == (
+        EXIT_CHECK,
+        "tests/fixtures/include/inc_ax.ax:4:1: error: formula 'bad_ax' must have skeleton $o, got nat\n")
+
+
 def _include(tmp_path, included: str) -> tuple:
     """A main file that includes `inc_ax.ax`, written with the text included."""
     (tmp_path / "inc_ax.ax").write_text(included, encoding="utf-8")

@@ -244,8 +244,7 @@ def _with_per_collisions(problem, spots) -> Problem:
             decls.insert(k, TypeDecl(Name(name, NameKind.TYPE), (), f"{name}_type"))
         else:
             decls.insert(k, ConstDecl(Name(name, NameKind.CONST), BOOL, f"{name}_type"))
-    return Problem(theory=Theory(tuple(decls)), conjecture=problem.conjecture,
-                   conjecture_name=problem.conjecture_name)
+    return Problem(theory=Theory(tuple(decls)), goal=problem.goal)
 
 
 def _obligations(problem) -> list:

@@ -51,13 +51,17 @@ DIGESTS = {
     "axioms_1": "eca34ee70321363d64a9fe706b76bd9f621290fe890240129c718f0cbc36b5fa",
     "terms_1": "3b82eac034353c7d53d15dd1b5b6800eb3fa25cd7034e51d32f638fb7bd81e0b",
     "discharge_1": "395c1faf89bc378ed375241fd2ad9dd9919361ee4797154741f753b75fea510e",
+    # Recorded once an included file was named relative to the including
+    # file's path as typed, not by its absolute path.
+    "tests/fixtures/include/inc_main.p": "f59ff330ab96e1b9802fa6e99bcf134c0c987e8c7dfd6396ad76d3956480f7ee",
 }
 
 
 def _keys() -> list:
     files = [*sorted((REPO / "corpus").glob("*.p")),
              *sorted((REPO / "corpus" / "negative").glob("*.p")),
-             *sorted((REPO / "tests" / "fixtures").glob("*.p"))]
+             *sorted((REPO / "tests" / "fixtures").glob("*.p")),
+             REPO / "tests" / "fixtures" / "include" / "inc_main.p"]
     return [str(f.relative_to(REPO)) for f in files] + ["axioms_1", "terms_1", "discharge_1"]
 
 

@@ -10,9 +10,13 @@ output bytes are:
 - export closure: every obligation problem, printed and parsed again,
   deep-checks with no diagnostic, and its conjecture adds no obligation;
 - prefix stability: re-checking that problem gives, in order, p's
-  obligations whose theory prefix is below the obligation's.
+  obligations whose theory prefix is below the obligation's;
+- include split: moving the declarations before a random one into an
+  included file changes neither the report nor the `translate` output, and
+  each declaration keeps the path of its file as typed.
 """
 
+import random
 from functools import cache
 from pathlib import Path
 
@@ -22,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from dtf.core import alpha_key
 from dtf.deep import check_problem, obligation_problem
 from dtf.erasure import erase_problem
-from dtf.printer import print_problem, print_th0
+from dtf.printer import decl_line, print_problem, print_th0
 from dtf.syntax import Problem, parse_file, parse_problem
 
 from genutil import gen_formula_problem, gen_problem, load_generator
@@ -138,3 +142,32 @@ def test_obligation_problems_reproduce_the_earlier_obligations(key):
         below = [o for o in report.discharged if o.theory_prefix < ob.theory_prefix]
         assert [_obligation_key(o) for o in again.discharged] == \
             [_obligation_key(o) for o in below], ob.label
+
+
+# -- include split ----------------------------------------------------------------
+
+
+def _split_input(case: str) -> Problem:
+    if case in FAMILIES:
+        return _checked(case)[0]
+    return _reparse(gen_formula_problem(int(case)))
+
+
+@pytest.mark.parametrize("case", ["axioms", "discharge", *map(str, range(8))])
+def test_include_split_keeps_report_translation_and_paths(case, tmp_path, monkeypatch):
+    problem = _split_input(case)
+    report = check_problem(problem)
+    decls = problem.decls()
+    k = random.Random(case).randrange(1, len(decls))
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "part.ax").write_text(
+        "".join(decl_line(d) + "\n" for d in decls[:k]), encoding="utf-8")
+    (tmp_path / "d" / "main.p").write_text(
+        "include('part.ax').\n" + "".join(decl_line(d) + "\n" for d in decls[k:]), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    split = parse_file("d/main.p")
+    assert isinstance(split, Problem), [d.format() for d in split]
+    again = check_problem(split)
+    assert _report_key(again) == _report_key(report)
+    assert _translate(split, again) == _translate(problem, report)
+    assert [d.path for d in split.decls()] == ["d/part.ax"] * k + ["d/main.p"] * (len(decls) - k)

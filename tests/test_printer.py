@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import genutil
+from theoryutil import axioms, theory_alpha_equal
 from dtf.core import (
     TYPE_KIND,
     App,
+    Axiom,
     BaseApp,
     Const,
     ConstDecl,
@@ -20,7 +22,6 @@ from dtf.core import (
     Theory,
     Var,
     alpha_equal,
-    theory_alpha_equal,
 )
 from dtf.printer import (
     atom,
@@ -163,7 +164,7 @@ def test_round_trip_parentheses_inside_quoted_atoms():
     problem = parse_problem(PARENTHESES_IN_ATOMS)
     _round_trip(problem)
     # The application in ax4's first argument must keep its parentheses.
-    assert format_term(problem.theory.axioms()[-1].formula) == (
+    assert format_term(axioms(problem.theory)[-1].formula) == (
         "'f(x)' @ ((^ [X: $o]: (('(' = X))) @ ('b)' = c)) @ 'a('")
 
 
@@ -201,7 +202,8 @@ def _vec_zero() -> BaseApp:
 
 @pytest.mark.parametrize("problem", [
     Problem(theory=Theory(()),
-            conjecture=Forall(X, _vec_zero(), Eq(Var(X), Var(X), _vec_zero()))),
+            goal=Axiom("goal", Forall(X, _vec_zero(), Eq(Var(X), Var(X), _vec_zero())),
+                       "conjecture")),
     Problem(theory=Theory((ConstDecl(Name("f", NameKind.CONST),
                                      Pi(X, nat(), Pi(X, nat(), _vec_zero())), "f_type"),))),
 ], ids=["binder_domain", "codomain"])

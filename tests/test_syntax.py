@@ -23,6 +23,8 @@ from dtf.core import (
 )
 from dtf.syntax import Problem, parse_file, parse_problem
 
+from theoryutil import axioms, const_decl, type_decl
+
 PRELUDE = """
 thf(nat_type, type, nat: $tType).
 thf(zero_type, type, zero: nat).
@@ -46,7 +48,7 @@ def parse_bad(text: str):
 
 
 def only_axiom(problem: Problem):
-    return problem.theory.axioms()[-1].formula
+    return axioms(problem.theory)[-1].formula
 
 
 # -- basic shapes ---------------------------------------------------------------
@@ -59,9 +61,9 @@ def test_parse_worked_example_shape(corpus_dir):
     assert counts == {"type": 9, "axiom": 3, "conjecture": 1}
     assert problem.conjecture_name == "list_app_assoc_base"
     assert not problem.polymorphic
-    list_decl = problem.theory.type_decl("list")
+    list_decl = type_decl(problem.theory, "list")
     assert list_decl is not None and len(list_decl.telescope) == 1
-    cons = problem.theory.const_decl("cons")
+    cons = const_decl(problem.theory, "cons")
     assert isinstance(cons.ty, Pi)
     assert cons.ty.binder.text == "N"
 
@@ -141,7 +143,7 @@ def test_dependent_type_declaration_telescope():
         thf(nat_type, type, nat: $tType).
         thf(vec_type, type, vec: nat > nat > $tType).
     """)
-    decl = problem.theory.type_decl("vec")
+    decl = type_decl(problem.theory, "vec")
     assert len(decl.telescope) == 2
     assert all(ty == BaseApp(decl.telescope[0][1].head) for _, ty in decl.telescope)
 
@@ -152,17 +154,17 @@ def test_pi_binder_declaration():
         thf(vec_type, type, vec: nat > $tType).
         thf(f_type, type, f: !> [N: nat]: ((vec @ N) > nat)).
     """)
-    f = problem.theory.const_decl("f")
+    f = const_decl(problem.theory, "f")
     assert isinstance(f.ty, Pi) and f.ty.binder.text == "N"
     inner = f.ty.codomain
     assert isinstance(inner, Pi)
-    assert inner.domain == BaseApp(problem.theory.type_decl("vec").name, (Var(f.ty.binder),))
+    assert inner.domain == BaseApp(type_decl(problem.theory, "vec").name, (Var(f.ty.binder),))
 
 
 def test_parenthesized_typing():
     problem = parse_ok("thf(t, type, (nat: $tType)). thf(c, type, (zero: nat)).")
-    assert problem.theory.type_decl("nat") is not None
-    assert problem.theory.const_decl("zero") is not None
+    assert type_decl(problem.theory, "nat") is not None
+    assert const_decl(problem.theory, "zero") is not None
 
 
 def test_duplicate_declaration_rejected():
@@ -287,7 +289,7 @@ def test_sibling_binders_keep_their_names_across_formulae():
         thf(a1, axiom, ! [N: nat]: (p @ N)).
         thf(a2, axiom, ! [N: nat]: (p @ N)).
     """)
-    a1, a2 = problem.theory.axioms()[-2:]
+    a1, a2 = axioms(problem.theory)[-2:]
     assert a1.formula.binder.text == "N"
     assert a2.formula.binder.text == "N"
 
@@ -298,7 +300,7 @@ def test_sibling_binders_keep_their_names_across_formulae():
 def test_equation_annotation_from_left_side():
     problem = parse_ok(PRELUDE + "thf(a, axiom, (suc @ zero) = zero).")
     eq = only_axiom(problem)
-    assert eq.at == BaseApp(problem.theory.type_decl("nat").name)
+    assert eq.at == BaseApp(type_decl(problem.theory, "nat").name)
 
 
 def test_equation_annotation_dependent():
@@ -311,7 +313,7 @@ def test_equation_annotation_dependent():
     """)
     eq = only_axiom(problem)
     assert isinstance(eq.at, BaseApp) and eq.at.head.text == "vec"
-    assert eq.at.args == (Const(problem.theory.const_decl("zero").name),)
+    assert eq.at.args == (Const(const_decl(problem.theory, "zero").name),)
 
 
 def test_equation_annotation_bool():
@@ -328,7 +330,7 @@ def test_quoted_atom_with_space():
         thf(z, type, 'my zero': nat).
         thf(a, axiom, 'my zero' = 'my zero').
     """)
-    assert problem.theory.const_decl("my zero") is not None
+    assert const_decl(problem.theory, "my zero") is not None
 
 
 def test_quoted_atom_same_as_bare():
@@ -347,7 +349,7 @@ def test_quoted_atom_escapes():
         thf(z, type, 'it\\'s': nat).
         thf(a, axiom, 'it\\'s' = 'it\\'s').
     """)
-    assert problem.theory.const_decl("it's") is not None
+    assert const_decl(problem.theory, "it's") is not None
 
 
 # -- includes ----------------------------------------------------------------------------
@@ -363,8 +365,8 @@ def test_include_splices_formulae(tmp_path):
         "thf(a, axiom, zero = zero).\n")
     problem = parse_file(str(main))
     assert isinstance(problem, Problem)
-    assert problem.theory.type_decl("nat") is not None
-    assert len(problem.theory.axioms()) == 1
+    assert type_decl(problem.theory, "nat") is not None
+    assert len(axioms(problem.theory)) == 1
 
 
 def test_include_cycle_detected(tmp_path):
@@ -375,6 +377,17 @@ def test_include_cycle_detected(tmp_path):
     diags = parse_file(str(a))
     assert isinstance(diags, list)
     assert any("circular include" in d.message for d in diags)
+
+
+def test_include_cycle_detected_when_the_back_edge_is_spelled_differently(tmp_path, monkeypatch):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "a.p").write_text("include('b.ax').\n")
+    (d / "b.ax").write_text("include('../d/a.p').\n")
+    monkeypatch.chdir(d)
+    diags = parse_file("a.p")
+    assert isinstance(diags, list)
+    assert [d.format() for d in diags] == ["b.ax:1:1: error: circular include of '../d/a.p'"]
 
 
 def test_include_missing_file(tmp_path):
@@ -404,14 +417,14 @@ def test_comments_are_skipped():
            comment */
         thf(t, type, nat: $tType). % trailing
     """)
-    assert problem.theory.type_decl("nat") is not None
+    assert type_decl(problem.theory, "nat") is not None
 
 
 def test_source_annotations_parse_and_are_skipped():
     problem = parse_ok(PRELUDE +
                        "thf(a, axiom, q, file('other.p', a), [useful]).")
     assert problem.role_counts() == {"type": 6, "axiom": 1}
-    assert [a.label for a in problem.theory.axioms()] == ["a"]
+    assert [a.label for a in axioms(problem.theory)] == ["a"]
     diags = parse_bad(PRELUDE + "thf(a, axiom, q, file('other.p', a).")
     assert [d.message for d in diags] == ["unterminated annotation"]
 
