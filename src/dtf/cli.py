@@ -169,8 +169,7 @@ def cmd_translate(args) -> int:
                   "discharge them or pass --assume-obligations", file=sys.stderr)
             return EXIT_CHECK
         assumed = tuple(report.obligations)
-    erased = erasure.erase_problem(problem, assume_obligations=assumed)
-    text = print_th0(erased.problem)
+    text = print_th0(erasure.erase_problem(problem, assume_obligations=assumed))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -53,20 +53,6 @@ class BaseApp(Type):
     args: tuple = ()
 
 
-@dataclass(frozen=True)
-class Pi(Type):
-    """Dependent function type; prints as A > B when the binder is unused."""
-
-    binder: Name
-    domain: Type
-    codomain: Type
-
-    @property
-    def body(self) -> Type:
-        """The codomain: the scope of the binder, named as in Binder."""
-        return self.codomain
-
-
 class BoolType(Type):
     pass
 
@@ -110,8 +96,8 @@ class App(Term):
 class Binder(Term):
     """A variable, its type (`domain`) and the scope it is bound in (`body`).
 
-    The subclasses are the term binders; `op` is their TPTP symbol.  Equality
-    and repr still tell them apart.
+    The subclasses are the term binders and the dependent product `Pi`; `op`
+    is their TPTP symbol.  Equality and repr still tell them apart.
     """
 
     binder: Name
@@ -135,6 +121,18 @@ class Choice(Binder):
     """Hilbert choice: some x of the domain satisfying the body."""
 
     op = "@+"
+
+
+class Pi(Binder, Type):
+    """Dependent function type, the one type binder; prints as A > B when the
+    binder is unused."""
+
+    op = "!>"
+
+    @property
+    def codomain(self) -> Type:
+        """The body: the type the binder scopes over."""
+        return self.body
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,7 @@ class ConstDecl(Decl):
 class Axiom(Decl):
     label: str
     formula: Term
-    role: str = "axiom"  # axiom | lemma | hypothesis | definition
+    role: str = "axiom"  # axiom | lemma | hypothesis | definition | conjecture
 
 
 @dataclass(frozen=True)
@@ -268,7 +266,7 @@ def children(t) -> tuple:
         return ()
     if isinstance(t, App):
         return (t.fun, t.arg)
-    if isinstance(t, (Binder, Pi)):
+    if isinstance(t, Binder):
         return (t.domain, t.body)
     if isinstance(t, Connective):
         return (t.left, t.right)
@@ -322,7 +320,7 @@ def _free_into(t, acc: set, bound: tuple) -> None:
     elif isinstance(t, App):
         _free_into(t.fun, acc, bound)
         _free_into(t.arg, acc, bound)
-    elif isinstance(t, (Binder, Pi)):
+    elif isinstance(t, Binder):
         _free_into(t.domain, acc, bound)
         _free_into(t.body, acc, bound + (t.binder.text,))
     elif isinstance(t, BaseApp):
@@ -346,7 +344,7 @@ def term_size(t) -> int:
         return 1
     if isinstance(t, App):
         return 1 + term_size(t.fun) + term_size(t.arg)
-    if isinstance(t, (Binder, Pi)):
+    if isinstance(t, Binder):
         return 1 + term_size(t.domain) + term_size(t.body)
     if isinstance(t, (Connective, Eq)):
         return 1 + term_size(t.left) + term_size(t.right)
@@ -400,7 +398,7 @@ def _substitute(t, x: Name, u: Term, u_free: list):
         if all(new is old for new, old in zip(args, t.args)):
             return t
         return BaseApp(t.head, args, span=t.span)
-    if isinstance(t, (Binder, Pi)):
+    if isinstance(t, Binder):
         domain = _substitute(t.domain, x, u, u_free)
         binder, body = t.binder, t.body
         if binder == x:
@@ -452,7 +450,7 @@ def _alpha(a, b, lr: dict, rl: dict) -> bool:
         if len(a.args) != len(b.args):
             return False
         return all(_alpha(x, y, lr, rl) for x, y in zip(a.args, b.args))
-    if isinstance(a, (Binder, Pi)):
+    if isinstance(a, Binder):
         if not _alpha(a.domain, b.domain, lr, rl):
             return False
         lr2 = dict(lr)
@@ -485,7 +483,7 @@ def _key(t, env: dict, depth: int):
         return (App, _key(t.fun, env, depth), _key(t.arg, env, depth))
     if isinstance(t, BaseApp):
         return (BaseApp, env.get(t.head.text, t.head), *(_key(a, env, depth) for a in t.args))
-    if isinstance(t, (Binder, Pi)):
+    if isinstance(t, Binder):
         return (type(t), _key(t.domain, env, depth),
                 _key(t.body, {**env, t.binder.text: depth}, depth + 1))
     # One frame per level, as in _norm: a normal form can always be keyed.
@@ -553,7 +551,7 @@ def _norm(t, budget):
         if all(new is old for new, old in zip(args, t.args)):
             return t
         return BaseApp(t.head, args, span=t.span)
-    if isinstance(t, (Binder, Pi)):
+    if isinstance(t, Binder):
         domain = _norm(t.domain, budget)
         body = _norm(t.body, budget)
         if isinstance(t, Lam) and isinstance(body, App) and isinstance(body.arg, Var) \

@@ -11,8 +11,6 @@ bound variable is guarded by its PER.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     BOOL,
     App,
@@ -46,6 +44,7 @@ from .core import (
 )
 from .printer import check_simple, decl_line
 from .shallow import Arrow, Base, SBool
+from .syntax import Problem
 
 
 class ErasureError(Exception):
@@ -84,14 +83,6 @@ def erased_image(ty: Type) -> Type:
 
 # ---------------------------------------------------------------------------
 # The eraser
-
-
-@dataclass(frozen=True)
-class ErasedProblem:
-    """A plain HOL problem plus where each erased declaration came from."""
-
-    problem: object                 # syntax.Problem, simply typed
-    provenance: dict                # erased label -> source description
 
 
 class Eraser:
@@ -179,29 +170,22 @@ class Eraser:
     # -- declarations -----------------------------------------------------------
 
     def erase_decl(self, decl) -> list:
-        """(label, erased declaration, source) for each declaration decl erases to."""
+        """The declarations decl erases to."""
         if isinstance(decl, TypeDecl):
             return self.erase_type_decl(decl)
         if isinstance(decl, ConstDecl):
             return self.erase_const_decl(decl)
         if isinstance(decl, Axiom):
-            erased = Axiom(decl.label, self.erase_term(decl.formula), decl.role)
-            return [(decl.label, erased, f"{decl.role} {decl.label!r}")]
+            return [Axiom(decl.label, self.erase_term(decl.formula), decl.role)]
         raise ErasureError(f"cannot erase declaration {decl!r}")
 
     def erase_type_decl(self, decl: TypeDecl) -> list:
         a = decl.name
         per = self.per_names[a.text]
-        out: list = []
-        label = decl.label or a.text
-        out.append((label, TypeDecl(a, (), label), f"type declaration {a.text!r}"))
-
         per_ty: Type = Pi(_ARROW_BINDER, BaseApp(a),
                           Pi(_ARROW_BINDER, BaseApp(a), BOOL))
         for _, arg_ty in reversed(decl.telescope):
             per_ty = Pi(_ARROW_BINDER, erased_image(arg_ty), per_ty)
-        out.append((f"{per.text}_type", ConstDecl(per, per_ty, f"{per.text}_type"),
-                    f"PER for type {a.text!r}"))
 
         texts = [n.text for n, _ in decl.telescope]
         u = Name(fresh_name("U", set(texts)), NameKind.VAR)
@@ -214,60 +198,40 @@ class Eraser:
         formula = Forall(u, BaseApp(a), Forall(v, BaseApp(a), formula))
         for n, arg_ty in reversed(decl.telescope):
             formula = Forall(n, erased_image(arg_ty), formula)
-        out.append((f"{per.text}_functional",
-                    Axiom(f"{per.text}_functional", formula),
-                    f"functionality of the PER for {a.text!r}"))
-        return out
+        return [TypeDecl(a, (), decl.label or a.text),
+                ConstDecl(per, per_ty, f"{per.text}_type"),
+                Axiom(f"{per.text}_functional", formula)]
 
     def erase_const_decl(self, decl: ConstDecl) -> list:
-        label = decl.label or decl.name.text
-        erased = ConstDecl(decl.name, erased_image(decl.ty), label)
         refl = self.per_of_type(decl.ty, Const(decl.name), Const(decl.name))
-        refl_label = f"{decl.name.text}_per"
-        return [
-            (label, erased, f"constant declaration {decl.name.text!r}"),
-            (refl_label, Axiom(refl_label, refl),
-             f"self-relatedness of constant {decl.name.text!r}"),
-        ]
+        return [ConstDecl(decl.name, erased_image(decl.ty), decl.label or decl.name.text),
+                Axiom(f"{decl.name.text}_per", refl)]
 
 
-def erase_problem(problem, assume_obligations=()) -> ErasedProblem:
-    """Translate a checked problem to plain HOL.
+def assumed_axioms(obligations) -> list:
+    """Residual obligations as axioms `<label>_assumed`, for callers who
+    accept them unproven."""
+    return [Axiom(f"{ob.label}_assumed", ob.formula) for ob in obligations]
 
-    assume_obligations: residual obligations to append as axioms (their
-    closed formulae, erased), for callers who accept them unproven.
+
+def erase_problem(problem, assume_obligations=()) -> Problem:
+    """Translate a checked problem to plain HOL: its theory, then
+    assume_obligations as axioms (see assumed_axioms), then its goal.
     """
-    from .syntax import Problem
-
     eraser = Eraser(problem.theory)
-    decls: list = []
-    provenance: dict = {}
-    for decl in problem.theory.decls:
-        for label, payload, source in eraser.erase_decl(decl):
-            decls.append(payload)
-            provenance[label] = source
-    for ob in assume_obligations:
-        label = f"{ob.label}_assumed"
-        decls.append(Axiom(label, eraser.erase_term(ob.formula)))
-        provenance[label] = f"assumed proof obligation {ob.label!r}"
-    goal = problem.goal
-    erased_problem = Problem(
-        theory=Theory(tuple(decls)),
-        goal=goal and Axiom(goal.label, eraser.erase_term(goal.formula), "conjecture"),
-        polymorphic=False,
-        path=problem.path,
-    )
-    return ErasedProblem(erased_problem, provenance)
+    decls = (*problem.theory.decls, *assumed_axioms(assume_obligations))
+    erased = tuple(e for decl in decls for e in eraser.erase_decl(decl))
+    goal = problem.goal and eraser.erase_decl(problem.goal)[0]
+    return Problem(theory=Theory(erased), goal=goal, polymorphic=False, path=problem.path)
 
 
 def th0_lines(eraser: Eraser, decl) -> str:
     """Erase one declaration, check that it is simply typed and print it."""
-    return "\n".join(decl_line(check_simple(payload))
-                     for _, payload, _ in eraser.erase_decl(decl))
+    return "\n".join(decl_line(check_simple(erased)) for erased in eraser.erase_decl(decl))
 
 
 class TH0Printer:
-    """print_th0(erase_problem(sub, assumed).problem) for the sub-problems of one
+    """print_th0(erase_problem(sub, assumed)) for the sub-problems of one
     problem whose theories are prefixes of its theory, as `solve` makes them.
     Each declaration is erased, checked and printed once per PER naming.
     """
@@ -286,6 +250,5 @@ class TH0Printer:
         eraser, lines = self._namings[prefix]
         while len(lines) < prefix:
             lines.append(th0_lines(eraser, self.decls[len(lines)]))
-        extra = [Axiom(f"{ob.label}_assumed", ob.formula) for ob in assume_obligations]
-        extra += sub.decls()[prefix:]  # the goal, when there is one
+        extra = (*assumed_axioms(assume_obligations), *sub.decls()[prefix:])  # the goal, if any
         return "\n".join(lines[:prefix] + [th0_lines(eraser, d) for d in extra]) + "\n"

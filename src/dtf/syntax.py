@@ -93,9 +93,6 @@ def _found(tok: Token) -> str:
     return repr("end of input" if tok.kind == "eof" else tok.text)
 
 
-_SyntaxError = DiagnosticError  # the name tests/test_lexer.py imports
-
-
 def tokenize(text: str, path: str | None = None) -> list[Token]:
     tokens: list[Token] = []
     pos = 0
@@ -575,7 +572,6 @@ class _Parser:
 # Elaboration
 
 
-_AXIOM_ROLES = ("axiom", "lemma", "hypothesis", "definition")
 _CONNECTIVES = {c.op: c for c in (Implies, And, Or)}
 _BINDERS = {b.op: b for b in (Forall, Exists, Lam, Choice)}
 
@@ -865,9 +861,11 @@ def _resolve_includes(items: list, path: str | None, seen: set,
             resolved.append(item)
             continue
         # Named relative to the including file's path as typed; `seen` holds
-        # absolute paths, so a cycle is caught however a path is spelled.
+        # real paths, so a cycle is caught however a path is spelled, symbolic
+        # links included.
         target = os.path.normpath(os.path.join(os.path.dirname(path or ""), item.path))
-        if os.path.abspath(target) in seen:
+        real = os.path.realpath(target)
+        if real in seen:
             diagnostics.append(error(f"circular include of {item.path!r}", item.span, path))
             continue
         try:
@@ -884,7 +882,7 @@ def _resolve_includes(items: list, path: str | None, seen: set,
         sub_items, sub_diags, sub_warns = _Parser(tokens, target).parse_items()
         diagnostics.extend(sub_diags)
         warnings_out.extend(sub_warns)
-        resolved.extend(_resolve_includes(sub_items, target, seen | {os.path.abspath(target)},
+        resolved.extend(_resolve_includes(sub_items, target, seen | {real},
                                           diagnostics, warnings_out))
     return resolved
 
@@ -912,7 +910,7 @@ def _parse_problem(text: str, path: str | None):
     except DiagnosticError as exc:
         return [exc.diagnostic]
     items, diagnostics, warns = _Parser(tokens, path).parse_items()
-    items = _resolve_includes(items, path, {os.path.abspath(path)} if path else set(),
+    items = _resolve_includes(items, path, {os.path.realpath(path)} if path else set(),
                               diagnostics, warns)
     if diagnostics:
         return diagnostics

@@ -102,18 +102,18 @@ def test_criterion_4_erasure_template_conformance():
         assert report.ok and not report.obligations, seed
 
         erased = erase_problem(problem)
-        assert check_shallow(erased.problem) == [], seed
+        assert check_shallow(erased) == [], seed
 
         source_types = [d for d in problem.theory.decls if isinstance(d, TypeDecl)]
         per_heads = {n.text for n in Eraser(problem.theory).per_names.values()}
-        per_decls = [d for d in erased.problem.theory.decls
+        per_decls = [d for d in erased.theory.decls
                      if isinstance(d, ConstDecl) and d.name.text in per_heads]
-        functional = [d for d in erased.problem.theory.decls
+        functional = [d for d in erased.theory.decls
                       if isinstance(d, Axiom) and d.label.endswith("_functional")]
         assert len(per_decls) == len(source_types), seed
         assert len(functional) == len(source_types), seed
 
-        for decl in erased.problem.theory.decls:
+        for decl in erased.theory.decls:
             if isinstance(decl, Axiom):
                 bad = genutil.forall_guard_violations(decl.formula, per_heads)
                 assert bad == [], (seed, decl.label, bad)

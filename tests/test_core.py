@@ -8,6 +8,7 @@ from dtf.core import (
     App,
     Axiom,
     BaseApp,
+    Binder,
     BoolType,
     Bottom,
     Const,
@@ -394,3 +395,22 @@ def test_declaration_span_and_path_are_left_out_of_equality(make):
 
 def test_leaf_classes_stay_distinct():
     assert Top() != Bottom() and Top() != BoolType() and Bottom() != BoolType()
+
+
+def test_pi_is_the_type_binder_and_stays_apart_from_the_term_binders():
+    body = base("vec", v("X"))
+    made = [Pi(X, NAT, body), Lam(X, NAT, body), Forall(X, NAT, body)]
+    assert all(isinstance(b, Binder) for b in made)
+    for i, a in enumerate(made):
+        for b in made[i + 1:]:
+            assert a != b and b != a
+            assert not alpha_equal(a, b) and not alpha_equal(b, a)
+            assert alpha_key(a) != alpha_key(b)
+    pi = Pi(Y, NAT, base("vec", v("X"), v("Y")))
+    assert pi.codomain is pi.body
+    assert substitute(pi, X, c("a")) == Pi(Y, NAT, base("vec", c("a"), v("Y")))
+    renamed = substitute(pi, X, v("Y"))  # the binder is freshened, not captured
+    assert type(renamed) is Pi and renamed.binder != Y
+    assert renamed.codomain == base("vec", v("Y"), Var(renamed.binder))
+    redex = Pi(Y, NAT, base("vec", App(Lam(X, NAT, v("X")), c("a"))))
+    assert beta_eta_normalize(redex) == Pi(Y, NAT, base("vec", c("a")))

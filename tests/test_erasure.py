@@ -65,7 +65,7 @@ def test_erased_image_drops_term_arguments():
 
 def test_worked_example_erased_label_inventory(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    labels = set(erased.provenance)
+    labels = {decl.label for decl in erased.theory.decls}
     for ty in ("elem", "nat", "list"):
         assert f"{ty}_type" in labels
         assert f"per_{ty}_type" in labels
@@ -75,21 +75,21 @@ def test_worked_example_erased_label_inventory(corpus_dir):
         assert f"{c}_per" in labels
     assert {"ax1", "ax2", "plus_assoc", "ob2_assumed"} <= labels
     # 3 types x 3 rows + 6 constants x 2 rows + 3 axioms + 1 assumed obligation
-    assert len(erased.problem.theory.decls) == 3 * 3 + 6 * 2 + 3 + 1
+    assert len(erased.theory.decls) == 3 * 3 + 6 * 2 + 3 + 1
 
 
 def test_provenance_covers_every_declaration(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
     labels = []
-    for decl in erased.problem.theory.decls:
+    for decl in erased.theory.decls:
         labels.append(decl.label)
-    assert set(labels) == set(erased.provenance)
+    assert all(labels)
     assert len(set(labels)) == len(labels)
 
 
 def test_type_decl_collapses_to_plain_type(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    for decl in erased.problem.theory.decls:
+    for decl in erased.theory.decls:
         if isinstance(decl, TypeDecl):
             assert decl.telescope == ()
 
@@ -102,7 +102,7 @@ def test_per_name_collision_gets_underscore():
     eraser = Eraser(problem.theory)
     assert eraser.per_names["b"].text == "per_b_"
     erased = erase_problem(problem)
-    labels = set(erased.provenance)
+    labels = {decl.label for decl in erased.theory.decls}
     assert "per_b__type" in labels
     assert "per_b__functional" in labels
 
@@ -116,7 +116,7 @@ def test_bool_equation_stays_equation():
         "thf(same, axiom, p = p).\n")
     assert isinstance(problem, Problem)
     erased = erase_problem(problem)
-    ax = [d for d in erased.problem.theory.decls if isinstance(d, Axiom)
+    ax = [d for d in erased.theory.decls if isinstance(d, Axiom)
           and d.label == "same"][0]
     assert isinstance(ax.formula, Eq)
     assert ax.formula.at == BOOL
@@ -139,7 +139,7 @@ def test_choice_body_gets_relatedness_guard(corpus_dir):
     problem = parse_file(str(corpus_dir / "choice.p"))
     report = check_problem(problem)
     erased = erase_problem(problem, assume_obligations=report.obligations)
-    conjecture = erased.problem.conjecture
+    conjecture = erased.conjecture
     found = []
 
     def find(t):
@@ -158,10 +158,10 @@ def test_choice_body_gets_relatedness_guard(corpus_dir):
 def test_forall_blocks_are_guarded(corpus_dir):
     problem, _, erased = _erased_example(corpus_dir)
     per_heads = {n.text for n in Eraser(problem.theory).per_names.values()}
-    for decl in erased.problem.theory.decls:
+    for decl in erased.theory.decls:
         if isinstance(decl, Axiom):
             assert genutil.forall_guard_violations(decl.formula, per_heads) == []
-    assert genutil.forall_guard_violations(erased.problem.conjecture, per_heads) == []
+    assert genutil.forall_guard_violations(erased.conjecture, per_heads) == []
 
 
 def test_guard_scan_flags_missing_guard():
@@ -176,37 +176,37 @@ def test_guard_scan_flags_missing_guard():
 
 def test_erased_problem_is_simply_typed(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    check_simply_typed(erased.problem)
+    check_simply_typed(erased)
 
 
 def test_erased_problem_passes_shallow(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    assert check_shallow(erased.problem) == []
+    assert check_shallow(erased) == []
 
 
 def test_erased_problem_reparses(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    text = print_th0(erased.problem)
+    text = print_th0(erased)
     reparsed = parse_problem(text)
     assert isinstance(reparsed, Problem)
     assert check_shallow(reparsed) == []
-    assert len(reparsed.theory.decls) == len(erased.problem.theory.decls)
+    assert len(reparsed.theory.decls) == len(erased.theory.decls)
 
 
 def test_erased_problem_has_no_dependencies_left(corpus_dir):
     _, _, erased = _erased_example(corpus_dir)
-    report = check_problem(erased.problem)
+    report = check_problem(erased)
     assert report.ok
     assert report.obligations == []
 
 
 def test_assumed_obligations_become_axioms(corpus_dir):
     problem, report, erased = _erased_example(corpus_dir)
-    assumed = [d for d in erased.problem.theory.decls
+    assumed = [d for d in erased.theory.decls
                if isinstance(d, Axiom) and d.label == "ob2_assumed"]
     assert len(assumed) == 1
     without = erase_problem(problem)
-    assert all(d.label != "ob2_assumed" for d in without.problem.theory.decls)
+    assert all(d.label != "ob2_assumed" for d in without.theory.decls)
 
 
 def test_generated_theories_erase_cleanly():
@@ -215,13 +215,13 @@ def test_generated_theories_erase_cleanly():
         report = check_problem(problem)
         assert report.ok and report.obligations == [], seed
         erased = erase_problem(problem)
-        assert check_shallow(erased.problem) == [], seed
-        check_simply_typed(erased.problem)
+        assert check_shallow(erased) == [], seed
+        check_simply_typed(erased)
         source_types = [d for d in problem.theory.decls if isinstance(d, TypeDecl)]
-        per_decls = [d for d in erased.problem.theory.decls
+        per_decls = [d for d in erased.theory.decls
                      if isinstance(d, ConstDecl) and d.label.endswith("_type")
                      and d.label.startswith("per_")]
-        functional = [d for d in erased.problem.theory.decls
+        functional = [d for d in erased.theory.decls
                       if isinstance(d, Axiom) and d.label.endswith("_functional")]
         assert len(per_decls) == len(source_types), seed
         assert len(functional) == len(source_types), seed
@@ -276,9 +276,9 @@ def test_th0_printer_matches_erasing_each_task(seed, conjecture, spots, rng):
     printer = TH0Printer(problem)
     for ob in obligations:
         sub = obligation_problem(problem, ob)
-        assert printer.print(sub) == print_th0(erase_problem(sub).problem)
+        assert printer.print(sub) == print_th0(erase_problem(sub))
     for assumed in ((), tuple(obligations)):
-        expected = print_th0(erase_problem(problem, assume_obligations=assumed).problem)
+        expected = print_th0(erase_problem(problem, assume_obligations=assumed))
         assert printer.print(problem, assumed) == expected
 
 
@@ -289,7 +289,7 @@ def test_th0_printer_renames_a_per_where_a_later_name_takes_it(fixtures_dir):
     pers = {}
     for ob in report.obligations:
         text = printer.print(obligation_problem(problem, ob))
-        assert text == print_th0(erase_problem(obligation_problem(problem, ob)).problem)
+        assert text == print_th0(erase_problem(obligation_problem(problem, ob)))
         pers[ob.label] = "per_nat_ @" in text, "per_nat @" in text
     assert pers["ob1"] == pers["ob2"] == (False, True)
     assert all(pers[f"ob{k}"] == (True, True) for k in range(3, 9))

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtf.cli import EXIT_PARSE, run
-from dtf.diagnostics import Span, error
-from dtf.syntax import _PUNCT, Token, _SyntaxError, parse_problem, tokenize
+from dtf.diagnostics import DiagnosticError as _SyntaxError, Span, error
+from dtf.syntax import _PUNCT, Token, parse_problem, tokenize
 
 # -- diagnostics ------------------------------------------------------------------
 

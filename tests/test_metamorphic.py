@@ -73,7 +73,7 @@ def _report_key(report) -> tuple:
 
 def _translate(problem, report) -> str:
     """What `dtf translate --assume-obligations` prints for a checked problem."""
-    return print_th0(erase_problem(problem, tuple(report.obligations)).problem)
+    return print_th0(erase_problem(problem, tuple(report.obligations)))
 
 
 def _reparse(problem) -> Problem:

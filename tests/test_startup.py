@@ -27,7 +27,7 @@ HOMES = {
     "deep": ["CheckReport", "DeepChecker", "Obligation", "check_problem",
              "export_obligations"],
     "diagnostics": ["Diagnostic", "Span"],
-    "erasure": ["ErasedProblem", "erase_problem", "erase_type"],
+    "erasure": ["erase_problem", "erase_type"],
     "printer": ["format_term", "format_type", "print_problem", "print_th0"],
     "prover": ["ProverConfig", "ProverResult", "SzsVerdict", "run_prover"],
     "shallow": ["check_shallow", "skeletonize"],

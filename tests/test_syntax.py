@@ -390,6 +390,23 @@ def test_include_cycle_detected_when_the_back_edge_is_spelled_differently(tmp_pa
     assert [d.format() for d in diags] == ["b.ax:1:1: error: circular include of '../d/a.p'"]
 
 
+def test_include_cycle_through_a_symbolic_link(tmp_path, monkeypatch):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "link").symlink_to(".")
+    (d / "a.p").write_text("include('link/a.p').\n")
+    (d / "ax.ax").write_text("thf(t_type, type, t: $tType).\n")
+    (d / "twice.p").write_text("include('ax.ax').\ninclude('link/ax.ax').\n")
+    monkeypatch.chdir(d)
+    diags = parse_file("a.p")
+    assert isinstance(diags, list)
+    assert [d.format() for d in diags] == ["a.p:1:1: error: circular include of 'link/a.p'"]
+    # One file reached by two spellings is included twice, not a cycle.
+    diags = parse_file("twice.p")
+    assert isinstance(diags, list)
+    assert [d.format() for d in diags] == ["link/ax.ax:1:19: error: duplicate declaration of 't'"]
+
+
 def test_include_missing_file(tmp_path):
     main = tmp_path / "main.p"
     main.write_text("include('nope.ax').\n")
