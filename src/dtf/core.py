@@ -8,8 +8,8 @@ canonical comparison and substitution freshens on capture.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 
 from .diagnostics import Span
 
@@ -20,10 +20,59 @@ class NameKind(Enum):
     VAR = "variable"
 
 
-@dataclass(frozen=True)
-class Name:
-    text: str
-    kind: NameKind
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable records: equal when of one class with equal
+    `_fields`, which the hash and the repr read too.  `__init__` sets each slot
+    through `object.__setattr__`; assigning or deleting a field afterwards raises."""
+
+    __slots__ = _fields = ()
+    _key = staticmethod(lambda record: ())
+
+    def __init_subclass__(cls) -> None:
+        if cls.__dict__.get("_fields"):
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Name(Record):
+    """A symbol or variable name.  Every lookup compares and hashes one, so both
+    are written out; the hash reads the text only."""
+
+    __slots__ = _fields = ("text", "kind")
+
+    def __init__(self, text: str, kind: NameKind):
+        _set(self, "text", text)
+        _set(self, "kind", kind)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return other.__class__ is Name and self.text == other.text and self.kind is other.kind
+
+    def __hash__(self) -> int:
+        return hash(self.text)
 
     def __str__(self) -> str:
         return self.text
@@ -33,28 +82,35 @@ class Name:
 # Types
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     """Base of the types, terms and declarations: where the node was written,
     left out of equality."""
 
-    span: Span | None = field(default=None, compare=False, kw_only=True)
+    __slots__ = ("span",)
+
+    def __init__(self, *, span: Span | None = None):
+        _set(self, "span", span)
 
 
 class Type(Node):
     """A base type applied to term arguments, a dependent product, or $o."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class BaseApp(Type):
     """A declared base-type symbol applied to term arguments, e.g. list @ N."""
 
-    head: Name
-    args: tuple = ()
+    __slots__ = _fields = ("head", "args")
+
+    def __init__(self, head: Name, args: tuple = (), *, span: Span | None = None):
+        _set(self, "head", head)
+        _set(self, "args", args)
+        _set(self, "span", span)
 
 
 class BoolType(Type):
-    pass
+    __slots__ = ()
 
 
 BOOL = BoolType()
@@ -75,24 +131,31 @@ def is_type_kind(ty: Type) -> bool:
 class Term(Node):
     """A term; the formulae are the terms of type $o."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Var(Term):
-    name: Name
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: Name, *, span: Span | None = None):
+        _set(self, "name", name)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Const(Term):
-    name: Name
+    __slots__ = _fields = ("name",)
+    __init__ = Var.__init__
 
 
-@dataclass(frozen=True)
 class App(Term):
-    fun: Term
-    arg: Term
+    __slots__ = _fields = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term, *, span: Span | None = None):
+        _set(self, "fun", fun)
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Binder(Term):
     """A variable, its type (`domain`) and the scope it is bound in (`body`).
 
@@ -100,26 +163,34 @@ class Binder(Term):
     is their TPTP symbol.  Equality and repr still tell them apart.
     """
 
-    binder: Name
-    domain: Type
-    body: Term
+    __slots__ = _fields = ("binder", "domain", "body")
+
+    def __init__(self, binder: Name, domain: Type, body: Term, *, span: Span | None = None):
+        _set(self, "binder", binder)
+        _set(self, "domain", domain)
+        _set(self, "body", body)
+        _set(self, "span", span)
 
 
 class Lam(Binder):
+    __slots__ = ()
     op = "^"
 
 
 class Forall(Binder):
+    __slots__ = ()
     op = "!"
 
 
 class Exists(Binder):
+    __slots__ = ()
     op = "?"
 
 
 class Choice(Binder):
     """Hilbert choice: some x of the domain satisfying the body."""
 
+    __slots__ = ()
     op = "@+"
 
 
@@ -127,6 +198,7 @@ class Pi(Binder, Type):
     """Dependent function type, the one type binder; prints as A > B when the
     binder is unused."""
 
+    __slots__ = ()
     op = "!>"
 
     @property
@@ -135,32 +207,40 @@ class Pi(Binder, Type):
         return self.body
 
 
-@dataclass(frozen=True)
 class Connective(Term):
     """A binary connective; `op` is the TPTP symbol of each subclass."""
 
-    left: Term
-    right: Term
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term, *, span: Span | None = None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "span", span)
 
 
 class Implies(Connective):
+    __slots__ = ()
     op = "=>"
 
 
 class And(Connective):
+    __slots__ = ()
     op = "&"
 
 
 class Or(Connective):
+    __slots__ = ()
     op = "|"
 
 
-@dataclass(frozen=True)
 class Not(Term):
-    arg: Term
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Term, *, span: Span | None = None):
+        _set(self, "arg", arg)
+        _set(self, "span", span)
 
 
-@dataclass(frozen=True)
 class Eq(Term):
     """Typed equality; `at` is the type both sides inhabit.
 
@@ -169,75 +249,103 @@ class Eq(Term):
     simply typed skeleton, which the checkers reject before anything reads it.
     """
 
-    left: Term
-    right: Term
-    at: Type | None = None
+    __slots__ = _fields = ("left", "right", "at")
+
+    def __init__(self, left: Term, right: Term, at: Type | None = None, *, span: Span | None = None):
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "at", at)
+        _set(self, "span", span)
 
 
 class Top(Term):
-    pass
+    __slots__ = ()
 
 
 class Bottom(Term):
-    pass
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # Declarations, theories, contexts
 
 
-@dataclass(frozen=True)
 class Decl(Node):
     """Base of the declarations: also the file each was read from, left out of equality."""
 
-    path: str | None = field(default=None, compare=False, kw_only=True)
+    __slots__ = ("path",)
 
 
-@dataclass(frozen=True)
 class TypeDecl(Decl):
     """Base-type symbol with a telescope of term-argument types."""
 
-    name: Name
-    telescope: tuple = ()  # tuple[(Name, Type), ...]
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("name", "telescope", "label")
+    _fields = ("name", "telescope")
+
+    def __init__(self, name: Name, telescope: tuple = (), label: str | None = None, *,
+                 span: Span | None = None, path: str | None = None):
+        _set(self, "name", name)
+        _set(self, "telescope", telescope)  # tuple[(Name, Type), ...]
+        _set(self, "label", label)
+        _set(self, "span", span)
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True)
 class ConstDecl(Decl):
-    name: Name
-    ty: Type
-    label: str | None = field(default=None, compare=False)
+    __slots__ = ("name", "ty", "label")
+    _fields = ("name", "ty")
+
+    def __init__(self, name: Name, ty: Type, label: str | None = None, *,
+                 span: Span | None = None, path: str | None = None):
+        _set(self, "name", name)
+        _set(self, "ty", ty)
+        _set(self, "label", label)
+        _set(self, "span", span)
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True)
 class Axiom(Decl):
-    label: str
-    formula: Term
-    role: str = "axiom"  # axiom | lemma | hypothesis | definition | conjecture
+    __slots__ = _fields = ("label", "formula", "role")
+
+    def __init__(self, label: str, formula: Term, role: str = "axiom", *,
+                 span: Span | None = None, path: str | None = None):
+        _set(self, "label", label)
+        _set(self, "formula", formula)
+        _set(self, "role", role)  # axiom | lemma | hypothesis | definition | conjecture
+        _set(self, "span", span)
+        _set(self, "path", path)
 
 
-@dataclass(frozen=True)
-class Theory:
-    decls: tuple = ()
+class Theory(Record):
+    __slots__ = _fields = ("decls",)
+
+    def __init__(self, decls: tuple = ()):
+        _set(self, "decls", decls)
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: Name
-    ty: Type
+class VarDecl(Record):
+    __slots__ = _fields = ("name", "ty")
+
+    def __init__(self, name: Name, ty: Type):
+        _set(self, "name", name)
+        _set(self, "ty", ty)
 
 
-@dataclass(frozen=True)
-class Assumption:
+class Assumption(Record):
     """A formula assumed in context; label is set when seeded from an axiom."""
 
-    formula: Term
-    label: str | None = None
+    __slots__ = _fields = ("formula", "label")
+
+    def __init__(self, formula: Term, label: str | None = None):
+        _set(self, "formula", formula)
+        _set(self, "label", label)
 
 
-@dataclass(frozen=True)
-class Context:
-    entries: tuple = ()
+class Context(Record):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple = ()):
+        _set(self, "entries", entries)
 
     def push_var(self, name: Name, ty: Type) -> "Context":
         return Context(self.entries + (VarDecl(name, ty),))

@@ -15,7 +15,6 @@ be exported as self-contained problems.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 from .core import (
     BOOL,
@@ -41,6 +40,7 @@ from .core import (
     NormalizationBudgetExceeded,
     Or,
     Pi,
+    Record,
     Term,
     Theory,
     Top,
@@ -61,27 +61,31 @@ from .shallow import check_shallow
 from .syntax import Problem
 
 
-@dataclass(frozen=True)
-class Obligation:
-    """A proof obligation produced while checking one formula."""
+class Obligation(Record):
+    """A proof obligation produced while checking one formula: its `formula` is
+    the closed form, the context discharged into the goal, and `theory_prefix`
+    counts the leading theory declarations visible to it."""
 
-    label: str
-    context: Context
-    goal: Term
-    origin: str
-    formula: Term                 # closed form: context discharged into the goal
-    theory_prefix: int            # how many leading theory declarations are visible
-    source_span: Span | None = None
-    discharged_by: str | None = None
+    __slots__ = _fields = ("label", "context", "goal", "origin", "formula", "theory_prefix",
+                           "source_span", "discharged_by")
+
+    def __init__(self, label: str, context: Context, goal: Term, origin: str, formula: Term,
+                 theory_prefix: int, source_span: Span | None = None,
+                 discharged_by: str | None = None):
+        for name, value in zip(self._fields, (label, context, goal, origin, formula,
+                                              theory_prefix, source_span, discharged_by)):
+            object.__setattr__(self, name, value)
 
 
-@dataclass
-class CheckReport:
-    """Everything the deep checker found for one problem."""
+class CheckReport(Record):
+    """Everything the deep checker found for one problem: the residual
+    obligations, those discharged by an assumption, and the diagnostics."""
 
-    obligations: list = field(default_factory=list)   # residual
-    discharged: list = field(default_factory=list)    # matched an assumption
-    diagnostics: list = field(default_factory=list)
+    __slots__ = _fields = ("obligations", "discharged", "diagnostics")
+
+    def __init__(self, obligations: list, discharged: list, diagnostics: list):
+        for name, value in zip(self._fields, (obligations, discharged, diagnostics)):
+            object.__setattr__(self, name, value)
 
     @property
     def ok(self) -> bool:
@@ -379,19 +383,11 @@ def check_problem(problem) -> CheckReport:
     formulae; each obligation records how many theory declarations it may
     rely on.
     """
-    report = CheckReport()
     if problem.polymorphic:  # check_shallow's one diagnostic
-        report.diagnostics = check_shallow(problem)
-        return report
-
+        return CheckReport([], [], check_shallow(problem))
     checker = DeepChecker(path=problem.path)
-    for decl in problem.decls():
-        diagnostic = checker.check_decl(decl)
-        if diagnostic is not None:
-            report.diagnostics.append(diagnostic)
-    report.obligations = checker.obligations
-    report.discharged = checker.discharged
-    return report
+    diagnostics = [d for d in map(checker.check_decl, problem.decls()) if d is not None]
+    return CheckReport(checker.obligations, checker.discharged, diagnostics)
 
 
 def obligation_problem(problem, ob: Obligation):

@@ -15,7 +15,9 @@ import subprocess
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .core import Record
 
 DEFAULT_TIMEOUT = 30.0
 PROVER_ENV_VAR = "DTF_PROVER"
@@ -27,24 +29,23 @@ KNOWN_STATUSES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class ProverConfig:
-    command: str
-    timeout: float = DEFAULT_TIMEOUT
+class ProverConfig(Record):
+    __slots__ = _fields = ("command", "timeout")
 
-    def __post_init__(self) -> None:
-        if self.command.count("{file}") != 1:
+    def __init__(self, command: str, timeout: float = DEFAULT_TIMEOUT):
+        if command.count("{file}") != 1:
             raise ValueError(
                 "prover command must contain exactly one '{file}' placeholder")
-        if self.timeout <= 0:
+        if timeout <= 0:
             raise ValueError("prover timeout must be positive")
+        object.__setattr__(self, "command", command)
+        object.__setattr__(self, "timeout", timeout)
 
     def argv(self, path: str) -> list:
         return [part.replace("{file}", path) for part in shlex.split(self.command)]
 
 
-@dataclass(frozen=True)
-class SzsVerdict:
+class SzsVerdict(NamedTuple):
     status: str                # canonical word (member of KNOWN_STATUSES)
     raw: str | None = None     # the exact status line, when one was seen
 
@@ -53,8 +54,7 @@ class SzsVerdict:
         return self.status == "Theorem"
 
 
-@dataclass(frozen=True)
-class ProverResult:
+class ProverResult(NamedTuple):
     verdict: SzsVerdict
     stdout: str
     stderr: str

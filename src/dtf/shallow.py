@@ -7,7 +7,7 @@ skeletons catches arity and head mismatches without proving anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     App,
@@ -37,19 +37,17 @@ from .diagnostics import Diagnostic, Span, error
 
 
 # ---------------------------------------------------------------------------
-# Simple types
+# Simple types: named tuples of different lengths, so no two kinds compare equal
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(NamedTuple):
     head: Name
 
     def __str__(self) -> str:
         return self.head.text
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     arg: Base | Arrow | SBool
     res: Base | Arrow | SBool
 
@@ -58,8 +56,7 @@ class Arrow:
         return f"{arg} > {self.res}"
 
 
-@dataclass(frozen=True)
-class SBool:
+class SBool(NamedTuple):
     def __str__(self) -> str:
         return "$o"
 

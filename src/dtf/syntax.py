@@ -11,7 +11,6 @@ import gc
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import core
@@ -149,86 +148,90 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# Surface trees
+# Surface trees: plain slotted classes, since the parser builds each node
+# once, nothing compares two of them, and the elaborator only reads them.
 
 
-@dataclass(slots=True, eq=False)
 class SName:
-    category: str  # lower|upper|dollar|quoted
-    text: str
-    span: Span
+    __slots__ = ("category", "text", "span")  # category: lower|upper|dollar|quoted
+
+    def __init__(self, category: str, text: str, span: Span):
+        self.category, self.text, self.span = category, text, span
 
 
-@dataclass(slots=True, eq=False)
 class SApp:
-    fun: object
-    arg: object
-    span: Span
+    __slots__ = ("fun", "arg", "span")
+
+    def __init__(self, fun, arg, span: Span):
+        self.fun, self.arg, self.span = fun, arg, span
 
 
-@dataclass(slots=True, eq=False)
 class SBin:
-    op: str  # & | => <= <=> <~> >
-    left: object
-    right: object
-    span: Span
+    __slots__ = ("op", "left", "right", "span")  # op: & | => <= <=> <~> >
+
+    def __init__(self, op: str, left, right, span: Span):
+        self.op, self.left, self.right, self.span = op, left, right, span
 
 
-@dataclass(slots=True, eq=False)
 class SNot:
-    operand: object
-    span: Span
+    __slots__ = ("operand", "span")
+
+    def __init__(self, operand, span: Span):
+        self.operand, self.span = operand, span
 
 
-@dataclass(slots=True, eq=False)
 class SEq:
-    left: object
-    right: object
-    negated: bool
-    span: Span
+    __slots__ = ("left", "right", "negated", "span")
+
+    def __init__(self, left, right, negated: bool, span: Span):
+        self.left, self.right, self.negated, self.span = left, right, negated, span
 
 
-@dataclass(slots=True, eq=False)
 class SBinder:
-    op: str  # ! ? ^ !> @+
-    variables: tuple  # tuple[(SName, surface-type), ...]
-    body: object
-    span: Span
+    # op: ! ? ^ !> @+; variables: tuple[(SName, surface-type), ...]
+    __slots__ = ("op", "variables", "body", "span")
+
+    def __init__(self, op: str, variables: tuple, body, span: Span):
+        self.op, self.variables, self.body, self.span = op, variables, body, span
 
 
-@dataclass(slots=True, eq=False)
 class STyping:
-    subject: SName
-    ty: object
-    span: Span
+    __slots__ = ("subject", "ty", "span")
+
+    def __init__(self, subject: SName, ty, span: Span):
+        self.subject, self.ty, self.span = subject, ty, span
 
 
-@dataclass(slots=True, eq=False)
 class AnnotatedFormula:
-    name: str
-    role: str
-    body: object  # surface tree (STyping for role type)
-    span: Span | None = None
-    path: str | None = None  # of the file it was read from
+    """One annotated formula as parsed; its body is a surface tree (an
+    STyping for role type), and its path the file it was read from."""
+
+    __slots__ = ("name", "role", "body", "span", "path")
+
+    def __init__(self, name: str, role: str, body, span: Span | None = None,
+                 path: str | None = None):
+        self.name, self.role, self.body, self.span, self.path = name, role, body, span, path
 
 
-@dataclass(slots=True, eq=False)
 class _Include:
-    path: str
-    span: Span
+    __slots__ = ("path", "span")
+
+    def __init__(self, path: str, span: Span):
+        self.path, self.span = path, span
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(core.Record):
     """An elaborated problem: the core theory, its conjecture as an Axiom of role
     "conjecture", and how many formulae had each role."""
 
-    roles: tuple = ()  # (role, count) pairs, in order of first appearance
-    theory: Theory = Theory()
-    goal: Axiom | None = None
-    polymorphic: bool = False
-    path: str | None = None
-    warnings: tuple = ()
+    # roles holds (role, count) pairs, in order of first appearance.
+    _fields = ("roles", "theory", "goal", "polymorphic", "path", "warnings")
+    __slots__ = (*_fields, "__weakref__")
+
+    def __init__(self, roles: tuple = (), theory: Theory = Theory(), goal: Axiom | None = None,
+                 polymorphic: bool = False, path: str | None = None, warnings: tuple = ()):
+        for name, value in zip(self._fields, (roles, theory, goal, polymorphic, path, warnings)):
+            object.__setattr__(self, name, value)
 
     def role_counts(self) -> dict:
         return dict(self.roles)
@@ -853,36 +856,42 @@ class _Elaborator:
 # Entry points
 
 
-def _resolve_includes(items: list, path: str | None, seen: set,
+def _resolve_includes(items: list, path: str | None, shown: str | None, seen: set,
                       diagnostics: list[Diagnostic], warnings_out: list[Diagnostic]) -> list:
+    """Splice in the included files; `path` is the including file as opened,
+    `shown` its name in diagnostics."""
     resolved: list = []
     for item in items:
         if not isinstance(item, _Include):
             resolved.append(item)
             continue
-        # Named relative to the including file's path as typed; `seen` holds
-        # real paths, so a cycle is caught however a path is spelled, symbolic
-        # links included.
-        target = os.path.normpath(os.path.join(os.path.dirname(path or ""), item.path))
+        # Opened as joined, so that `..` after a symbolic link leads where the
+        # file system leads, and named relative to the including file's path as
+        # typed: normalized when that names the same file.  `seen` holds real
+        # paths, so a cycle is caught however a path is spelled.
+        target = os.path.join(os.path.dirname(path or ""), item.path)
         real = os.path.realpath(target)
         if real in seen:
-            diagnostics.append(error(f"circular include of {item.path!r}", item.span, path))
+            diagnostics.append(error(f"circular include of {item.path!r}", item.span, shown))
             continue
+        name = os.path.normpath(target)
+        if os.path.realpath(name) != real:
+            name = target
         try:
             with open(target, encoding="utf-8") as handle:
                 text = handle.read()
         except OSError as exc:
-            diagnostics.append(error(f"cannot read include {item.path!r}: {exc.strerror or exc}", item.span, path))
+            diagnostics.append(error(f"cannot read include {item.path!r}: {exc.strerror or exc}", item.span, shown))
             continue
         try:
-            tokens = tokenize(text, target)
+            tokens = tokenize(text, name)
         except DiagnosticError as exc:
             diagnostics.append(exc.diagnostic)
             continue
-        sub_items, sub_diags, sub_warns = _Parser(tokens, target).parse_items()
+        sub_items, sub_diags, sub_warns = _Parser(tokens, name).parse_items()
         diagnostics.extend(sub_diags)
         warnings_out.extend(sub_warns)
-        resolved.extend(_resolve_includes(sub_items, target, seen | {real},
+        resolved.extend(_resolve_includes(sub_items, target, name, seen | {real},
                                           diagnostics, warnings_out))
     return resolved
 
@@ -910,7 +919,7 @@ def _parse_problem(text: str, path: str | None):
     except DiagnosticError as exc:
         return [exc.diagnostic]
     items, diagnostics, warns = _Parser(tokens, path).parse_items()
-    items = _resolve_includes(items, path, {os.path.realpath(path)} if path else set(),
+    items = _resolve_includes(items, path, path, {os.path.realpath(path)} if path else set(),
                               diagnostics, warns)
     if diagnostics:
         return diagnostics

@@ -1,7 +1,5 @@
 """The deep check must not depend on the names of bound variables."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,13 +87,14 @@ def bound_names(problem: Problem) -> list:
 
 
 def rename_problem(problem: Problem, pick) -> Problem:
-    decls = tuple(
-        dataclasses.replace(d, formula=rename_bound(d.formula, pick)) if isinstance(d, Axiom) else d
-        for d in problem.theory.decls)
-    goal = problem.goal
-    if goal is not None:
-        goal = dataclasses.replace(goal, formula=rename_bound(goal.formula, pick))
-    return dataclasses.replace(problem, theory=Theory(decls), goal=goal)
+    def rename(d):
+        if not isinstance(d, Axiom):
+            return d
+        return Axiom(d.label, rename_bound(d.formula, pick), d.role, span=d.span, path=d.path)
+
+    goal = problem.goal and rename(problem.goal)
+    return Problem(problem.roles, Theory(tuple(map(rename, problem.theory.decls))), goal,
+                   problem.polymorphic, problem.path, problem.warnings)
 
 
 def rename_pool(problem: Problem) -> list:

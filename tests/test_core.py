@@ -1,5 +1,7 @@
 """Core AST: substitution, alpha-equivalence, normalization."""
 
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,9 +37,12 @@ from dtf.core import (
     substitute,
     term_size,
 )
-from dtf.diagnostics import Span
+from dtf.diagnostics import Diagnostic, Span, error, warning
+from dtf.printer import print_problem
+from dtf.prover import SzsVerdict
+from dtf.syntax import Problem, parse_problem
 
-from genutil import gen_dependent_type
+from genutil import gen_dependent_type, gen_formula_problem
 from theoryutil import theory_alpha_equal
 
 
@@ -414,3 +419,82 @@ def test_pi_is_the_type_binder_and_stays_apart_from_the_term_binders():
     assert renamed.codomain == base("vec", v("Y"), Var(renamed.binder))
     redex = Pi(Y, NAT, base("vec", App(Lam(X, NAT, v("X")), c("a"))))
     assert beta_eta_normalize(redex) == Pi(Y, NAT, base("vec", c("a")))
+
+
+# -- the records: equality, hash, repr and immutability --------------------------------
+
+
+def _pairs(a, b):
+    """The compared parts of two declarations, paired: each declaration, then its
+    formula, type or telescope types."""
+    yield a, b
+    if isinstance(a, Axiom):
+        yield a.formula, b.formula
+    elif isinstance(a, ConstDecl):
+        yield a.ty, b.ty
+    else:
+        yield from ((x, y) for (_, x), (_, y) in zip(a.telescope, b.telescope))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_problem_parsed_at_other_lines_is_equal_apart_from_spans(seed):
+    text = print_problem(gen_formula_problem(seed))
+    first, second = parse_problem(text), parse_problem("\n\n" + text)
+    assert isinstance(first, Problem) and isinstance(second, Problem)
+    assert len(first.decls()) == len(second.decls())
+    for one, other in zip(first.decls(), second.decls()):
+        for a, b in _pairs(one, other):
+            assert a.span.line + 2 == b.span.line
+            assert a == b and hash(a) == hash(b), (a, b)
+
+
+def test_binders_of_one_binder_domain_and_body_are_pairwise_unequal():
+    made = [cls(X, NAT, Eq(v("X"), v("X"), NAT)) for cls in (Forall, Exists, Lam, Pi)]
+    for i, a in enumerate(made):
+        for b in made[i + 1:]:
+            assert a != b and b != a, (a, b)
+    assert [repr(b).split("(")[0] for b in made] == ["Forall", "Exists", "Lam", "Pi"]
+    assert repr(made[0]) == ("Forall(binder=Name(text='X', kind=<NameKind.VAR: 'variable'>), "
+                             "domain=" + repr(NAT) + ", body=" + repr(made[0].body) + ")")
+
+
+@pytest.mark.parametrize("cls, rest", [(TypeDecl, ((),)), (ConstDecl, (NAT,))],
+                         ids=["TypeDecl", "ConstDecl"])
+def test_type_and_constant_declarations_ignore_label_span_and_path(cls, rest):
+    name = Name("a", NameKind.CONST)
+    made = [cls(name, *rest), cls(name, *rest, "a_type"), cls(name, *rest, "other"),
+            cls(name, *rest, span=Span(2, 1, 3)), cls(name, *rest, path="inc.ax")]
+    assert all(d == made[0] and hash(d) == hash(made[0]) for d in made)
+    assert "label" not in repr(made[1]) and "inc.ax" not in repr(made[4])
+    assert cls(Name("b", NameKind.CONST), *rest) != made[0]
+
+
+@pytest.mark.parametrize("node, field", [
+    (v("X"), "name"), (Forall(X, NAT, Top()), "body"), (NAT, "args"), (Top(), "span"),
+    (Axiom("ax", Top()), "path"), (Theory(()), "decls"), (X, "text"), (Problem(), "goal"),
+])
+def test_assigning_or_deleting_a_field_raises(node, field):
+    with pytest.raises(AttributeError):
+        setattr(node, field, None)
+    with pytest.raises(AttributeError):
+        delattr(node, field)
+    with pytest.raises(AttributeError):
+        node.no_such_field = 1
+
+
+def test_a_problem_can_be_weakly_referenced():
+    problem = parse_problem("thf(nat_type, type, nat: $tType).\n")
+    ref = weakref.ref(problem)
+    assert ref() is problem
+    del problem
+    assert ref() is None
+
+
+def test_diagnostics_and_verdicts_compare_by_value():
+    where = Span(1, 2, 3)
+    assert error("m", where, "a.p") == Diagnostic("error", where, "m", "a.p")
+    assert error("m", where, "a.p") != warning("m", where, "a.p")
+    assert error("m", where, "a.p") != error("m", where, "b.p")
+    assert hash(error("m", where)) == hash(error("m", where))
+    assert SzsVerdict("Theorem") == SzsVerdict("Theorem", None) != SzsVerdict("Theorem", "x")
+    assert SzsVerdict("Theorem").proved and not SzsVerdict("GaveUp").proved

@@ -103,6 +103,43 @@ def test_only_solve_loads_the_process_stack():
     assert HEAVY | PROCESS_STACK <= new
 
 
+# `dataclasses` costs about 10 ms to import and pulls in `inspect`, `ast` and
+# `dis`; the records are written out by hand so that no process pays for it.
+CODEGEN = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--print", "corpus/vect.p"],
+    ["check", "corpus/vect.p"],
+    ["check", "--deep", "corpus/vect.p"],
+    ["stats", "corpus/vect.p"],
+    ["translate", "--assume-obligations", "corpus/vect.p"],
+    ["obligations", "corpus/vect.p", "--out-dir", "{tmp}"],
+    ["solve", "corpus/list_append.p", "--prover", "sh perfbench/fake_prover.sh {file}"],
+], ids=["parse", "check", "check-deep", "stats", "translate", "obligations", "solve"])
+def test_no_subcommand_loads_dataclasses_or_inspect(argv, tmp_path):
+    new = loaded_by([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert "dtf.cli" in new
+    assert not new & CODEGEN
+
+
+def imported_by(*args: str) -> set:
+    """The modules a new interpreter imports, read from `-X importtime`."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=REPO, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_python_m_dtf_check_on_an_empty_file_loads_neither(tmp_path):
+    empty = tmp_path / "empty.p"
+    empty.write_text("")
+    loaded = imported_by("-m", "dtf", "check", str(empty)) - imported_by("-c", "pass")
+    assert {"dtf", "dtf.cli", "dtf.core", "dtf.syntax"} <= loaded
+    assert not loaded & CODEGEN
+
+
 def test_importing_the_package_loads_no_submodule():
     loaded = fresh("import json, sys, dtf\n"
                    "print(json.dumps([m for m in sys.modules if m.startswith('dtf.')]))")

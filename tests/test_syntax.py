@@ -407,6 +407,30 @@ def test_include_cycle_through_a_symbolic_link(tmp_path, monkeypatch):
     assert [d.format() for d in diags] == ["link/ax.ax:1:19: error: duplicate declaration of 't'"]
 
 
+def test_include_dot_dot_after_a_symbolic_link_reads_what_the_file_system_reads(tmp_path,
+                                                                               monkeypatch):
+    # link/../x.ax is sub/x.ax, as `cat` reads it, not the x.ax that normpath names.
+    f = tmp_path / "f"
+    (f / "sub" / "inner").mkdir(parents=True)
+    (f / "link").symlink_to("sub/inner")
+    (f / "x.ax").write_text("include('y.ax').\nthf(u_type, type, u: $tType).\n")
+    (f / "y.ax").write_text("thf(w_type, type, w: $tType).\n")
+    (f / "sub" / "x.ax").write_text("include('y.ax').\nthf(t_type, type, t: $tType).\n")
+    (f / "sub" / "y.ax").write_text("thf(v_type, type, v: $tType).\n")
+    (f / "main.p").write_text("include('link/../x.ax').\ninclude('./sub/y.ax').\n")
+    monkeypatch.chdir(f)
+    diags = parse_file("main.p")
+    # The second include repeats sub/y.ax, under its normalized name.
+    assert [d.format() for d in diags] == ["sub/y.ax:1:19: error: duplicate declaration of 'v'"]
+    (f / "main.p").write_text("include('link/../x.ax').\n")
+    problem = parse_file("main.p")
+    assert isinstance(problem, Problem)
+    # Each file is named by the path it was opened as, since the normalized
+    # name would be another file.
+    assert [(d.name.text, d.path) for d in problem.theory.decls] == [
+        ("v", "link/../y.ax"), ("t", "link/../x.ax")]
+
+
 def test_include_missing_file(tmp_path):
     main = tmp_path / "main.p"
     main.write_text("include('nope.ax').\n")
