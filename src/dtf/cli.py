@@ -75,14 +75,24 @@ def _run_checks(problem: Problem, deep: bool = True):
 # Subcommands
 
 
-def cmd_parse(args) -> int:
+def _each_problem(paths, one) -> int:
+    """Call one(path, problem) on each file that loads; returns the worst exit code.
+
+    Only one file's problem is alive at a time: it, and all that one made of
+    it, is freed before the next file is parsed.
+    """
     worst = EXIT_OK
-    many = len(args.files) > 1
-    for path in args.files:
+    for path in paths:
         problem = _load(path)
-        if problem is None:
-            worst = max(worst, EXIT_PARSE)
-            continue
+        worst = max(worst, EXIT_PARSE if problem is None else one(path, problem))
+        del problem
+    return worst
+
+
+def cmd_parse(args) -> int:
+    many = len(args.files) > 1
+
+    def one(path, problem) -> int:
         if args.print:
             if many:
                 print(f"% {path}")
@@ -92,21 +102,18 @@ def cmd_parse(args) -> int:
             summary = ", ".join(f"{role}: {n}" for role, n in sorted(counts.items()))
             prefix = f"{path}: " if many else ""
             print(f"{prefix}parsed {sum(counts.values())} formulae ({summary})")
-    return worst
+        return EXIT_OK
+
+    return _each_problem(args.files, one)
 
 
 def cmd_check(args) -> int:
-    worst = EXIT_OK
     many = len(args.files) > 1
-    for path in args.files:
-        problem = _load(path)
-        if problem is None:
-            worst = max(worst, EXIT_PARSE)
-            continue
+
+    def one(path, problem) -> int:
         code, report = _run_checks(problem, deep=args.deep)
-        worst = max(worst, code)
         if report is None:
-            continue  # a failure, or a silent shallow success
+            return code  # a failure, or a silent shallow success
         if many:
             print(f"% {path}")
         shown = list(report.obligations)
@@ -116,7 +123,9 @@ def cmd_check(args) -> int:
             _print_obligation(ob)
         print(f"obligations: {len(report.obligations)} residual, "
               f"{len(report.discharged)} discharged")
-    return worst
+        return code
+
+    return _each_problem(args.files, one)
 
 
 def _print_obligation(ob) -> None:
@@ -179,16 +188,12 @@ def cmd_translate(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    worst = EXIT_OK
-    first = True
-    for path in args.files:
-        problem = _load(path)
-        if problem is None:
-            worst = max(worst, EXIT_PARSE)
-            continue
-        if not first:
+    shown = []  # the files summarized so far
+
+    def one(path, problem) -> int:
+        if shown:
             print()
-        first = False
+        shown.append(path)
         counts = problem.role_counts()
         type_decls = [d for d in problem.theory.decls if isinstance(d, TypeDecl)]
         consts = sum(1 for d in problem.theory.decls if isinstance(d, ConstDecl))
@@ -206,7 +211,9 @@ def cmd_stats(args) -> int:
         print(f"term size: {size}")
         print(f"conjecture: {problem.conjecture_name or 'none'}")
         print(f"polymorphic: {'yes' if problem.polymorphic else 'no'}")
-    return worst
+        return EXIT_OK
+
+    return _each_problem(args.files, one)
 
 
 def cmd_solve(args) -> int:

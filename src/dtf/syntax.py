@@ -321,10 +321,17 @@ class _Parser:
     # -- items ----------------------------------------------------------
 
     def parse_items(self) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
+        """Parse every item.  The tokens of each finished item are released
+        before the next item is parsed, so the tokens and the trees built
+        from them are never all alive at once."""
         items: list = []
         diagnostics: list[Diagnostic] = []
         warnings_out: list[Diagnostic] = []
+        start = 0
         while self.peek().kind != "eof":
+            # Overwritten in place, so that releasing stays linear.
+            self.tokens[start:self.pos] = [None] * (self.pos - start)
+            start = self.pos
             try:
                 tok = self.peek()
                 if tok.kind == "lower" and tok.text == "thf":
@@ -883,17 +890,26 @@ def _resolve_includes(items: list, path: str | None, shown: str | None, seen: se
         except OSError as exc:
             diagnostics.append(error(f"cannot read include {item.path!r}: {exc.strerror or exc}", item.span, shown))
             continue
-        try:
-            tokens = tokenize(text, name)
-        except DiagnosticError as exc:
-            diagnostics.append(exc.diagnostic)
+        except UnicodeDecodeError:
+            at, byte = _undecodable(target)
+            diagnostics.append(error(f"cannot read include {item.path!r}: byte {byte:#04x} at line {at.line}, "
+                                     f"column {at.column} is not UTF-8", item.span, shown))
             continue
-        sub_items, sub_diags, sub_warns = _Parser(tokens, name).parse_items()
+        sub_items, sub_diags, sub_warns = _parse_items(text, name)
         diagnostics.extend(sub_diags)
         warnings_out.extend(sub_warns)
         resolved.extend(_resolve_includes(sub_items, target, name, seen | {real},
                                           diagnostics, warnings_out))
     return resolved
+
+
+def _parse_items(text: str, path: str | None) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
+    """Tokenize and parse one file's items; its tokens die with this call."""
+    try:
+        tokens = tokenize(text, path)
+    except DiagnosticError as exc:
+        return [], [exc.diagnostic], []
+    return _Parser(tokens, path).parse_items()
 
 
 def parse_problem(text: str, path: str | None = None):
@@ -914,11 +930,7 @@ def parse_problem(text: str, path: str | None = None):
 
 
 def _parse_problem(text: str, path: str | None):
-    try:
-        tokens = tokenize(text, path)
-    except DiagnosticError as exc:
-        return [exc.diagnostic]
-    items, diagnostics, warns = _Parser(tokens, path).parse_items()
+    items, diagnostics, warns = _parse_items(text, path)
     items = _resolve_includes(items, path, path, {os.path.realpath(path)} if path else set(),
                               diagnostics, warns)
     if diagnostics:
@@ -938,11 +950,27 @@ def _parse_problem(text: str, path: str | None):
     )
 
 
+def _undecodable(path: str) -> tuple[Span, int]:
+    """The span and the value of the first byte of a file that is not UTF-8.
+
+    The file is read again with each such byte escaped to a lone surrogate,
+    so the span counts lines and columns as the tokenizer does."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        text = handle.read()
+    pos = re.search("[\udc80-\udcff]", text).start()
+    line_start = text.rfind("\n", 0, pos) + 1
+    return Span(text.count("\n", 0, pos) + 1, pos - line_start + 1, 1), ord(text[pos]) - 0xDC00
+
+
 def parse_file(path: str):
-    """Read a .p/.ax file (UTF-8) and parse it; see parse_problem."""
+    """Read a .p/.ax file (UTF-8) and parse it; see parse_problem.  A file
+    that cannot be read or decoded is one `cannot read` diagnostic."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         return [error(f"cannot read {path!r}: {exc.strerror or exc}", None, path)]
+    except UnicodeDecodeError:
+        at, byte = _undecodable(path)
+        return [error(f"cannot read {path!r}: byte {byte:#04x} is not UTF-8", at, path)]
     return parse_problem(text, path)

@@ -64,6 +64,18 @@ def test_parse_keeps_going_after_bad_file(corpus_dir, tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
+@pytest.mark.parametrize("command", [["parse"], ["check", "--deep"], ["stats"]], ids=" ".join)
+def test_a_file_that_is_not_utf8_is_located_and_the_files_after_it_still_run(command, corpus_dir,
+                                                                             tmp_path, capsys):
+    first, last = str(corpus_dir / "hol.p"), str(corpus_dir / "vect.p")
+    bad = tmp_path / "bad.p"
+    bad.write_bytes(b"thf(nat_type, type, nat: $tType).\n% \xff\n")
+    assert run([*command, first, str(bad), last]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.err == f"{bad}:2:3: error: cannot read '{bad}': byte 0xff is not UTF-8\n"
+    assert first in captured.out and last in captured.out
+
+
 def test_usage_error():
     assert run(["frobnicate", "x.p"]) == EXIT_PARSE
     assert run([]) == EXIT_PARSE
@@ -100,6 +112,24 @@ def test_each_loaded_problem_is_frozen_and_freed_after_the_next(corpus_dir, monk
     # Freezing keeps nothing alive: reference counting frees the first
     # problem as soon as the second one replaces it.
     assert observed == [(True, [False]), (True, [True, False])]
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "stats"])
+def test_each_problem_is_freed_before_the_next_file_is_parsed(command, corpus_dir, monkeypatch):
+    loaded = []  # a weak reference to each problem, in load order
+    alive = []   # per parse: how many earlier problems are still alive
+    real_parse_file = cli.parse_file
+
+    def recording_parse_file(path):
+        alive.append(sum(ref() is not None for ref in loaded))
+        problem = real_parse_file(path)
+        loaded.append(weakref.ref(problem))
+        return problem
+
+    monkeypatch.setattr(cli, "parse_file", recording_parse_file)
+    files = [str(corpus_dir / name) for name in ("list_append.p", "hol.p", "vect.p")]
+    assert run([command, *files]) == EXIT_OK
+    assert alive == [0, 0, 0]
 
 
 # -- check ----------------------------------------------------------------------

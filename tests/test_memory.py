@@ -1,0 +1,67 @@
+"""The front end's peak memory: each stage frees its input once the next stage
+has consumed it, so the token list never coexists with the trees built from it.
+
+A token costs about 95 times its share of the input, so the token list is the
+largest thing the front end builds.  The peak of parse_problem, measured with
+tracemalloc, is held to 1.2 times the traced size of that list.  When every
+token stays alive until the parse ends, the peak is about 1.5 times that size.
+"""
+
+import tracemalloc
+from functools import cache
+
+import pytest
+
+from dtf.syntax import Problem, parse_file, parse_problem, tokenize
+
+from genutil import load_generator
+
+generate = load_generator()
+
+CASES = [("terms", 0.5), ("terms", 1.0), ("axioms", 1.0)]
+BOUND = 1.2
+# Tracing slows the parse about ninefold, so each family is split only once.
+SPLIT_CASES = [("terms", 0.5), ("axioms", 1.0)]
+
+
+def _traced(call):
+    """(what call() returns, the bytes it left allocated, its peak in bytes)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - base, peak - base
+
+
+@cache
+def _text_and_token_list_size(family: str, scale: float) -> tuple:
+    text = generate.family(family, 7, scale)[0]
+    return text, _traced(lambda: tokenize(text))[1]
+
+
+@pytest.mark.parametrize("family, scale", CASES)
+def test_parse_peaks_near_the_token_list(family, scale):
+    text, tokens = _text_and_token_list_size(family, scale)
+    problem, _, peak = _traced(lambda: parse_problem(text))
+    assert isinstance(problem, Problem)
+    assert peak <= BOUND * tokens, peak / tokens
+
+
+@pytest.mark.parametrize("family, scale", SPLIT_CASES)
+def test_parse_with_an_include_peaks_near_the_token_list(family, scale, tmp_path):
+    # The included file holds the lines up to the one that halves the text.
+    text, tokens = _text_and_token_list_size(family, scale)
+    lines = text.splitlines(keepends=True)
+    k, length = 0, 0
+    while length < len(text) // 2:
+        length += len(lines[k])
+        k += 1
+    (tmp_path / "part.ax").write_text("".join(lines[:k]), encoding="utf-8")
+    main = tmp_path / "main.p"
+    main.write_text("include('part.ax').\n" + "".join(lines[k:]), encoding="utf-8")
+    problem, _, peak = _traced(lambda: parse_file(str(main)))
+    assert isinstance(problem, Problem), [d.format() for d in problem]
+    assert peak <= BOUND * tokens, peak / tokens

@@ -439,6 +439,36 @@ def test_include_missing_file(tmp_path):
     assert any("cannot read include" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("data, where, byte", [
+    # Line 1 ends in CRLF, and the 0xff follows a two-byte 'é'.
+    (b"thf(nat_type, type, nat: $tType).\r\nthf(z_type, type, \xc3\xa9\xff: nat).\n", "2:20", "0xff"),
+    (b"% \xe2\x82\n", "1:3", "0xe2"),
+], ids=["after_crlf_and_a_two_byte_character", "truncated_sequence"])
+def test_a_byte_that_is_not_utf8_is_a_located_read_error(tmp_path, data, where, byte):
+    bad = tmp_path / "bad.p"
+    bad.write_bytes(data)
+    assert [d.format() for d in parse_file(str(bad))] == [
+        f"{bad}:{where}: error: cannot read '{bad}': byte {byte} is not UTF-8"]
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_other_line_ends_keep_the_spans_of_lf_input(tmp_path, newline):
+    text = PRELUDE + "thf(a, axiom,\n  q & zz).\n"
+    (tmp_path / "lf.p").write_bytes(text.encode())
+    (tmp_path / "other.p").write_bytes(text.replace("\n", newline).encode())
+    lf, other = parse_file(str(tmp_path / "lf.p")), parse_file(str(tmp_path / "other.p"))
+    assert [d.span for d in other] == [d.span for d in lf] == [(9, 7, 2)]
+
+
+def test_include_of_a_file_that_is_not_utf8_is_reported_at_the_include(tmp_path, monkeypatch):
+    (tmp_path / "bad.ax").write_bytes(b"% fine\n%  \xff\n")
+    (tmp_path / "main.p").write_text("% the include is on line 2\ninclude('bad.ax').\n")
+    monkeypatch.chdir(tmp_path)
+    assert [d.format() for d in parse_file("main.p")] == [
+        "main.p:2:1: error: cannot read include 'bad.ax': byte 0xff at line 2, column 4 "
+        "is not UTF-8"]
+
+
 def test_include_selection_warns(tmp_path):
     (tmp_path / "base.ax").write_text("thf(nat_type, type, nat: $tType).\n")
     main = tmp_path / "main.p"
