@@ -20,6 +20,8 @@ from typing import NamedTuple
 from .core import Record
 
 DEFAULT_TIMEOUT = 30.0
+#: The longest timeout the wait can take: poll() counts 2**31 - 1 milliseconds.
+MAX_TIMEOUT = (2**31 - 1) / 1000
 PROVER_ENV_VAR = "DTF_PROVER"
 
 #: Status words reported as-is; everything else becomes Unknown.
@@ -38,6 +40,8 @@ class ProverConfig(Record):
                 "prover command must contain exactly one '{file}' placeholder")
         if timeout <= 0:
             raise ValueError("prover timeout must be positive")
+        if not timeout <= MAX_TIMEOUT:  # NaN too
+            raise ValueError(f"prover timeout must be at most {MAX_TIMEOUT} seconds")
         object.__setattr__(self, "command", command)
         object.__setattr__(self, "timeout", timeout)
 
@@ -110,12 +114,16 @@ def run_prover(config: ProverConfig, problem_text: str,
                 time.monotonic() - start)
         try:
             stdout, stderr = proc.communicate(timeout=config.timeout)
-        except subprocess.TimeoutExpired:
+        except BaseException as exc:
+            # Kill the prover's process group and reap the prover, however
+            # the wait ended, so that nothing it started outlives dtf.
             try:
                 os.killpg(proc.pid, signal.SIGKILL)
             except (ProcessLookupError, PermissionError):
                 proc.kill()
             stdout, stderr = proc.communicate()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
             return ProverResult(
                 SzsVerdict("Timeout", None), stdout or "", stderr or "",
                 proc.returncode, time.monotonic() - start, timed_out=True)

@@ -92,11 +92,20 @@ def _found(tok: Token) -> str:
     return repr("end of input" if tok.kind == "eof" else tok.text)
 
 
-def tokenize(text: str, path: str | None = None) -> list[Token]:
+# A zero-width token before the text, after which the first item is read.
+START = Token("start", "", 1, 1, 0, 0)
+
+
+def tokenize(text: str, path: str | None = None, *, after: Token | None = None) -> list[Token]:
+    """The tokens of text, ending in `eof`; a lexical error raises DiagnosticError.
+
+    With `after`, the last token already read, only the tokens after it up to
+    and including the next `.` or `eof`: chained from START, one item a call."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
+    if after is None:
+        pos, line, line_start = 0, 1, 0
+    else:  # no token spans a line break
+        pos, line, line_start = after.end, after.line, after.offset - after.column + 1
     n = len(text)
     while True:
         m = _TOKEN.match(text, pos)
@@ -114,6 +123,8 @@ def tokenize(text: str, path: str | None = None) -> list[Token]:
         if kind == "punct":
             token = text[pos:end]
             tokens.append(_new_tuple(Token, (token, token, line, pos - line_start + 1, pos, end)))
+            if token == "." and after is not None:
+                return tokens
         elif kind == "word" and (c := text[pos]).isalpha():
             tokens.append(_new_tuple(Token, ("lower" if c.islower() else "upper", text[pos:end],
                                line, pos - line_start + 1, pos, end)))
@@ -292,18 +303,35 @@ _BINARY_OPS = {"&", "|", "=>", "<=", "<=>", "<~>", ">"}
 _NAME_KINDS = {"lower", "upper", "dollar", "quoted"}
 
 
+class _LexicalError(Exception):
+    """A lexical error, which ends the parse of its file: args[0] is its Diagnostic."""
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str | None):
-        self.tokens = tokens
-        self.pos = 0
+    """Holds the tokens of one annotated formula at a time.  Each window of
+    tokens ends in `.` or `eof`, and only peek() and next() move past its
+    end, since the direct-index hot paths never consume a `.`."""
+
+    def __init__(self, text: str, path: str | None):
+        self.text = text
         self.path = path
+        self.tokens = [START]
+        self.pos = 1
         self.depth = 0  # nested parse_unit calls: parentheses, negations, binders
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        try:
+            return self.tokens[self.pos]
+        except IndexError:  # the window is used up: lex the next item
+            try:
+                self.tokens = tokenize(self.text, self.path, after=self.tokens[-1])
+            except DiagnosticError as exc:
+                raise _LexicalError(exc.diagnostic) from None
+            self.pos = 0
+            return self.tokens[0]
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.peek()
         if tok.kind != "eof":
             self.pos += 1
         return tok
@@ -321,17 +349,11 @@ class _Parser:
     # -- items ----------------------------------------------------------
 
     def parse_items(self) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
-        """Parse every item.  The tokens of each finished item are released
-        before the next item is parsed, so the tokens and the trees built
-        from them are never all alive at once."""
+        """Parse every item; a lexical error escapes as a _LexicalError."""
         items: list = []
         diagnostics: list[Diagnostic] = []
         warnings_out: list[Diagnostic] = []
-        start = 0
         while self.peek().kind != "eof":
-            # Overwritten in place, so that releasing stays linear.
-            self.tokens[start:self.pos] = [None] * (self.pos - start)
-            start = self.pos
             try:
                 tok = self.peek()
                 if tok.kind == "lower" and tok.text == "thf":
@@ -347,6 +369,8 @@ class _Parser:
             except DiagnosticError as exc:
                 diagnostics.append(exc.diagnostic)
                 if len(diagnostics) >= 20:
+                    while self.next().kind != "eof":
+                        pass  # lexed, since a lexical error is still the only diagnostic
                     break
                 self._recover()
         return items, diagnostics, warnings_out
@@ -904,12 +928,13 @@ def _resolve_includes(items: list, path: str | None, shown: str | None, seen: se
 
 
 def _parse_items(text: str, path: str | None) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
-    """Tokenize and parse one file's items; its tokens die with this call."""
+    """Parse one file's items, lexing one item at a time, so that the file's
+    token list never exists whole.  A lexical error is the file's only
+    diagnostic."""
     try:
-        tokens = tokenize(text, path)
-    except DiagnosticError as exc:
-        return [], [exc.diagnostic], []
-    return _Parser(tokens, path).parse_items()
+        return _Parser(text, path).parse_items()
+    except _LexicalError as exc:
+        return [], [exc.args[0]], []
 
 
 def parse_problem(text: str, path: str | None = None):

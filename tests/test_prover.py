@@ -1,9 +1,15 @@
 """External prover invocation and SZS verdict parsing."""
 
+import os
+import subprocess
+import time
+
 import pytest
 
+from dtf.cli import EXIT_SYSTEM, run
 from dtf.prover import (
     DEFAULT_TIMEOUT,
+    MAX_TIMEOUT,
     PROVER_ENV_VAR,
     ProverConfig,
     SzsVerdict,
@@ -27,6 +33,32 @@ def test_config_requires_file_placeholder():
 def test_config_requires_positive_timeout():
     with pytest.raises(ValueError, match="positive"):
         ProverConfig("prove {file}", timeout=0)
+
+
+TIMEOUTS_THE_WAIT_CANNOT_TAKE = ["nan", "inf", "1e10", "2147484", "2147483.65"]
+
+
+@pytest.mark.parametrize("timeout", TIMEOUTS_THE_WAIT_CANNOT_TAKE)
+def test_config_rejects_a_timeout_the_wait_cannot_take(timeout):
+    with pytest.raises(ValueError, match="at most 2147483.647 seconds"):
+        ProverConfig("prove {file}", timeout=float(timeout))
+
+
+def test_config_takes_the_longest_timeout_the_wait_can_take(fake_prover):
+    config = ProverConfig(f"{fake_prover('echo % SZS status Theorem')} {{file}}", timeout=MAX_TIMEOUT)
+    assert run_prover(config, "x").verdict.proved
+
+
+@pytest.mark.parametrize("timeout", TIMEOUTS_THE_WAIT_CANNOT_TAKE)
+def test_solve_rejects_a_timeout_the_wait_cannot_take_before_any_prover_starts(
+        corpus_dir, fake_prover, tmp_path, capsys, timeout):
+    started = tmp_path / "started"
+    script = fake_prover(f"touch '{started}'\necho '% SZS status Theorem'")
+    assert run(["solve", str(corpus_dir / "list_append.p"), "--prover", f"{script} {{file}}",
+                "--timeout", timeout]) == EXIT_SYSTEM
+    err = capsys.readouterr().err
+    assert err == "dtf: prover timeout must be at most 2147483.647 seconds\n"
+    assert not started.exists()
 
 
 def test_config_argv_substitutes_path():
@@ -105,6 +137,46 @@ def test_run_prover_timeout(fake_prover):
     assert result.timed_out
     assert result.verdict.status == "Timeout"
     assert result.elapsed < 4
+
+
+def _gone(pid: int) -> bool:
+    """Whether pid names no process, or a zombie that only waits to be reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return False
+
+
+def test_run_prover_kills_its_process_group_when_the_wait_raises(fake_prover, tmp_path,
+                                                                 monkeypatch):
+    # The prover is a shell that starts a child of its own, so both must go.
+    pids = tmp_path / "pids"
+    script = fake_prover(f"sleep 30 &\necho $$ $! > '{pids}.tmp'\nmv '{pids}.tmp' '{pids}'\nwait")
+    communicate, calls = subprocess.Popen.communicate, []
+
+    def interrupted(proc, *args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:  # the wait: once the prover has written its pids, fail
+            deadline = time.monotonic() + 10
+            while not pids.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("injected")
+        return communicate(proc, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    with pytest.raises(RuntimeError, match="injected"):
+        run_prover(ProverConfig(f"{script} {{file}}", timeout=60), "x")
+    started = [int(pid) for pid in pids.read_text().split()]
+    assert len(started) == 2
+    deadline = time.monotonic() + 5
+    while not all(_gone(pid) for pid in started) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert all(_gone(pid) for pid in started)
 
 
 def test_run_prover_missing_binary():

@@ -3,6 +3,8 @@
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtf.core import (
     And,
@@ -21,8 +23,10 @@ from dtf.core import (
     Var,
     alpha_equal,
 )
-from dtf.syntax import Problem, parse_file, parse_problem
+from dtf.diagnostics import DiagnosticError
+from dtf.syntax import START, Problem, parse_file, parse_problem, tokenize
 
+from test_lexer import PIECES
 from theoryutil import axioms, const_decl, type_decl
 
 PRELUDE = """
@@ -519,3 +523,51 @@ def test_empty_input_is_a_problem_without_formulae():
 def test_exists_parses():
     f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, ? [X: nat]: (p @ X))."))
     assert isinstance(f, Exists)
+
+
+# -- lexing one item at a time ---------------------------------------------------------
+
+
+def test_a_lexical_error_after_the_diagnostic_cap_is_the_only_diagnostic():
+    # The 21 bad items alone would give 20 parse errors.
+    text = "thf(aK, axiom, ).\n" * 21 + "thf(z, axiom, # ).\n"
+    assert [d.format() for d in parse_problem(text)] == [
+        "<input>:22:15: error: unexpected character '#'"]
+
+
+def _lexed(lex, text: str):
+    """The tokens lex gives for text, or the diagnostic it raises."""
+    try:
+        return lex(text)
+    except DiagnosticError as exc:
+        return exc.diagnostic
+
+
+def _chained(text: str) -> list:
+    tokens, after = [], START
+    while after.kind != "eof":
+        window = tokenize(text, "f.p", after=after)
+        assert window[-1].kind in (".", "eof")
+        assert all(t.kind not in (".", "eof") for t in window[:-1])
+        tokens += window
+        after = window[-1]
+    return tokens
+
+
+ITEM_TEXTS = st.lists(st.sampled_from(PIECES + ["thf(a, axiom, ", ").", "."] * 4),
+                      max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ITEM_TEXTS)
+def test_chained_windows_rebuild_the_token_list(text):
+    assert _lexed(_chained, text) == _lexed(lambda t: tokenize(t, "f.p"), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ITEM_TEXTS)
+def test_a_lexical_error_is_the_only_diagnostic(text):
+    lexed = _lexed(tokenize, text)
+    if isinstance(lexed, list):
+        return
+    assert parse_problem(text) == [lexed]
