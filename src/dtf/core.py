@@ -11,8 +11,6 @@ import itertools
 from enum import Enum
 from operator import attrgetter
 
-from .diagnostics import Span
-
 
 class NameKind(Enum):
     TYPE = "type-symbol"
@@ -84,11 +82,12 @@ class Name(Record):
 
 class Node(Record):
     """Base of the types, terms and declarations: where the node was written,
-    left out of equality."""
+    the offset of its token in its file (see `syntax.locate`), left out of
+    equality."""
 
     __slots__ = ("span",)
 
-    def __init__(self, *, span: Span | None = None):
+    def __init__(self, *, span: int | None = None):
         _set(self, "span", span)
 
 
@@ -103,7 +102,7 @@ class BaseApp(Type):
 
     __slots__ = _fields = ("head", "args")
 
-    def __init__(self, head: Name, args: tuple = (), *, span: Span | None = None):
+    def __init__(self, head: Name, args: tuple = (), *, span: int | None = None):
         _set(self, "head", head)
         _set(self, "args", args)
         _set(self, "span", span)
@@ -137,7 +136,7 @@ class Term(Node):
 class Var(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Name, *, span: Span | None = None):
+    def __init__(self, name: Name, *, span: int | None = None):
         _set(self, "name", name)
         _set(self, "span", span)
 
@@ -150,7 +149,7 @@ class Const(Term):
 class App(Term):
     __slots__ = _fields = ("fun", "arg")
 
-    def __init__(self, fun: Term, arg: Term, *, span: Span | None = None):
+    def __init__(self, fun: Term, arg: Term, *, span: int | None = None):
         _set(self, "fun", fun)
         _set(self, "arg", arg)
         _set(self, "span", span)
@@ -165,7 +164,7 @@ class Binder(Term):
 
     __slots__ = _fields = ("binder", "domain", "body")
 
-    def __init__(self, binder: Name, domain: Type, body: Term, *, span: Span | None = None):
+    def __init__(self, binder: Name, domain: Type, body: Term, *, span: int | None = None):
         _set(self, "binder", binder)
         _set(self, "domain", domain)
         _set(self, "body", body)
@@ -212,7 +211,7 @@ class Connective(Term):
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Term, right: Term, *, span: Span | None = None):
+    def __init__(self, left: Term, right: Term, *, span: int | None = None):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "span", span)
@@ -236,7 +235,7 @@ class Or(Connective):
 class Not(Term):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: Term, *, span: Span | None = None):
+    def __init__(self, arg: Term, *, span: int | None = None):
         _set(self, "arg", arg)
         _set(self, "span", span)
 
@@ -251,7 +250,7 @@ class Eq(Term):
 
     __slots__ = _fields = ("left", "right", "at")
 
-    def __init__(self, left: Term, right: Term, at: Type | None = None, *, span: Span | None = None):
+    def __init__(self, left: Term, right: Term, at: Type | None = None, *, span: int | None = None):
         _set(self, "left", left)
         _set(self, "right", right)
         _set(self, "at", at)
@@ -283,7 +282,7 @@ class TypeDecl(Decl):
     _fields = ("name", "telescope")
 
     def __init__(self, name: Name, telescope: tuple = (), label: str | None = None, *,
-                 span: Span | None = None, path: str | None = None):
+                 span: int | None = None, path: str | None = None):
         _set(self, "name", name)
         _set(self, "telescope", telescope)  # tuple[(Name, Type), ...]
         _set(self, "label", label)
@@ -296,7 +295,7 @@ class ConstDecl(Decl):
     _fields = ("name", "ty")
 
     def __init__(self, name: Name, ty: Type, label: str | None = None, *,
-                 span: Span | None = None, path: str | None = None):
+                 span: int | None = None, path: str | None = None):
         _set(self, "name", name)
         _set(self, "ty", ty)
         _set(self, "label", label)
@@ -308,7 +307,7 @@ class Axiom(Decl):
     __slots__ = _fields = ("label", "formula", "role")
 
     def __init__(self, label: str, formula: Term, role: str = "axiom", *,
-                 span: Span | None = None, path: str | None = None):
+                 span: int | None = None, path: str | None = None):
         _set(self, "label", label)
         _set(self, "formula", formula)
         _set(self, "role", role)  # axiom | lemma | hypothesis | definition | conjecture

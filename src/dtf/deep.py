@@ -55,10 +55,10 @@ from .core import (
     fresh_name,
     substitute,
 )
-from .diagnostics import Diagnostic, DiagnosticError, Span, error
+from .diagnostics import Diagnostic, DiagnosticError, error
 from .printer import decl_line, format_type
 from .shallow import check_shallow
-from .syntax import Problem
+from .syntax import Problem, locate
 
 
 class Obligation(Record):
@@ -70,7 +70,7 @@ class Obligation(Record):
                            "source_span", "discharged_by")
 
     def __init__(self, label: str, context: Context, goal: Term, origin: str, formula: Term,
-                 theory_prefix: int, source_span: Span | None = None,
+                 theory_prefix: int, source_span: int | None = None,
                  discharged_by: str | None = None):
         for name, value in zip(self._fields, (label, context, goal, origin, formula,
                                               theory_prefix, source_span, discharged_by)):
@@ -126,8 +126,9 @@ class DeepChecker:
     context passed to `check` extends; each is normalized and keyed once.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str | None = None, texts: dict | None = None):
         self.path = path
+        self.texts = texts or {}  # path -> text, against which a node's offset is located
         self.obligations: list = []
         self.discharged: list = []
         self.context = Context()
@@ -182,10 +183,11 @@ class DeepChecker:
 
     # -- plumbing -----------------------------------------------------------
 
-    def fail(self, message: str, span: Span | None) -> DiagnosticError:
-        return DiagnosticError(error(message, span, self._current_path))
+    def fail(self, message: str, span: int | None) -> DiagnosticError:
+        path = self._current_path
+        return DiagnosticError(error(message, locate(self.texts.get(path), span), path))
 
-    def _normalize(self, t, span: Span | None):
+    def _normalize(self, t, span: int | None):
         try:
             return beta_eta_normalize(t)
         except NormalizationBudgetExceeded:
@@ -215,7 +217,7 @@ class DeepChecker:
             return
         raise self.fail(f"ill-formed type {ty!r}", getattr(ty, "span", None))
 
-    def type_equal(self, ctx: Context, a: Type, b: Type, span: Span | None,
+    def type_equal(self, ctx: Context, a: Type, b: Type, span: int | None,
                    origin: str) -> None:
         """Require a and b equal, emitting obligations for term arguments."""
         if a is b or alpha_equal(a, b):
@@ -311,7 +313,7 @@ class DeepChecker:
 
     # -- obligations ---------------------------------------------------------------
 
-    def emit(self, ctx: Context, goal: Term, origin: str, span: Span | None) -> None:
+    def emit(self, ctx: Context, goal: Term, origin: str, span: int | None) -> None:
         self._counter += 1
         # The axioms stay out of the closed formula, so close over the rest.
         closed = close_obligation(Context(self._local_entries(ctx)), goal)
@@ -329,7 +331,7 @@ class DeepChecker:
         (self.obligations if matched is None else self.discharged).append(ob)
 
     def _lookup(self, ctx: Context, goal: Term, closed: Term,
-                span: Span | None) -> str | None:
+                span: int | None) -> str | None:
         """Discharge by assumption: open or closed form, up to normalization.
 
         The answer is that of a scan over the assumptions of ctx, axioms first,
@@ -385,7 +387,7 @@ def check_problem(problem) -> CheckReport:
     """
     if problem.polymorphic:  # check_shallow's one diagnostic
         return CheckReport([], [], check_shallow(problem))
-    checker = DeepChecker(path=problem.path)
+    checker = DeepChecker(problem.path, problem.texts)
     diagnostics = [d for d in map(checker.check_decl, problem.decls()) if d is not None]
     return CheckReport(checker.obligations, checker.discharged, diagnostics)
 

@@ -33,7 +33,8 @@ from .core import (
     children,
     is_type_kind,
 )
-from .diagnostics import Diagnostic, Span, error
+from .diagnostics import Diagnostic, error
+from .syntax import locate
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +81,15 @@ def skeletonize(ty: Type) -> Base | Arrow | SBool:
 
 
 class _ShallowChecker:
-    def __init__(self):
+    def __init__(self, texts: dict):
+        self.texts = texts  # path -> text, against which a node's offset is located
         self.path: str | None = None  # of the declaration being checked
         self.diagnostics: list[Diagnostic] = []
         self.type_arity: dict = {}   # text -> tuple of telescope skeletons
         self.const_skel: dict = {}   # text -> skeleton
 
-    def report(self, message: str, span: Span | None) -> None:
-        self.diagnostics.append(error(message, span, self.path))
+    def report(self, message: str, span: int | None) -> None:
+        self.diagnostics.append(error(message, locate(self.texts.get(self.path), span), self.path))
 
     # -- types ------------------------------------------------------------
 
@@ -116,7 +118,7 @@ class _ShallowChecker:
                 elif got != want:
                     self.report(
                         f"argument {i} of type {ty.head.text!r} has skeleton "
-                        f"{got}, expected {want}", arg.span or ty.span)
+                        f"{got}, expected {want}", ty.span if arg.span is None else arg.span)
                     ok = False
             return ok
         if isinstance(ty, Pi):
@@ -165,7 +167,7 @@ class _ShallowChecker:
                 return None
             return dom if isinstance(t, Choice) else BOOL_SKEL
         if isinstance(t, Connective):
-            oks = [self.infer_bool(side, env, "connective operand", side.span or t.span)
+            oks = [self.infer_bool(side, env, "connective operand", t.span if side.span is None else side.span)
                    for side in (t.left, t.right)]
             return BOOL_SKEL if all(oks) else None
         if isinstance(t, Not):
@@ -183,7 +185,7 @@ class _ShallowChecker:
             return BOOL_SKEL
         raise TypeError(f"infer: unexpected term {t!r}")
 
-    def infer_bool(self, t: Term, env: dict, what: str, span: Span | None) -> bool:
+    def infer_bool(self, t: Term, env: dict, what: str, span: int | None) -> bool:
         """Infer t, which must have skeleton $o; False after reporting an error."""
         got = self.infer(t, env)
         if got is not None and got != BOOL_SKEL:
@@ -225,7 +227,7 @@ def check_shallow(problem) -> list[Diagnostic]:
 
     Returns an empty list exactly when the problem is shallowly well typed.
     """
-    checker = _ShallowChecker()
+    checker = _ShallowChecker(problem.texts)
     if problem.polymorphic:
         span, path = find_polymorphic(problem)
         checker.path = path or problem.path

@@ -10,7 +10,8 @@ from __future__ import annotations
 import gc
 import os
 import re
-from collections import Counter
+from bisect import bisect_right
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import core
@@ -158,6 +159,21 @@ def tokenize(text: str, path: str | None = None, *, after: Token | None = None) 
     return tokens
 
 
+@lru_cache(maxsize=8)
+def _line_starts(text: str) -> list:
+    return [0, *(m.end() for m in re.finditer("\n", text))]
+
+
+def locate(text: str | None, offset: int | None) -> Span | None:
+    """The Span of the token that starts at offset in text, equal to its
+    Token.span; None without both.  Lines count "\\n" only, as in tokenize."""
+    if text is None or offset is None:
+        return None
+    starts = _line_starts(text)
+    line = bisect_right(starts, offset)
+    return Span(line, offset - starts[line - 1] + 1, max(1, _TOKEN.match(text, offset).end() - offset))
+
+
 # ---------------------------------------------------------------------------
 # Surface trees: plain slotted classes, since the parser builds each node
 # once, nothing compares two of them, and the elaborator only reads them.
@@ -166,35 +182,35 @@ def tokenize(text: str, path: str | None = None, *, after: Token | None = None) 
 class SName:
     __slots__ = ("category", "text", "span")  # category: lower|upper|dollar|quoted
 
-    def __init__(self, category: str, text: str, span: Span):
+    def __init__(self, category: str, text: str, span: int):
         self.category, self.text, self.span = category, text, span
 
 
 class SApp:
     __slots__ = ("fun", "arg", "span")
 
-    def __init__(self, fun, arg, span: Span):
+    def __init__(self, fun, arg, span: int):
         self.fun, self.arg, self.span = fun, arg, span
 
 
 class SBin:
     __slots__ = ("op", "left", "right", "span")  # op: & | => <= <=> <~> >
 
-    def __init__(self, op: str, left, right, span: Span):
+    def __init__(self, op: str, left, right, span: int):
         self.op, self.left, self.right, self.span = op, left, right, span
 
 
 class SNot:
     __slots__ = ("operand", "span")
 
-    def __init__(self, operand, span: Span):
+    def __init__(self, operand, span: int):
         self.operand, self.span = operand, span
 
 
 class SEq:
     __slots__ = ("left", "right", "negated", "span")
 
-    def __init__(self, left, right, negated: bool, span: Span):
+    def __init__(self, left, right, negated: bool, span: int):
         self.left, self.right, self.negated, self.span = left, right, negated, span
 
 
@@ -202,14 +218,14 @@ class SBinder:
     # op: ! ? ^ !> @+; variables: tuple[(SName, surface-type), ...]
     __slots__ = ("op", "variables", "body", "span")
 
-    def __init__(self, op: str, variables: tuple, body, span: Span):
+    def __init__(self, op: str, variables: tuple, body, span: int):
         self.op, self.variables, self.body, self.span = op, variables, body, span
 
 
 class STyping:
     __slots__ = ("subject", "ty", "span")
 
-    def __init__(self, subject: SName, ty, span: Span):
+    def __init__(self, subject: SName, ty, span: int):
         self.subject, self.ty, self.span = subject, ty, span
 
 
@@ -219,29 +235,24 @@ class AnnotatedFormula:
 
     __slots__ = ("name", "role", "body", "span", "path")
 
-    def __init__(self, name: str, role: str, body, span: Span | None = None,
-                 path: str | None = None):
+    def __init__(self, name: str, role: str, body, span: int, path: str | None):
         self.name, self.role, self.body, self.span, self.path = name, role, body, span, path
-
-
-class _Include:
-    __slots__ = ("path", "span")
-
-    def __init__(self, path: str, span: Span):
-        self.path, self.span = path, span
 
 
 class Problem(core.Record):
     """An elaborated problem: the core theory, its conjecture as an Axiom of role
-    "conjecture", and how many formulae had each role."""
+    "conjecture", and how many formulae had each role.  `texts`, left out of
+    equality, maps each `Decl.path` to the text that `locate` reads offsets in."""
 
     # roles holds (role, count) pairs, in order of first appearance.
     _fields = ("roles", "theory", "goal", "polymorphic", "path", "warnings")
-    __slots__ = (*_fields, "__weakref__")
+    __slots__ = (*_fields, "texts", "__weakref__")
 
     def __init__(self, roles: tuple = (), theory: Theory = Theory(), goal: Axiom | None = None,
-                 polymorphic: bool = False, path: str | None = None, warnings: tuple = ()):
-        for name, value in zip(self._fields, (roles, theory, goal, polymorphic, path, warnings)):
+                 polymorphic: bool = False, path: str | None = None, warnings: tuple = (),
+                 texts: dict | None = None):
+        for name, value in zip(self.__slots__, (roles, theory, goal, polymorphic, path, warnings,
+                                                {} if texts is None else texts)):
             object.__setattr__(self, name, value)
 
     def role_counts(self) -> dict:
@@ -297,6 +308,9 @@ def _too_deep(tree: object, limit: int) -> object:
 # interpreter frames per level; at this depth every subcommand stays within
 # Python's default recursion limit of 1000.
 MAX_NESTING = 200
+# An included file is parsed in place, two frames deeper than the file that
+# includes it; a MAX_NESTING-deep formula this deep parses within 880 frames.
+MAX_INCLUDE_DEPTH = 32
 
 _ROLES = {"type", "axiom", "lemma", "hypothesis", "definition", "conjecture"}
 _BINARY_OPS = {"&", "|", "=>", "<=", "<=>", "<~>", ">"}
@@ -310,11 +324,14 @@ class _LexicalError(Exception):
 class _Parser:
     """Holds the tokens of one annotated formula at a time.  Each window of
     tokens ends in `.` or `eof`, and only peek() and next() move past its
-    end, since the direct-index hot paths never consume a `.`."""
+    end, since the direct-index hot paths never consume a `.`.  `path` names
+    the file in diagnostics and `opened` is the path it was opened as; `seen`
+    holds the real paths of the file and of the `level` files including it."""
 
-    def __init__(self, text: str, path: str | None):
-        self.text = text
-        self.path = path
+    def __init__(self, text: str, path: str | None, elab: _Elaborator,
+                 opened: str | None, seen: set, level: int = 0):
+        self.text, self.path, self.elab = text, path, elab
+        self.opened, self.seen, self.level = opened, seen, level
         self.tokens = [START]
         self.pos = 1
         self.depth = 0  # nested parse_unit calls: parentheses, negations, binders
@@ -342,38 +359,41 @@ class _Parser:
             raise self.fail(f"expected {kind!r}, found {_found(tok)}", tok)
         return self.next()
 
-    def fail(self, message: str, at: object = None) -> DiagnosticError:
-        """An error located at a token or a surface node, by default the next token."""
+    def fail(self, message: str, at: Token | None = None) -> DiagnosticError:
+        """An error located at a token, by default the next one."""
         return DiagnosticError(error(message, (at or self.peek()).span, self.path))
 
     # -- items ----------------------------------------------------------
 
-    def parse_items(self) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
-        """Parse every item; a lexical error escapes as a _LexicalError."""
-        items: list = []
+    def parse_items(self) -> tuple[list[Diagnostic], list[Diagnostic]]:
+        """Parse every item, elaborating each formula once it is parsed and each
+        included file in place.  Returns the diagnostics and the warnings, the
+        file's own before its includes'; a lexical error is the only diagnostic."""
         diagnostics: list[Diagnostic] = []
         warnings_out: list[Diagnostic] = []
-        while self.peek().kind != "eof":
-            try:
-                tok = self.peek()
-                if tok.kind == "lower" and tok.text == "thf":
-                    items.append(self.parse_annotated())
-                elif tok.kind == "lower" and tok.text == "include":
-                    inc, warns = self.parse_include()
-                    items.append(inc)
-                    warnings_out.extend(warns)
-                elif tok.kind == "lower" and tok.text in ("fof", "cnf", "tff", "tcf"):
-                    raise self.fail(f"only thf formulae are supported, found {tok.text!r}", tok)
-                else:
-                    raise self.fail(f"expected 'thf' or 'include', found {_found(tok)}", tok)
-            except DiagnosticError as exc:
-                diagnostics.append(exc.diagnostic)
-                if len(diagnostics) >= 20:
-                    while self.next().kind != "eof":
-                        pass  # lexed, since a lexical error is still the only diagnostic
-                    break
-                self._recover()
-        return items, diagnostics, warnings_out
+        inner: tuple = ([], [])  # the diagnostics and warnings of the included files
+        try:
+            while self.peek().kind != "eof":
+                try:
+                    tok = self.peek()
+                    if tok.kind == "lower" and tok.text == "thf":
+                        self.elab.run(self.parse_annotated(), self.text)
+                    elif tok.kind == "lower" and tok.text == "include":
+                        self.parse_include(warnings_out, inner)
+                    elif tok.kind == "lower" and tok.text in ("fof", "cnf", "tff", "tcf"):
+                        raise self.fail(f"only thf formulae are supported, found {tok.text!r}", tok)
+                    else:
+                        raise self.fail(f"expected 'thf' or 'include', found {_found(tok)}", tok)
+                except DiagnosticError as exc:
+                    diagnostics.append(exc.diagnostic)
+                    if len(diagnostics) >= 20:
+                        while self.next().kind != "eof":
+                            pass  # lexed, since a lexical error is still the only diagnostic
+                        break
+                    self._recover()
+        except _LexicalError as exc:
+            return [exc.args[0]], []
+        return diagnostics + inner[0], warnings_out + inner[1]
 
     def _recover(self) -> None:
         while self.peek().kind not in (".", "eof"):
@@ -381,21 +401,52 @@ class _Parser:
         if self.peek().kind == ".":
             self.next()
 
-    def parse_include(self) -> tuple[_Include, list[Diagnostic]]:
-        warns: list[Diagnostic] = []
+    def parse_include(self, warnings_out: list[Diagnostic], inner: tuple) -> None:
+        """Parse an include directive, then the file it names, in place; that
+        file's diagnostics and warnings go to the two lists of inner."""
         kw = self.next()
         self.expect("(")
-        target = self.peek()
-        if target.kind not in ("quoted", "lower"):
-            raise self.fail("include expects a quoted file name", target)
+        arg = self.peek()
+        if arg.kind not in ("quoted", "lower"):
+            raise self.fail("include expects a quoted file name", arg)
         self.next()
         if self.peek().kind == ",":
             self.next()
             self._skip_balanced((")",), "unterminated include directive")
-            warns.append(warning("include selection list ignored", target.span, self.path))
+            warnings_out.append(warning("include selection list ignored", arg.span, self.path))
         self.expect(")")
         self.expect(".")
-        return _Include(target.text, kw.span), warns
+        # Opened as joined, so that `..` after a symbolic link leads where the
+        # file system leads, and named relative to the including file's path as
+        # typed: normalized when that names the same file.  `seen` holds real
+        # paths, so a cycle is caught however a path is spelled.
+        target = os.path.join(os.path.dirname(self.opened or ""), arg.text)
+        real = os.path.realpath(target)
+        name = os.path.normpath(target)
+        if os.path.realpath(name) != real:
+            name = target
+        message = None
+        if real in self.seen:
+            message = f"circular include of {arg.text!r}"
+        elif self.level >= MAX_INCLUDE_DEPTH:
+            message = f"include nests deeper than {MAX_INCLUDE_DEPTH} files"
+        else:
+            try:
+                with open(target, encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                message = f"cannot read include {arg.text!r}: {exc.strerror or exc}"
+            except UnicodeDecodeError:
+                at, byte = _undecodable(target)
+                message = (f"cannot read include {arg.text!r}: byte {byte:#04x} at line {at.line}, "
+                           f"column {at.column} is not UTF-8")
+        if message is not None:
+            inner[0].append(error(message, kw.span, self.path))
+            return
+        diagnostics, warns = _Parser(text, name, self.elab, target, self.seen | {real},
+                                     self.level + 1).parse_items()
+        inner[0].extend(diagnostics)
+        inner[1].extend(warns)
 
     def parse_annotated(self) -> AnnotatedFormula:
         kw = self.next()  # thf
@@ -413,7 +464,8 @@ class _Parser:
             body = self.parse_expr()
         too_deep = _too_deep(body, MAX_NESTING)
         if too_deep is not None:
-            raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", too_deep)
+            raise DiagnosticError(error(f"formula nests deeper than {MAX_NESTING} levels",
+                                        locate(self.text, too_deep.span), self.path))
         # The source and useful-info annotations are checked for balance and skipped.
         if self.peek().kind == ",":
             self.next()
@@ -423,7 +475,10 @@ class _Parser:
                 self._skip_balanced((",", ")"), "unterminated annotation")
         self.expect(")")
         self.expect(".")
-        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span, self.path)
+        # Only the `.` is kept, after which the next item is lexed, so the
+        # item's tokens are freed before it is elaborated.
+        self.tokens, self.pos = self.tokens[-1:], 1
+        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.offset, self.path)
 
     def _skip_balanced(self, stops: tuple, message: str) -> None:
         """Skip tokens up to one of stops outside any brackets."""
@@ -452,7 +507,7 @@ class _Parser:
         ty = self.parse_expr()  # type expressions reuse the formula grammar
         for _ in range(parens):
             self.expect(")")
-        return STyping(SName("lower", subject_tok.text, subject_tok.span), ty, subject_tok.span)
+        return STyping(SName("lower", subject_tok.text, subject_tok.offset), ty, subject_tok.offset)
 
     def _looks_like_typing_paren(self) -> bool:
         tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -462,8 +517,8 @@ class _Parser:
     # -- formulae ---------------------------------------------------------
 
     # The four methods below are the parser's hot path: they read
-    # `self.tokens[self.pos]` and advance `self.pos` themselves, and build
-    # spans as `tuple.__new__(Span, ...)`, equal to `Token.span`.
+    # `self.tokens[self.pos]` and advance `self.pos` themselves.  A node keeps
+    # its token's offset, the same int object as the previous token's end.
 
     def parse_expr(self) -> object:
         left = self.parse_unit()
@@ -479,7 +534,7 @@ class _Parser:
             self._reject_chain_mixing(op)
             result = operands[0]
             for rhs in operands[1:]:
-                result = SBin(op, result, rhs, op_tok.span)
+                result = SBin(op, result, rhs, op_tok.offset)
             return result
         if op == ">":
             operands = [left]
@@ -489,12 +544,12 @@ class _Parser:
             self._reject_chain_mixing(op)
             result = operands[-1]
             for lhs in reversed(operands[:-1]):
-                result = SBin(">", lhs, result, op_tok.span)
+                result = SBin(">", lhs, result, op_tok.offset)
             return result
         self.pos += 1
         right = self.parse_unit()
         self._reject_chain_mixing(op)
-        return SBin(op, left, right, op_tok.span)
+        return SBin(op, left, right, op_tok.offset)
 
     def _reject_chain_mixing(self, op: str) -> None:
         nxt = self.peek()
@@ -512,7 +567,7 @@ class _Parser:
                 raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
             if tok.kind == "~":
                 self.pos += 1
-                return SNot(self.parse_unit(), tok.span)
+                return SNot(self.parse_unit(), tok.offset)
             left = self.parse_apply()
             nxt = tokens[self.pos]
             if nxt.kind in ("=", "!="):
@@ -521,7 +576,7 @@ class _Parser:
                 after = tokens[self.pos]
                 if after.kind in ("=", "!="):
                     raise self.fail("chained equality needs parentheses", after)
-                return SEq(left, right, nxt.kind == "!=", nxt.span)
+                return SEq(left, right, nxt.kind == "!=", nxt.offset)
             return left
         finally:
             self.depth -= 1
@@ -532,16 +587,16 @@ class _Parser:
         at = tokens[self.pos]
         while at.kind == "@":
             self.pos += 1
-            result = SApp(result, self.parse_atom(), _new_tuple(Span, (at.line, at.column, 1)))
+            result = SApp(result, self.parse_atom(), at.offset)
             at = tokens[self.pos]
         return result
 
     def parse_atom(self) -> object:
         tok = self.tokens[self.pos]
-        kind, text, line, column, offset, end = tok
+        kind, text, _, _, offset, _ = tok
         if kind in _NAME_KINDS:
             self.pos += 1
-            return SName(kind, text, _new_tuple(Span, (line, column, end - offset)))
+            return SName(kind, text, offset)
         if kind == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -576,7 +631,7 @@ class _Parser:
                                     var_tok)
                 if not is_type_var:
                     seen_term_var = True
-            variables.append((SName("upper", var_tok.text, var_tok.span), ty))
+            variables.append((SName("upper", var_tok.text, var_tok.offset), ty))
             if self.peek().kind == ",":
                 self.next()
                 continue
@@ -586,7 +641,7 @@ class _Parser:
         body = self.parse_unit()
         if op_tok.kind == "@+" and len(variables) != 1:
             raise self.fail("choice binds exactly one variable", op_tok)
-        return SBinder(op_tok.kind, tuple(variables), body, op_tok.span)
+        return SBinder(op_tok.kind, tuple(variables), body, op_tok.offset)
 
     def parse_var_type(self) -> object:
         operand = self.parse_unit()
@@ -598,7 +653,7 @@ class _Parser:
             operands.append(self.parse_unit())
         result = operands[-1]
         for lhs in reversed(operands[:-1]):
-            result = SBin(">", lhs, result, at.span)
+            result = SBin(">", lhs, result, at.offset)
         return result
 
 
@@ -620,6 +675,8 @@ class _Elaborator:
 
     def __init__(self):
         self.path: str | None = None  # of the formula being elaborated
+        self.texts: dict = {}  # path -> text of each file that holds a formula
+        self.roles: dict = {}  # role -> count, in order of first appearance
         self.decls: list = []
         self.symbols: dict = {}
         self.diagnostics: list[Diagnostic] = []
@@ -628,17 +685,19 @@ class _Elaborator:
         self._used_binders: set = set()
         self._arrow_counter = 0
 
-    def err(self, message: str, span: Span | None) -> DiagnosticError:
-        return DiagnosticError(error(message, span, self.path))
+    def err(self, message: str, span: int | None) -> DiagnosticError:
+        return DiagnosticError(error(message, locate(self.texts.get(self.path), span), self.path))
 
     # -- entry ------------------------------------------------------------
 
-    def run(self, formulae: list[AnnotatedFormula]) -> None:
-        for f in formulae:
-            try:
-                self.elaborate_formula(f)
-            except DiagnosticError as exc:
-                self.diagnostics.append(exc.diagnostic)
+    def run(self, f: AnnotatedFormula, text: str) -> None:
+        """Elaborate one formula of text, the file at f.path."""
+        self.texts[f.path] = text
+        self.roles[f.role] = self.roles.get(f.role, 0) + 1
+        try:
+            self.elaborate_formula(f)
+        except DiagnosticError as exc:
+            self.diagnostics.append(exc.diagnostic)
 
     def elaborate_formula(self, f: AnnotatedFormula) -> None:
         self.path = f.path
@@ -887,56 +946,6 @@ class _Elaborator:
 # Entry points
 
 
-def _resolve_includes(items: list, path: str | None, shown: str | None, seen: set,
-                      diagnostics: list[Diagnostic], warnings_out: list[Diagnostic]) -> list:
-    """Splice in the included files; `path` is the including file as opened,
-    `shown` its name in diagnostics."""
-    resolved: list = []
-    for item in items:
-        if not isinstance(item, _Include):
-            resolved.append(item)
-            continue
-        # Opened as joined, so that `..` after a symbolic link leads where the
-        # file system leads, and named relative to the including file's path as
-        # typed: normalized when that names the same file.  `seen` holds real
-        # paths, so a cycle is caught however a path is spelled.
-        target = os.path.join(os.path.dirname(path or ""), item.path)
-        real = os.path.realpath(target)
-        if real in seen:
-            diagnostics.append(error(f"circular include of {item.path!r}", item.span, shown))
-            continue
-        name = os.path.normpath(target)
-        if os.path.realpath(name) != real:
-            name = target
-        try:
-            with open(target, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            diagnostics.append(error(f"cannot read include {item.path!r}: {exc.strerror or exc}", item.span, shown))
-            continue
-        except UnicodeDecodeError:
-            at, byte = _undecodable(target)
-            diagnostics.append(error(f"cannot read include {item.path!r}: byte {byte:#04x} at line {at.line}, "
-                                     f"column {at.column} is not UTF-8", item.span, shown))
-            continue
-        sub_items, sub_diags, sub_warns = _parse_items(text, name)
-        diagnostics.extend(sub_diags)
-        warnings_out.extend(sub_warns)
-        resolved.extend(_resolve_includes(sub_items, target, name, seen | {real},
-                                          diagnostics, warnings_out))
-    return resolved
-
-
-def _parse_items(text: str, path: str | None) -> tuple[list, list[Diagnostic], list[Diagnostic]]:
-    """Parse one file's items, lexing one item at a time, so that the file's
-    token list never exists whole.  A lexical error is the file's only
-    diagnostic."""
-    try:
-        return _Parser(text, path).parse_items()
-    except _LexicalError as exc:
-        return [], [exc.args[0]], []
-
-
 def parse_problem(text: str, path: str | None = None):
     """Parse and elaborate a DTF problem.
 
@@ -955,24 +964,13 @@ def parse_problem(text: str, path: str | None = None):
 
 
 def _parse_problem(text: str, path: str | None):
-    items, diagnostics, warns = _parse_items(text, path)
-    items = _resolve_includes(items, path, path, {os.path.realpath(path)} if path else set(),
-                              diagnostics, warns)
-    if diagnostics:
-        return diagnostics
-    formulae = [i for i in items if isinstance(i, AnnotatedFormula)]
     elab = _Elaborator()
-    elab.run(formulae)
-    if elab.diagnostics:
-        return elab.diagnostics
-    return Problem(
-        roles=tuple(Counter(f.role for f in formulae).items()),
-        theory=Theory(tuple(elab.decls)),
-        goal=elab.conjecture,
-        polymorphic=elab.polymorphic,
-        path=path,
-        warnings=tuple(warns),
-    )
+    seen = {os.path.realpath(path)} if path else set()
+    diagnostics, warns = _Parser(text, path, elab, path, seen).parse_items()
+    if diagnostics or elab.diagnostics:
+        return diagnostics or elab.diagnostics
+    return Problem(tuple(elab.roles.items()), Theory(tuple(elab.decls)), elab.conjecture,
+                   elab.polymorphic, path, tuple(warns), elab.texts)
 
 
 def _undecodable(path: str) -> tuple[Span, int]:
@@ -983,8 +981,7 @@ def _undecodable(path: str) -> tuple[Span, int]:
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         text = handle.read()
     pos = re.search("[\udc80-\udcff]", text).start()
-    line_start = text.rfind("\n", 0, pos) + 1
-    return Span(text.count("\n", 0, pos) + 1, pos - line_start + 1, 1), ord(text[pos]) - 0xDC00
+    return locate(text, pos), ord(text[pos]) - 0xDC00
 
 
 def parse_file(path: str):

@@ -8,7 +8,7 @@ import pytest
 
 from dtf.core import Axiom, BaseApp, Binder, Const, Pi, TypeDecl, Var, children
 from dtf.printer import print_problem
-from dtf.syntax import Problem, parse_problem
+from dtf.syntax import Problem, locate, parse_problem
 
 from genutil import load_generator
 
@@ -32,7 +32,8 @@ DIGESTS = {
 }
 
 
-def _location(span) -> tuple | None:
+def _location(text: str, offset) -> tuple | None:
+    span = locate(text, offset)
     return None if span is None else (span.line, span.column, span.length)
 
 
@@ -46,29 +47,30 @@ def _name_text(node) -> str | None:
     return None
 
 
-def _walk(node, out: list) -> None:
-    out.append((type(node).__name__, _name_text(node), _location(node.span)))
+def _walk(node, out: list, text: str) -> None:
+    out.append((type(node).__name__, _name_text(node), _location(text, node.span)))
     for child in children(node):
-        _walk(child, out)
+        _walk(child, out, text)
 
 
 def _front_end_digest(problem: Problem) -> str:
     """Pre-order (class name, name text, span) of every elaborated node, then the printed problem."""
     out: list = []
+    text = problem.texts[problem.path]
     for decl in problem.theory.decls:
         if isinstance(decl, Axiom):
-            out.append(("Axiom", decl.label, _location(decl.span)))
-            _walk(decl.formula, out)
+            out.append(("Axiom", decl.label, _location(text, decl.span)))
+            _walk(decl.formula, out, text)
         elif isinstance(decl, TypeDecl):
-            out.append(("TypeDecl", decl.name.text, _location(decl.span)))
+            out.append(("TypeDecl", decl.name.text, _location(text, decl.span)))
             for name, ty in decl.telescope:
                 out.append(("binder", name.text, None))
-                _walk(ty, out)
+                _walk(ty, out, text)
         else:
-            out.append(("ConstDecl", decl.name.text, _location(decl.span)))
-            _walk(decl.ty, out)
+            out.append(("ConstDecl", decl.name.text, _location(text, decl.span)))
+            _walk(decl.ty, out, text)
     if problem.conjecture is not None:
-        _walk(problem.conjecture, out)
+        _walk(problem.conjecture, out, text)
     digest = hashlib.sha256(repr(out).encode())
     digest.update(print_problem(problem).encode())
     return digest.hexdigest()

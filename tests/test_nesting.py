@@ -1,10 +1,19 @@
 """Deeply nested input ends in a located diagnostic, never a traceback."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from dtf import cli
 from dtf.cli import EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
-from dtf.syntax import MAX_NESTING, Problem, parse_problem
+from dtf.syntax import MAX_INCLUDE_DEPTH, MAX_NESTING, Problem, parse_problem
+
+REPO = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 HEADER = """\
 thf(p_type, type, p: $o).
@@ -86,3 +95,37 @@ def test_unexpected_exception_is_one_line_and_exit_3(corpus_dir, monkeypatch, ca
     monkeypatch.setattr(cli.shallow, "check_shallow", boom)
     assert run(["check", str(corpus_dir / "hol.p")]) == EXIT_SYSTEM
     assert capsys.readouterr().err == "dtf: internal error: RuntimeError: boom\n"
+
+
+def _include_chain(directory: Path, depth: int, innermost: str) -> None:
+    """main.p includes f1.ax, which includes f2.ax, ... down to f<depth>.ax,
+    which holds innermost; main.p declares the symbols first."""
+    (directory / "main.p").write_text(HEADER + "include('f1.ax').\n")
+    for i in range(1, depth):
+        (directory / f"f{i}.ax").write_text(f"include('f{i + 1}.ax').\n")
+    (directory / f"f{depth}.ax").write_text(innermost)
+
+
+def _dtf(directory: Path, *argv: str) -> subprocess.CompletedProcess:
+    # A new interpreter, so that the stack is as deep as from the command line.
+    return subprocess.run([sys.executable, "-m", "dtf", *argv], cwd=directory, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("shape", ["parentheses", "implications"])
+def test_a_formula_at_the_nesting_limit_runs_at_the_include_limit(shape, tmp_path):
+    _include_chain(tmp_path, MAX_INCLUDE_DEPTH, f"thf(deep, axiom, {SHAPES[shape](MAX_NESTING)}).\n")
+    for argv in (["parse"], ["parse", "--print"], ["check", "--deep"],
+                 ["translate", "--assume-obligations"], ["stats"]):
+        proc = _dtf(tmp_path, *argv, "main.p")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), argv
+
+
+def test_an_include_past_the_limit_is_located_at_the_directive(tmp_path):
+    # The chain goes on to f<limit + 1>.ax, which would hold the formula.
+    _include_chain(tmp_path, MAX_INCLUDE_DEPTH + 1, "thf(a, axiom, p).\n")
+    for argv in (["check"], ["parse"]):
+        proc = _dtf(tmp_path, *argv, "main.p")
+        assert proc.returncode == EXIT_PARSE, argv
+        assert proc.stderr == (f"f{MAX_INCLUDE_DEPTH}.ax:1:1: error: "
+                               f"include nests deeper than {MAX_INCLUDE_DEPTH} files\n"), argv

@@ -1,6 +1,8 @@
 """Lexing, parsing, and elaboration."""
 
+import re
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,11 +25,17 @@ from dtf.core import (
     Var,
     alpha_equal,
 )
+from dtf.deep import check_problem
 from dtf.diagnostics import DiagnosticError
+from dtf.printer import print_problem
+from dtf.shallow import check_shallow
 from dtf.syntax import START, Problem, parse_file, parse_problem, tokenize
 
+from genutil import gen_formula_problem, gen_problem
 from test_lexer import PIECES
 from theoryutil import axioms, const_decl, type_decl
+
+REPO = Path(__file__).resolve().parents[1]
 
 PRELUDE = """
 thf(nat_type, type, nat: $tType).
@@ -571,3 +579,59 @@ def test_a_lexical_error_is_the_only_diagnostic(text):
     if isinstance(lexed, list):
         return
     assert parse_problem(text) == [lexed]
+
+
+# -- every diagnostic names a token ------------------------------------------------
+
+def _mutants(text: str) -> list:
+    """One-edit mutations of a generated problem: an unknown constant in an
+    axiom, the index arguments of a type swapped, and `$o` for a base type."""
+    lines = text.splitlines(keepends=True)
+    out = []
+    for i, line in enumerate(lines):
+        edits = []
+        if ", axiom," in line or ", conjecture," in line:
+            edits.append(re.sub(r"\bk\d+\b", "unknown_k", line, count=1))
+        edits.append(re.sub(r"@ (\w+) @ (\w+)", r"@ \2 @ \1", line, count=1))
+        edits.append(re.sub(r"(: |\[\w+: )b\d+\b", r"\1$o", line, count=1))
+        out += ["".join(lines[:i] + [edit] + lines[i + 1:]) for edit in edits if edit != line]
+    return out
+
+
+def _diagnostics_name_tokens(text: str, path=None) -> int:
+    """Each diagnostic of the front end and of both checkers spans a token of
+    the file it names, as Token.span gives it; returns how many there are."""
+    try:
+        tokenize(text)
+    except DiagnosticError as exc:
+        assert parse_problem(text, path) == [exc.diagnostic]
+        return 1
+    result = parse_problem(text, path)
+    if isinstance(result, Problem):
+        result = check_shallow(result) + check_problem(result).diagnostics
+    for d in result:
+        named = text if d.path == path else Path(d.path).read_text(encoding="utf-8")
+        assert d.span in {t.span for t in tokenize(named)}, d.format()
+    return len(result)
+
+
+def _named_token_inputs() -> list:
+    negative = sorted((REPO / "corpus" / "negative").glob("*.p"))
+    fixtures = sorted((REPO / "tests" / "fixtures").glob("*.p"))
+    return [(p.read_text(encoding="utf-8"), str(p)) for p in negative + fixtures + [
+        REPO / "tests" / "fixtures" / "include" / "inc_main.p"]]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_every_diagnostic_of_a_checked_file_spans_a_token(newline):
+    inputs = _named_token_inputs()
+    found = sum(_diagnostics_name_tokens(text.replace("\n", newline), path) for text, path in inputs)
+    assert found >= len(inputs) - 2  # two fixtures are well typed
+
+
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_every_diagnostic_of_a_mutated_problem_spans_a_token(seed, newline):
+    for problem in (gen_problem(seed), gen_formula_problem(seed)):
+        for text in _mutants(print_problem(problem)):
+            _diagnostics_name_tokens(text.replace("\n", newline))
