@@ -61,7 +61,7 @@ _PUNCT = [
 # per token class.  `\w` is exactly "alphanumeric or `_`".  A word must also
 # start with a letter.  The empty `other` alternative hands a token that starts
 # with a digit (`str.isdigit`, wider than `\d`), every lexical error and the end
-# of input to the hand-written branches of `tokenize`.
+# of input to the hand-written branches of `tokenize` and `locate`.
 _TOKEN = re.compile(r"""
     (?: [ \t\r\n]+ | %[^\n]* | /\*[\s\S]*?\*/ )*
     (?: (?P<punct> """ + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)) + r""" )
@@ -76,16 +76,12 @@ _new_tuple = tuple.__new__  # builds a named tuple without its __new__ frame
 
 
 class Token(NamedTuple):
+    """A token, which is also the surface tree of a name; `span` is its start
+    offset in the text, as in every node, and `locate` gives its line and column."""
+
     kind: str  # lower|upper|dollar|quoted|number|one of _PUNCT|eof
     text: str
-    line: int
-    column: int
-    offset: int
-    end: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.column, max(1, self.end - self.offset))
+    span: int
 
 
 def _found(tok: Token) -> str:
@@ -94,68 +90,51 @@ def _found(tok: Token) -> str:
 
 
 # A zero-width token before the text, after which the first item is read.
-START = Token("start", "", 1, 1, 0, 0)
+START = Token("start", "", 0)
+
+
+def _number_end(text: str, pos: int) -> int:
+    while pos < len(text) and (text[pos].isdigit() or text[pos] in ".eE+-/"):
+        pos += 1
+    return pos
 
 
 def tokenize(text: str, path: str | None = None, *, after: Token | None = None) -> list[Token]:
     """The tokens of text, ending in `eof`; a lexical error raises DiagnosticError.
 
-    With `after`, the last token already read, only the tokens after it up to
-    and including the next `.` or `eof`: chained from START, one item a call."""
+    With `after`, the `.` or START already read, only the tokens after it up
+    to and including the next `.` or `eof`: chained from START, one item a call."""
     tokens: list[Token] = []
-    if after is None:
-        pos, line, line_start = 0, 1, 0
-    else:  # no token spans a line break
-        pos, line, line_start = after.end, after.line, after.offset - after.column + 1
-    n = len(text)
+    pos = 0 if after is None else after.span + len(after.text)
     while True:
         m = _TOKEN.match(text, pos)
         kind = m.lastgroup
-        start = m.start(kind)
-        if start != pos:
-            newlines = text.count("\n", pos, start)
-            if newlines:
-                line += newlines
-                line_start = text.rfind("\n", pos, start) + 1
-            # Rebound only here, so that a token's offset is the same int
-            # object as the end of the token just before it.
-            pos = start
+        pos = m.start(kind)
         end = m.end()
         if kind == "punct":
             token = text[pos:end]
-            tokens.append(_new_tuple(Token, (token, token, line, pos - line_start + 1, pos, end)))
+            tokens.append(_new_tuple(Token, (token, token, pos)))
             if token == "." and after is not None:
                 return tokens
         elif kind == "word" and (c := text[pos]).isalpha():
-            tokens.append(_new_tuple(Token, ("lower" if c.islower() else "upper", text[pos:end],
-                               line, pos - line_start + 1, pos, end)))
+            tokens.append(_new_tuple(Token, ("lower" if c.islower() else "upper", text[pos:end], pos)))
         elif kind == "dollar":
-            tokens.append(_new_tuple(Token, ("dollar", text[pos:end], line, pos - line_start + 1, pos, end)))
+            tokens.append(_new_tuple(Token, ("dollar", text[pos:end], pos)))
         elif kind == "quoted":
-            tokens.append(_new_tuple(Token, ("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]),
-                               line, pos - line_start + 1, pos, end)))
-        elif pos == n:
+            tokens.append(_new_tuple(Token, ("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]), pos)))
+        elif pos == len(text):
             break
+        elif text[pos].isdigit():
+            end = _number_end(text, pos)
+            tokens.append(Token("number", text[pos:end], pos))
         else:
-            col = pos - line_start + 1
             c = text[pos]
-            if c.isdigit():
-                end = pos
-                while end < n and (text[end].isdigit() or text[end] in ".eE+-/"):
-                    end += 1
-                tokens.append(Token("number", text[pos:end], line, col, pos, end))
-            elif c == "'":
-                stop = text.find("\n", pos)
-                length = (n if stop < 0 else stop) - pos
-                raise DiagnosticError(error("unterminated quoted atom", Span(line, col, length), path))
-            elif text.startswith("/*", pos):
-                raise DiagnosticError(error("unterminated block comment", Span(line, col, 2), path))
-            elif c == "$":
-                raise DiagnosticError(error("stray '$'", Span(line, col, 1), path))
-            else:
-                raise DiagnosticError(error(f"unexpected character {c!r}", Span(line, col, 1), path))
+            message = ("unterminated quoted atom" if c == "'" else
+                       "unterminated block comment" if text.startswith("/*", pos) else
+                       "stray '$'" if c == "$" else f"unexpected character {c!r}")
+            raise DiagnosticError(error(message, locate(text, pos), path))
         pos = end
-    tokens.append(Token("eof", "", line, n - line_start + 1, n, n))
+    tokens.append(Token("eof", "", pos))
     return tokens
 
 
@@ -165,25 +144,31 @@ def _line_starts(text: str) -> list:
 
 
 def locate(text: str | None, offset: int | None) -> Span | None:
-    """The Span of the token that starts at offset in text, equal to its
-    Token.span; None without both.  Lines count "\\n" only, as in tokenize."""
+    """The Span of the token, or of the lexical error, that tokenize finds at
+    offset in text; None without both.  Lines count "\\n" only."""
     if text is None or offset is None:
         return None
     starts = _line_starts(text)
     line = bisect_right(starts, offset)
-    return Span(line, offset - starts[line - 1] + 1, max(1, _TOKEN.match(text, offset).end() - offset))
+    m = _TOKEN.match(text, offset)
+    end = m.end()
+    if m.lastgroup == "other" or m.lastgroup == "word" and not text[offset].isalpha():
+        # tokenize's hand-written branches: a number, a lexical error or the end
+        c = text[offset:offset + 1]
+        if c.isdigit():
+            end = _number_end(text, offset)
+        elif c == "'":
+            stop = text.find("\n", offset)
+            end = len(text) if stop < 0 else stop
+        else:
+            end = offset + (2 if text.startswith("/*", offset) else 1)
+    return Span(line, offset - starts[line - 1] + 1, max(1, end - offset))
 
 
 # ---------------------------------------------------------------------------
 # Surface trees: plain slotted classes, since the parser builds each node
-# once, nothing compares two of them, and the elaborator only reads them.
-
-
-class SName:
-    __slots__ = ("category", "text", "span")  # category: lower|upper|dollar|quoted
-
-    def __init__(self, category: str, text: str, span: int):
-        self.category, self.text, self.span = category, text, span
+# once, nothing compares two of them, and the elaborator only reads them.  A
+# name is its Token, of kind lower, upper, dollar or quoted.
 
 
 class SApp:
@@ -215,7 +200,7 @@ class SEq:
 
 
 class SBinder:
-    # op: ! ? ^ !> @+; variables: tuple[(SName, surface-type), ...]
+    # op: ! ? ^ !> @+; variables: tuple[(Token, surface-type), ...]
     __slots__ = ("op", "variables", "body", "span")
 
     def __init__(self, op: str, variables: tuple, body, span: int):
@@ -225,7 +210,7 @@ class SBinder:
 class STyping:
     __slots__ = ("subject", "ty", "span")
 
-    def __init__(self, subject: SName, ty, span: int):
+    def __init__(self, subject: Token, ty, span: int):
         self.subject, self.ty, self.span = subject, ty, span
 
 
@@ -284,7 +269,7 @@ def _too_deep(tree: object, limit: int) -> object:
         node, depth = stack.pop()
         if depth > limit:
             return node
-        if isinstance(node, SName):
+        if isinstance(node, Token):
             continue
         if isinstance(node, SApp):
             stack += [(node.fun, depth + 1), (node.arg, depth + 1)]
@@ -361,7 +346,7 @@ class _Parser:
 
     def fail(self, message: str, at: Token | None = None) -> DiagnosticError:
         """An error located at a token, by default the next one."""
-        return DiagnosticError(error(message, (at or self.peek()).span, self.path))
+        return DiagnosticError(error(message, locate(self.text, (at or self.peek()).span), self.path))
 
     # -- items ----------------------------------------------------------
 
@@ -413,7 +398,8 @@ class _Parser:
         if self.peek().kind == ",":
             self.next()
             self._skip_balanced((")",), "unterminated include directive")
-            warnings_out.append(warning("include selection list ignored", arg.span, self.path))
+            warnings_out.append(warning("include selection list ignored", locate(self.text, arg.span),
+                                        self.path))
         self.expect(")")
         self.expect(".")
         # Opened as joined, so that `..` after a symbolic link leads where the
@@ -441,7 +427,7 @@ class _Parser:
                 message = (f"cannot read include {arg.text!r}: byte {byte:#04x} at line {at.line}, "
                            f"column {at.column} is not UTF-8")
         if message is not None:
-            inner[0].append(error(message, kw.span, self.path))
+            inner[0].append(error(message, locate(self.text, kw.span), self.path))
             return
         diagnostics, warns = _Parser(text, name, self.elab, target, self.seen | {real},
                                      self.level + 1).parse_items()
@@ -478,7 +464,7 @@ class _Parser:
         # Only the `.` is kept, after which the next item is lexed, so the
         # item's tokens are freed before it is elaborated.
         self.tokens, self.pos = self.tokens[-1:], 1
-        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.offset, self.path)
+        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span, self.path)
 
     def _skip_balanced(self, stops: tuple, message: str) -> None:
         """Skip tokens up to one of stops outside any brackets."""
@@ -507,7 +493,7 @@ class _Parser:
         ty = self.parse_expr()  # type expressions reuse the formula grammar
         for _ in range(parens):
             self.expect(")")
-        return STyping(SName("lower", subject_tok.text, subject_tok.offset), ty, subject_tok.offset)
+        return STyping(subject_tok, ty, subject_tok.span)
 
     def _looks_like_typing_paren(self) -> bool:
         tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -518,7 +504,7 @@ class _Parser:
 
     # The four methods below are the parser's hot path: they read
     # `self.tokens[self.pos]` and advance `self.pos` themselves.  A node keeps
-    # its token's offset, the same int object as the previous token's end.
+    # its token's offset, and a name is its token.
 
     def parse_expr(self) -> object:
         left = self.parse_unit()
@@ -534,7 +520,7 @@ class _Parser:
             self._reject_chain_mixing(op)
             result = operands[0]
             for rhs in operands[1:]:
-                result = SBin(op, result, rhs, op_tok.offset)
+                result = SBin(op, result, rhs, op_tok.span)
             return result
         if op == ">":
             operands = [left]
@@ -544,12 +530,12 @@ class _Parser:
             self._reject_chain_mixing(op)
             result = operands[-1]
             for lhs in reversed(operands[:-1]):
-                result = SBin(">", lhs, result, op_tok.offset)
+                result = SBin(">", lhs, result, op_tok.span)
             return result
         self.pos += 1
         right = self.parse_unit()
         self._reject_chain_mixing(op)
-        return SBin(op, left, right, op_tok.offset)
+        return SBin(op, left, right, op_tok.span)
 
     def _reject_chain_mixing(self, op: str) -> None:
         nxt = self.peek()
@@ -567,7 +553,7 @@ class _Parser:
                 raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", tok)
             if tok.kind == "~":
                 self.pos += 1
-                return SNot(self.parse_unit(), tok.offset)
+                return SNot(self.parse_unit(), tok.span)
             left = self.parse_apply()
             nxt = tokens[self.pos]
             if nxt.kind in ("=", "!="):
@@ -576,7 +562,7 @@ class _Parser:
                 after = tokens[self.pos]
                 if after.kind in ("=", "!="):
                     raise self.fail("chained equality needs parentheses", after)
-                return SEq(left, right, nxt.kind == "!=", nxt.offset)
+                return SEq(left, right, nxt.kind == "!=", nxt.span)
             return left
         finally:
             self.depth -= 1
@@ -587,16 +573,16 @@ class _Parser:
         at = tokens[self.pos]
         while at.kind == "@":
             self.pos += 1
-            result = SApp(result, self.parse_atom(), at.offset)
+            result = SApp(result, self.parse_atom(), at.span)
             at = tokens[self.pos]
         return result
 
     def parse_atom(self) -> object:
         tok = self.tokens[self.pos]
-        kind, text, _, _, offset, _ = tok
+        kind = tok.kind
         if kind in _NAME_KINDS:
             self.pos += 1
-            return SName(kind, text, offset)
+            return tok
         if kind == "(":
             self.pos += 1
             inner = self.parse_expr()
@@ -624,14 +610,14 @@ class _Parser:
             var_tok = self.expect("upper")
             self.expect(":")
             ty = self.parse_var_type()
-            is_type_var = isinstance(ty, SName) and ty.text == "$tType"
+            is_type_var = isinstance(ty, Token) and ty.text == "$tType"
             if op_tok.kind == "!>":
                 if is_type_var and seen_term_var:
                     raise self.fail("type variables must precede term variables in '!>'",
                                     var_tok)
                 if not is_type_var:
                     seen_term_var = True
-            variables.append((SName("upper", var_tok.text, var_tok.offset), ty))
+            variables.append((var_tok, ty))
             if self.peek().kind == ",":
                 self.next()
                 continue
@@ -641,7 +627,7 @@ class _Parser:
         body = self.parse_unit()
         if op_tok.kind == "@+" and len(variables) != 1:
             raise self.fail("choice binds exactly one variable", op_tok)
-        return SBinder(op_tok.kind, tuple(variables), body, op_tok.offset)
+        return SBinder(op_tok.kind, tuple(variables), body, op_tok.span)
 
     def parse_var_type(self) -> object:
         operand = self.parse_unit()
@@ -653,7 +639,7 @@ class _Parser:
             operands.append(self.parse_unit())
         result = operands[-1]
         for lhs in reversed(operands[:-1]):
-            result = SBin(">", lhs, result, at.offset)
+            result = SBin(">", lhs, result, at.span)
         return result
 
 
@@ -729,7 +715,7 @@ class _Elaborator:
 
         binders, spine = self._split_decl_type(typing.ty)
         tail = spine[-1]
-        if isinstance(tail, SName) and tail.category == "dollar" and tail.text == "$tType":
+        if isinstance(tail, Token) and tail.kind == "dollar" and tail.text == "$tType":
             venv: dict = {}
             telescope = self._bind_written(binders, venv)
             for component in spine[:-1]:
@@ -756,7 +742,7 @@ class _Elaborator:
         return binders, spine
 
     def _bind_written(self, variables, venv: dict) -> list:
-        """Bind the (SName, surface type) pairs of a `!>` in venv under their
+        """Bind the (Token, surface type) pairs of a `!>` in venv under their
         written names; returns their (Name, domain) pairs in order."""
         bound: list = []
         for var, sty in variables:
@@ -779,15 +765,15 @@ class _Elaborator:
     # -- types -------------------------------------------------------------
 
     def elaborate_type(self, sty: object, venv: dict, allow_pi: bool = False) -> Type:
-        if isinstance(sty, SName):
-            if sty.category == "dollar":
+        if isinstance(sty, Token):
+            if sty.kind == "dollar":
                 if sty.text == "$o":
                     return core.BoolType(span=sty.span)
                 if sty.text == "$tType":
                     self.polymorphic = True
                     return BaseApp(Name("$tType", NameKind.TYPE), span=sty.span)
                 raise self.err(f"unsupported $-symbol {sty.text!r} in type position", sty.span)
-            if sty.category == "upper":
+            if sty.kind == "upper":
                 entry = venv.get(sty.text)
                 if entry and entry[0] == "tyvar":
                     return BaseApp(Name(sty.text, NameKind.VAR), span=sty.span)
@@ -807,7 +793,7 @@ class _Elaborator:
                 spine.append(head.arg)
                 head = head.fun
             spine.reverse()
-            if not isinstance(head, SName):
+            if not isinstance(head, Token):
                 raise self.err("type application needs a type-symbol head", sty.span)
             head_ty = self.elaborate_type(head, venv)
             if is_type_kind(head_ty):
@@ -837,15 +823,9 @@ class _Elaborator:
     # -- terms ---------------------------------------------------------------
 
     def elaborate_term(self, s: object, venv: dict) -> Term:
-        if isinstance(s, SName):
+        if isinstance(s, Token):
             return self._elaborate_name(s, venv)
         if isinstance(s, SApp):
-            head = s
-            while isinstance(head, SApp):
-                head = head.fun
-            if isinstance(head, SName) and head.category in ("lower", "quoted") \
-                    and isinstance(self.symbols.get(head.text), TypeDecl):
-                raise self.err(f"type symbol {head.text!r} used as a term", head.span)
             return App(self.elaborate_term(s.fun, venv), self.elaborate_term(s.arg, venv), span=s.span)
         if isinstance(s, SNot):
             return Not(self.elaborate_term(s.operand, venv), span=s.span)
@@ -873,8 +853,8 @@ class _Elaborator:
             return self._elaborate_binder(s, venv)
         raise self.err("expected a formula", getattr(s, "span", None))
 
-    def _elaborate_name(self, s: SName, venv: dict) -> Term:
-        if s.category == "dollar":
+    def _elaborate_name(self, s: Token, venv: dict) -> Term:
+        if s.kind == "dollar":
             if s.text == "$true":
                 return Top(span=s.span)
             if s.text == "$false":
@@ -882,7 +862,7 @@ class _Elaborator:
             if s.text in ("$o", "$tType"):
                 raise self.err(f"{s.text} cannot appear in a formula", s.span)
             raise self.err(f"unsupported $-symbol {s.text!r}", s.span)
-        if s.category == "upper":
+        if s.kind == "upper":
             entry = venv.get(s.text)
             if entry is None:
                 raise self.err(f"unbound variable {s.text!r}", s.span)

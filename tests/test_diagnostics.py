@@ -38,6 +38,9 @@ def _check(args: list, capsys) -> tuple:
     ("thf(c_type, type, c: ^ [X: nat]: nat).", EXIT_PARSE,
      "4:22: error: binder '^' cannot appear in a type"),
     ("thf(a, axiom, (vec @ z) = z).", EXIT_PARSE, "4:16: error: type symbol 'vec' used as a term"),
+    ("thf(a, axiom, (vec @ z @ z) = z).", EXIT_PARSE, "4:16: error: type symbol 'vec' used as a term"),
+    ("thf(a, axiom, ('vec' @ z) = z).", EXIT_PARSE, "4:16: error: type symbol 'vec' used as a term"),
+    ("thf(c_type, type, c: vec @ vec).", EXIT_PARSE, "4:28: error: type symbol 'vec' used as a term"),
     ("thf(a, axiom, $o).", EXIT_PARSE, "4:15: error: $o cannot appear in a formula"),
     ("thf(a, axiom, ! [A: $tType]: (A = A)).", EXIT_PARSE,
      "4:31: error: type variable 'A' used as a term"),

@@ -1,6 +1,7 @@
 """The lexer: its diagnostics, and agreement with a frozen reference lexer."""
 
 import string
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from dtf.cli import EXIT_PARSE, run
 from dtf.diagnostics import DiagnosticError as _SyntaxError, Span, error
-from dtf.syntax import _PUNCT, Token, parse_problem, tokenize
+from dtf.syntax import _PUNCT, locate, parse_problem, tokenize
 
 # -- diagnostics ------------------------------------------------------------------
 
@@ -43,7 +44,20 @@ def test_lexer_error_is_located(tmp_path, capsys, text, line, column, length, me
 # -- differential test against the reference lexer --------------------------------
 #
 # The character-by-character lexer below is kept unchanged as an oracle:
-# `tokenize` must give the same tokens and the same diagnostics on every input.
+# `tokenize` must give the same tokens and the same diagnostics on every input,
+# and `locate` the line, column and length that the oracle counts for each token.
+
+
+class Token(NamedTuple):
+    """The oracle's token, which keeps its position as it counts it."""
+
+    kind: str
+    text: str
+    line: int
+    column: int
+    offset: int
+    end: int
+
 
 def _is_lower_start(c: str) -> bool:
     return c.isalpha() and c.islower()
@@ -143,10 +157,14 @@ def oracle_tokenize(text: str, path: str | None = None) -> list[Token]:
 
 
 def _outcome(lex, text: str):
+    """(kind, text, line, column, length, offset) of each token, or the diagnostic."""
     try:
-        return [(t.kind, t.text, t.line, t.column, t.offset, t.end) for t in lex(text, "f.p")]
+        tokens = lex(text, "f.p")
     except _SyntaxError as exc:
         return exc.diagnostic
+    if lex is oracle_tokenize:
+        return [(t.kind, t.text, t.line, t.column, max(1, t.end - t.offset), t.offset) for t in tokens]
+    return [(t.kind, t.text, *locate(text, t.span), t.span) for t in tokens]
 
 
 PIECES = (_PUNCT + list(string.ascii_letters + string.digits)

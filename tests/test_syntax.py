@@ -29,7 +29,7 @@ from dtf.deep import check_problem
 from dtf.diagnostics import DiagnosticError
 from dtf.printer import print_problem
 from dtf.shallow import check_shallow
-from dtf.syntax import START, Problem, parse_file, parse_problem, tokenize
+from dtf.syntax import START, Problem, locate, parse_file, parse_problem, tokenize
 
 from genutil import gen_formula_problem, gen_problem
 from test_lexer import PIECES
@@ -600,7 +600,7 @@ def _mutants(text: str) -> list:
 
 def _diagnostics_name_tokens(text: str, path=None) -> int:
     """Each diagnostic of the front end and of both checkers spans a token of
-    the file it names, as Token.span gives it; returns how many there are."""
+    the file it names, as `locate` gives it; returns how many there are."""
     try:
         tokenize(text)
     except DiagnosticError as exc:
@@ -611,7 +611,7 @@ def _diagnostics_name_tokens(text: str, path=None) -> int:
         result = check_shallow(result) + check_problem(result).diagnostics
     for d in result:
         named = text if d.path == path else Path(d.path).read_text(encoding="utf-8")
-        assert d.span in {t.span for t in tokenize(named)}, d.format()
+        assert d.span in {locate(named, t.span) for t in tokenize(named)}, d.format()
     return len(result)
 
 
