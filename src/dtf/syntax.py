@@ -171,18 +171,12 @@ def locate(text: str | None, offset: int | None) -> Span | None:
 # name is its Token, of kind lower, upper, dollar or quoted.
 
 
-class SApp:
-    __slots__ = ("fun", "arg", "span")
-
-    def __init__(self, fun, arg, span: int):
-        self.fun, self.arg, self.span = fun, arg, span
-
-
 class SBin:
-    __slots__ = ("op", "left", "right", "span")  # op: & | => <= <=> <~> >
+    __slots__ = ("op", "left", "right", "span")  # op: @ (left applied to right) = != & | => <= <=> <~> >
 
     def __init__(self, op: str, left, right, span: int):
-        self.op, self.left, self.right, self.span = op, left, right, span
+        self.op, self.left, self.right = op, left, right  # four at once would build a tuple
+        self.span = span
 
 
 class SNot:
@@ -190,13 +184,6 @@ class SNot:
 
     def __init__(self, operand, span: int):
         self.operand, self.span = operand, span
-
-
-class SEq:
-    __slots__ = ("left", "right", "negated", "span")
-
-    def __init__(self, left, right, negated: bool, span: int):
-        self.left, self.right, self.negated, self.span = left, right, negated, span
 
 
 class SBinder:
@@ -207,21 +194,15 @@ class SBinder:
         self.op, self.variables, self.body, self.span = op, variables, body, span
 
 
-class STyping:
-    __slots__ = ("subject", "ty", "span")
-
-    def __init__(self, subject: Token, ty, span: int):
-        self.subject, self.ty, self.span = subject, ty, span
-
-
 class AnnotatedFormula:
-    """One annotated formula as parsed; its body is a surface tree (an
-    STyping for role type), and its path the file it was read from."""
+    """One annotated formula as parsed from the file at `path`.  `body` is its
+    surface tree: for role type, the type of `subject`, the declared name's token (else None)."""
 
-    __slots__ = ("name", "role", "body", "span", "path")
+    __slots__ = ("name", "role", "subject", "body", "span", "path")
 
-    def __init__(self, name: str, role: str, body, span: int, path: str | None):
-        self.name, self.role, self.body, self.span, self.path = name, role, body, span, path
+    def __init__(self, name: str, role: str, subject: Token | None, body, span: int, path: str | None):
+        self.name, self.role, self.subject, self.body = name, role, subject, body
+        self.span, self.path = span, path
 
 
 class Problem(core.Record):
@@ -271,9 +252,7 @@ def _too_deep(tree: object, limit: int) -> object:
             return node
         if isinstance(node, Token):
             continue
-        if isinstance(node, SApp):
-            stack += [(node.fun, depth + 1), (node.arg, depth + 1)]
-        elif isinstance(node, (SBin, SEq)):
+        if isinstance(node, SBin):
             stack += [(node.left, depth + 1), (node.right, depth + 1)]
         elif isinstance(node, SBinder):
             depth += len(node.variables)
@@ -281,8 +260,6 @@ def _too_deep(tree: object, limit: int) -> object:
             stack.append((node.body, depth))
         elif isinstance(node, SNot):
             stack.append((node.operand, depth + 1))
-        elif isinstance(node, STyping):
-            stack.append((node.ty, depth))
     return None
 
 
@@ -444,8 +421,9 @@ class _Parser:
         self.expect(",")
         role_tok = self.expect("lower")
         self.expect(",")
+        subject = None
         if role_tok.text == "type":
-            body: object = self.parse_typing()
+            subject, body = self.parse_typing()
         else:
             body = self.parse_expr()
         too_deep = _too_deep(body, MAX_NESTING)
@@ -453,18 +431,17 @@ class _Parser:
             raise DiagnosticError(error(f"formula nests deeper than {MAX_NESTING} levels",
                                         locate(self.text, too_deep.span), self.path))
         # The source and useful-info annotations are checked for balance and skipped.
-        if self.peek().kind == ",":
+        for _ in range(2):
+            if self.peek().kind != ",":
+                break
             self.next()
             self._skip_balanced((",", ")"), "unterminated annotation")
-            if self.peek().kind == ",":
-                self.next()
-                self._skip_balanced((",", ")"), "unterminated annotation")
         self.expect(")")
         self.expect(".")
         # Only the `.` is kept, after which the next item is lexed, so the
         # item's tokens are freed before it is elaborated.
         self.tokens, self.pos = self.tokens[-1:], 1
-        return AnnotatedFormula(name_tok.text, role_tok.text, body, kw.span, self.path)
+        return AnnotatedFormula(name_tok.text, role_tok.text, subject, body, kw.span, self.path)
 
     def _skip_balanced(self, stops: tuple, message: str) -> None:
         """Skip tokens up to one of stops outside any brackets."""
@@ -480,7 +457,8 @@ class _Parser:
 
     # -- typings ---------------------------------------------------------
 
-    def parse_typing(self) -> STyping:
+    def parse_typing(self) -> tuple:
+        """The declared name's token and the surface tree of its type."""
         parens = 0
         while self.peek().kind == "(" and self._looks_like_typing_paren():
             self.next()
@@ -493,7 +471,7 @@ class _Parser:
         ty = self.parse_expr()  # type expressions reuse the formula grammar
         for _ in range(parens):
             self.expect(")")
-        return STyping(subject_tok, ty, subject_tok.span)
+        return subject_tok, ty
 
     def _looks_like_typing_paren(self) -> bool:
         tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
@@ -512,30 +490,23 @@ class _Parser:
         op = op_tok.kind
         if op not in _BINARY_OPS:
             return left
-        if op in ("&", "|"):
-            operands = [left]
-            while self.tokens[self.pos].kind == op:
-                self.pos += 1
-                operands.append(self.parse_unit())
-            self._reject_chain_mixing(op)
-            result = operands[0]
-            for rhs in operands[1:]:
-                result = SBin(op, result, rhs, op_tok.span)
-            return result
-        if op == ">":
-            operands = [left]
-            while self.tokens[self.pos].kind == ">":
-                self.pos += 1
-                operands.append(self.parse_unit())
-            self._reject_chain_mixing(op)
-            result = operands[-1]
-            for lhs in reversed(operands[:-1]):
-                result = SBin(">", lhs, result, op_tok.span)
-            return result
-        self.pos += 1
-        right = self.parse_unit()
+        # Only `&`, `|` and `>` chain; `>` nests to the right, the rest to the left.
+        operands = [left]
+        while True:
+            self.pos += 1
+            operands.append(self.parse_unit())
+            if op not in ("&", "|", ">") or self.tokens[self.pos].kind != op:
+                break
         self._reject_chain_mixing(op)
-        return SBin(op, left, right, op_tok.span)
+        if op == ">":
+            result = operands.pop()
+            while operands:
+                result = SBin(op, operands.pop(), result, op_tok.span)
+            return result
+        result = left
+        for rhs in operands[1:]:
+            result = SBin(op, result, rhs, op_tok.span)
+        return result
 
     def _reject_chain_mixing(self, op: str) -> None:
         nxt = self.peek()
@@ -562,7 +533,7 @@ class _Parser:
                 after = tokens[self.pos]
                 if after.kind in ("=", "!="):
                     raise self.fail("chained equality needs parentheses", after)
-                return SEq(left, right, nxt.kind == "!=", nxt.span)
+                return SBin(nxt.kind, left, right, nxt.span)
             return left
         finally:
             self.depth -= 1
@@ -573,7 +544,7 @@ class _Parser:
         at = tokens[self.pos]
         while at.kind == "@":
             self.pos += 1
-            result = SApp(result, self.parse_atom(), at.span)
+            result = SBin("@", result, self.parse_atom(), at.span)
             at = tokens[self.pos]
         return result
 
@@ -705,15 +676,13 @@ class _Elaborator:
     # -- declarations ------------------------------------------------------
 
     def elaborate_declaration(self, f: AnnotatedFormula) -> None:
-        typing = f.body
-        assert isinstance(typing, STyping)
-        symbol = typing.subject.text
+        symbol = f.subject.text
         if symbol in self.symbols:
-            raise self.err(f"duplicate declaration of {symbol!r}", typing.span)
+            raise self.err(f"duplicate declaration of {symbol!r}", f.subject.span)
         if symbol == "$tType":  # a user type of that name would be the kind itself
-            raise self.err("'$tType' is the kind of types and cannot be declared", typing.subject.span)
+            raise self.err("'$tType' is the kind of types and cannot be declared", f.subject.span)
 
-        binders, spine = self._split_decl_type(typing.ty)
+        binders, spine = self._split_decl_type(f.body)
         tail = spine[-1]
         if isinstance(tail, Token) and tail.kind == "dollar" and tail.text == "$tType":
             venv: dict = {}
@@ -723,7 +692,7 @@ class _Elaborator:
                 telescope.append((Name(self._invent_binder(venv), NameKind.VAR), domain))
             decl = TypeDecl(Name(symbol, NameKind.TYPE), tuple(telescope), f.name, span=f.span, path=f.path)
         else:
-            ty = self.elaborate_type(typing.ty, {}, allow_pi=True)
+            ty = self.elaborate_type(f.body, {}, allow_pi=True)
             decl = ConstDecl(Name(symbol, NameKind.CONST), ty, f.name, span=f.span, path=f.path)
         self.decls.append(decl)
         self.symbols[symbol] = decl
@@ -786,12 +755,12 @@ class _Elaborator:
             if decl is not None:
                 raise self.err(f"{sty.text!r} is not a type symbol", sty.span)
             raise self.err(f"unknown type symbol {sty.text!r}", sty.span)
-        if isinstance(sty, SApp):
+        if isinstance(sty, SBin) and sty.op == "@":
             spine: list = []
             head = sty
-            while isinstance(head, SApp):
-                spine.append(head.arg)
-                head = head.fun
+            while isinstance(head, SBin) and head.op == "@":
+                spine.append(head.right)
+                head = head.left
             spine.reverse()
             if not isinstance(head, Token):
                 raise self.err("type application needs a type-symbol head", sty.span)
@@ -825,30 +794,26 @@ class _Elaborator:
     def elaborate_term(self, s: object, venv: dict) -> Term:
         if isinstance(s, Token):
             return self._elaborate_name(s, venv)
-        if isinstance(s, SApp):
-            return App(self.elaborate_term(s.fun, venv), self.elaborate_term(s.arg, venv), span=s.span)
-        if isinstance(s, SNot):
-            return Not(self.elaborate_term(s.operand, venv), span=s.span)
-        if isinstance(s, SEq):
-            left = self.elaborate_term(s.left, venv)
-            right = self.elaborate_term(s.right, venv)
-            eq = Eq(left, right, self._synth(left, venv), span=s.span)
-            return Not(eq, span=s.span) if s.negated else eq
         if isinstance(s, SBin):
-            if s.op == ">":
+            if s.op == "@":  # the commonest node
+                return App(self.elaborate_term(s.left, venv), self.elaborate_term(s.right, venv),
+                           span=s.span)
+            op = s.op
+            if op == ">":
                 raise self.err("arrow cannot appear in a formula", s.span)
             left = self.elaborate_term(s.left, venv)
             right = self.elaborate_term(s.right, venv)
-            if s.op in _CONNECTIVES:
-                return _CONNECTIVES[s.op](left, right, span=s.span)
-            if s.op == "<=":
+            if op == "=" or op == "!=":
+                eq = Eq(left, right, self._synth(left, venv), span=s.span)
+                return Not(eq, span=s.span) if op == "!=" else eq
+            if op in _CONNECTIVES:
+                return _CONNECTIVES[op](left, right, span=s.span)
+            if op == "<=":
                 return Implies(right, left, span=s.span)
-            if s.op == "<=>":
-                return And(Implies(left, right, span=s.span), Implies(right, left, span=s.span), span=s.span)
-            if s.op == "<~>":
-                both = And(Implies(left, right, span=s.span), Implies(right, left, span=s.span), span=s.span)
-                return Not(both, span=s.span)
-            raise self.err(f"unsupported connective {s.op!r}", s.span)
+            both = And(Implies(left, right, span=s.span), Implies(right, left, span=s.span), span=s.span)
+            return both if op == "<=>" else Not(both, span=s.span)  # <=> or <~>
+        if isinstance(s, SNot):
+            return Not(self.elaborate_term(s.operand, venv), span=s.span)
         if isinstance(s, SBinder):
             return self._elaborate_binder(s, venv)
         raise self.err("expected a formula", getattr(s, "span", None))

@@ -49,6 +49,18 @@ def _check(args: list, capsys) -> tuple:
     ("thf(a, axiom, ~ z).", EXIT_CHECK, "4:15: error: negation operand must have skeleton $o, got nat"),
     ("thf(c_type, type, c: vec @ $true).", EXIT_CHECK,
      "4:28: error: argument 1 of type 'vec' has skeleton $o, expected nat"),
+    ("thf(a, axiom, $true => $true => $true).", EXIT_PARSE, "4:30: error: '=>' after '=>' needs parentheses"),
+    ("thf(a, axiom, $true & $true | $true).", EXIT_PARSE, "4:29: error: '|' after '&' needs parentheses"),
+    ("thf(a, axiom, $true <=> $true <=> $true).", EXIT_PARSE,
+     "4:31: error: '<=>' after '<=>' needs parentheses"),
+    ("thf(a, axiom, z != z != z).", EXIT_PARSE, "4:22: error: chained equality needs parentheses"),
+    ("thf(a, axiom, (z = z) > $o).", EXIT_PARSE, "4:23: error: arrow cannot appear in a formula"),
+    ("thf(c_type, type, c: (z = z)).", EXIT_PARSE, "4:25: error: expected a type"),
+    ("thf(c_type, type, c: ~ nat).", EXIT_PARSE, "4:22: error: expected a type"),
+    ("thf(c_type, type, c: (nat > nat) @ z).", EXIT_PARSE,
+     "4:34: error: type application needs a type-symbol head"),
+    ("thf(c_type, type, c: nat > nat & nat).", EXIT_PARSE, "4:32: error: '&' after '>' needs parentheses"),
+    ("thf(a, axiom, ! [X: nat = nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
 ])
 def test_one_line_diagnostic(line, code, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

@@ -129,3 +129,16 @@ def test_an_include_past_the_limit_is_located_at_the_directive(tmp_path):
         assert proc.returncode == EXIT_PARSE, argv
         assert proc.stderr == (f"f{MAX_INCLUDE_DEPTH}.ax:1:1: error: "
                                f"include nests deeper than {MAX_INCLUDE_DEPTH} files\n"), argv
+
+
+@pytest.mark.parametrize("op", ["<=>", "<~>"])
+def test_a_biconditional_nest_at_the_limit_parses_in_linear_time(op, tmp_path):
+    # The elaborator shares both operands of `(l => r) & (r => l)`, so a walk
+    # that followed them would visit 2**MAX_NESTING nodes.
+    nest = f"p {op} (" * (MAX_NESTING - 2) + f"p {op} p" + ")" * (MAX_NESTING - 2)
+    text = "thf(p_type, type, p: $o).\nthf(a, axiom, {}).\n"
+    assert "nests deeper" in parse_problem(text.format(f"p {op} ({nest})"))[0].message  # at the limit
+    (tmp_path / "nest.p").write_text(text.format(nest))
+    proc = _dtf(tmp_path, "parse", "nest.p")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_OK, "parsed 2 formulae (axiom: 1, type: 1)\n", "")
