@@ -18,13 +18,11 @@ class NameKind(Enum):
     VAR = "variable"
 
 
-_set = object.__setattr__
-
-
 class Record:
     """Base of the immutable records: equal when of one class with equal
-    `_fields`, which the hash and the repr read too.  `__init__` sets each slot
-    through `object.__setattr__`; assigning or deleting a field afterwards raises."""
+    `_fields`, which the hash and the repr read too.  `__init__` writes each slot
+    through its descriptor's `__set__`, bound once at module level: half the cost
+    of setting it by name past the guard.  Assigning or deleting a field raises."""
 
     __slots__ = _fields = ()
     _key = staticmethod(lambda record: ())
@@ -61,8 +59,8 @@ class Name(Record):
     __slots__ = _fields = ("text", "kind")
 
     def __init__(self, text: str, kind: NameKind):
-        _set(self, "text", text)
-        _set(self, "kind", kind)
+        _name_text(self, text)
+        _name_kind(self, kind)
 
     def __eq__(self, other):
         if self is other:
@@ -83,12 +81,13 @@ class Name(Record):
 class Node(Record):
     """Base of the types, terms and declarations: where the node was written,
     the offset of its token in its file (see `syntax.locate`), left out of
-    equality."""
+    equality.  Term and type nodes take it last, and the hot paths pass it
+    positionally."""
 
     __slots__ = ("span",)
 
-    def __init__(self, *, span: int | None = None):
-        _set(self, "span", span)
+    def __init__(self, span: int | None = None):
+        _span(self, span)
 
 
 class Type(Node):
@@ -102,16 +101,19 @@ class BaseApp(Type):
 
     __slots__ = _fields = ("head", "args")
 
-    def __init__(self, head: Name, args: tuple = (), *, span: int | None = None):
-        _set(self, "head", head)
-        _set(self, "args", args)
-        _set(self, "span", span)
+    def __init__(self, head: Name, args: tuple = (), span: int | None = None):
+        _base_head(self, head)
+        _base_args(self, args)
+        _span(self, span)
 
 
 class BoolType(Type):
     __slots__ = ()
 
 
+# The slot setters of the records above, which their `__init__`s call.
+_name_text, _name_kind, _span = Name.text.__set__, Name.kind.__set__, Node.span.__set__
+_base_head, _base_args = BaseApp.head.__set__, BaseApp.args.__set__
 BOOL = BoolType()
 
 # $tType is representable only so that rank-1 polymorphic declarations can be
@@ -136,23 +138,26 @@ class Term(Node):
 class Var(Term):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: Name, *, span: int | None = None):
-        _set(self, "name", name)
-        _set(self, "span", span)
+    def __init__(self, name: Name, span: int | None = None):
+        _var_name(self, name)
+        _span(self, span)
 
 
 class Const(Term):
     __slots__ = _fields = ("name",)
-    __init__ = Var.__init__
+
+    def __init__(self, name: Name, span: int | None = None):
+        _const_name(self, name)
+        _span(self, span)
 
 
 class App(Term):
     __slots__ = _fields = ("fun", "arg")
 
-    def __init__(self, fun: Term, arg: Term, *, span: int | None = None):
-        _set(self, "fun", fun)
-        _set(self, "arg", arg)
-        _set(self, "span", span)
+    def __init__(self, fun: Term, arg: Term, span: int | None = None):
+        _app_fun(self, fun)
+        _app_arg(self, arg)
+        _span(self, span)
 
 
 class Binder(Term):
@@ -164,11 +169,11 @@ class Binder(Term):
 
     __slots__ = _fields = ("binder", "domain", "body")
 
-    def __init__(self, binder: Name, domain: Type, body: Term, *, span: int | None = None):
-        _set(self, "binder", binder)
-        _set(self, "domain", domain)
-        _set(self, "body", body)
-        _set(self, "span", span)
+    def __init__(self, binder: Name, domain: Type, body: Term, span: int | None = None):
+        _binder_binder(self, binder)
+        _binder_domain(self, domain)
+        _binder_body(self, body)
+        _span(self, span)
 
 
 class Lam(Binder):
@@ -211,10 +216,10 @@ class Connective(Term):
 
     __slots__ = _fields = ("left", "right")
 
-    def __init__(self, left: Term, right: Term, *, span: int | None = None):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "span", span)
+    def __init__(self, left: Term, right: Term, span: int | None = None):
+        _conn_left(self, left)
+        _conn_right(self, right)
+        _span(self, span)
 
 
 class Implies(Connective):
@@ -235,9 +240,9 @@ class Or(Connective):
 class Not(Term):
     __slots__ = _fields = ("arg",)
 
-    def __init__(self, arg: Term, *, span: int | None = None):
-        _set(self, "arg", arg)
-        _set(self, "span", span)
+    def __init__(self, arg: Term, span: int | None = None):
+        _not_arg(self, arg)
+        _span(self, span)
 
 
 class Eq(Term):
@@ -250,11 +255,11 @@ class Eq(Term):
 
     __slots__ = _fields = ("left", "right", "at")
 
-    def __init__(self, left: Term, right: Term, at: Type | None = None, *, span: int | None = None):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "at", at)
-        _set(self, "span", span)
+    def __init__(self, left: Term, right: Term, at: Type | None = None, span: int | None = None):
+        _eq_left(self, left)
+        _eq_right(self, right)
+        _eq_at(self, at)
+        _span(self, span)
 
 
 class Top(Term):
@@ -263,6 +268,15 @@ class Top(Term):
 
 class Bottom(Term):
     __slots__ = ()
+
+
+# Var's setter refuses a Const, so each has its own.
+_var_name, _const_name = Var.name.__set__, Const.name.__set__
+_app_fun, _app_arg = App.fun.__set__, App.arg.__set__
+_binder_binder, _binder_domain, _binder_body = Binder.binder.__set__, Binder.domain.__set__, Binder.body.__set__
+_conn_left, _conn_right = Connective.left.__set__, Connective.right.__set__
+_not_arg = Not.arg.__set__
+_eq_left, _eq_right, _eq_at = Eq.left.__set__, Eq.right.__set__, Eq.at.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +297,11 @@ class TypeDecl(Decl):
 
     def __init__(self, name: Name, telescope: tuple = (), label: str | None = None, *,
                  span: int | None = None, path: str | None = None):
-        _set(self, "name", name)
-        _set(self, "telescope", telescope)  # tuple[(Name, Type), ...]
-        _set(self, "label", label)
-        _set(self, "span", span)
-        _set(self, "path", path)
+        _tdecl_name(self, name)
+        _tdecl_telescope(self, telescope)  # tuple[(Name, Type), ...]
+        _tdecl_label(self, label)
+        _span(self, span)
+        _path(self, path)
 
 
 class ConstDecl(Decl):
@@ -296,11 +310,11 @@ class ConstDecl(Decl):
 
     def __init__(self, name: Name, ty: Type, label: str | None = None, *,
                  span: int | None = None, path: str | None = None):
-        _set(self, "name", name)
-        _set(self, "ty", ty)
-        _set(self, "label", label)
-        _set(self, "span", span)
-        _set(self, "path", path)
+        _cdecl_name(self, name)
+        _cdecl_ty(self, ty)
+        _cdecl_label(self, label)
+        _span(self, span)
+        _path(self, path)
 
 
 class Axiom(Decl):
@@ -308,26 +322,26 @@ class Axiom(Decl):
 
     def __init__(self, label: str, formula: Term, role: str = "axiom", *,
                  span: int | None = None, path: str | None = None):
-        _set(self, "label", label)
-        _set(self, "formula", formula)
-        _set(self, "role", role)  # axiom | lemma | hypothesis | definition | conjecture
-        _set(self, "span", span)
-        _set(self, "path", path)
+        _axiom_label(self, label)
+        _axiom_formula(self, formula)
+        _axiom_role(self, role)  # axiom | lemma | hypothesis | definition | conjecture
+        _span(self, span)
+        _path(self, path)
 
 
 class Theory(Record):
     __slots__ = _fields = ("decls",)
 
     def __init__(self, decls: tuple = ()):
-        _set(self, "decls", decls)
+        _theory_decls(self, decls)
 
 
 class VarDecl(Record):
     __slots__ = _fields = ("name", "ty")
 
     def __init__(self, name: Name, ty: Type):
-        _set(self, "name", name)
-        _set(self, "ty", ty)
+        _vdecl_name(self, name)
+        _vdecl_ty(self, ty)
 
 
 class Assumption(Record):
@@ -336,15 +350,15 @@ class Assumption(Record):
     __slots__ = _fields = ("formula", "label")
 
     def __init__(self, formula: Term, label: str | None = None):
-        _set(self, "formula", formula)
-        _set(self, "label", label)
+        _assume_formula(self, formula)
+        _assume_label(self, label)
 
 
 class Context(Record):
     __slots__ = _fields = ("entries",)
 
     def __init__(self, entries: tuple = ()):
-        _set(self, "entries", entries)
+        _context_entries(self, entries)
 
     def push_var(self, name: Name, ty: Type) -> "Context":
         return Context(self.entries + (VarDecl(name, ty),))
@@ -357,6 +371,17 @@ class Context(Record):
             if isinstance(entry, VarDecl) and entry.name.text == text:
                 return entry.ty
         return None
+
+
+# The slot setters of the declarations, theories and contexts.
+_path = Decl.path.__set__
+_tdecl_name, _tdecl_telescope, _tdecl_label = (
+    TypeDecl.name.__set__, TypeDecl.telescope.__set__, TypeDecl.label.__set__)
+_cdecl_name, _cdecl_ty, _cdecl_label = ConstDecl.name.__set__, ConstDecl.ty.__set__, ConstDecl.label.__set__
+_axiom_label, _axiom_formula, _axiom_role = Axiom.label.__set__, Axiom.formula.__set__, Axiom.role.__set__
+_theory_decls, _context_entries = Theory.decls.__set__, Context.entries.__set__
+_vdecl_name, _vdecl_ty = VarDecl.name.__set__, VarDecl.ty.__set__
+_assume_formula, _assume_label = Assumption.formula.__set__, Assumption.label.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +421,16 @@ def map_children(t, f, *args):
         left, right = f(t.left, *args), f(t.right, *args)
         if left is t.left and right is t.right:
             return t
-        return type(t)(left, right, span=t.span)
+        return type(t)(left, right, t.span)
     if isinstance(t, Eq):
         left, right = f(t.left, *args), f(t.right, *args)
         at = None if t.at is None else f(t.at, *args)
         if left is t.left and right is t.right and at is t.at:
             return t
-        return Eq(left, right, at, span=t.span)
+        return Eq(left, right, at, t.span)
     if isinstance(t, Not):
         arg = f(t.arg, *args)
-        return t if arg is t.arg else Not(arg, span=t.span)
+        return t if arg is t.arg else Not(arg, t.span)
     if isinstance(t, (Var, Const, Top, Bottom, BoolType)):
         return t
     raise TypeError(f"map_children: unexpected node {t!r}")
@@ -499,17 +524,17 @@ def _substitute(t, x: Name, u: Term, u_free: list):
         arg = _substitute(t.arg, x, u, u_free)
         if fun is t.fun and arg is t.arg:
             return t
-        return App(fun, arg, span=t.span)
+        return App(fun, arg, t.span)
     if isinstance(t, BaseApp):
         args = tuple(_substitute(a, x, u, u_free) for a in t.args)
         if all(new is old for new, old in zip(args, t.args)):
             return t
-        return BaseApp(t.head, args, span=t.span)
+        return BaseApp(t.head, args, t.span)
     if isinstance(t, Binder):
         domain = _substitute(t.domain, x, u, u_free)
         binder, body = t.binder, t.body
         if binder == x:
-            return t if domain is t.domain else type(t)(binder, domain, body, span=t.span)
+            return t if domain is t.domain else type(t)(binder, domain, body, t.span)
         if not u_free:
             u_free.append(free_vars(u))
         if binder.text in u_free[0] and x.text in free_vars(body):
@@ -519,7 +544,7 @@ def _substitute(t, x: Name, u: Term, u_free: list):
         new_body = _substitute(body, x, u, u_free)
         if binder is t.binder and domain is t.domain and new_body is t.body:
             return t
-        return type(t)(binder, domain, new_body, span=t.span)
+        return type(t)(binder, domain, new_body, t.span)
     return map_children(t, _substitute, x, u, u_free)
 
 
@@ -651,13 +676,13 @@ def _norm(t, budget):
                 arg = _norm(t.arg, budget)
                 if fun is t.fun and arg is t.arg:
                     return t
-                return App(fun, arg, span=t.span)
+                return App(fun, arg, t.span)
         return _norm(t, budget)
     if isinstance(t, BaseApp):
         args = tuple(_norm(a, budget) for a in t.args)
         if all(new is old for new, old in zip(args, t.args)):
             return t
-        return BaseApp(t.head, args, span=t.span)
+        return BaseApp(t.head, args, t.span)
     if isinstance(t, Binder):
         domain = _norm(t.domain, budget)
         body = _norm(t.body, budget)
@@ -667,7 +692,7 @@ def _norm(t, budget):
             return body.fun
         if domain is t.domain and body is t.body:
             return t
-        return type(t)(t.binder, domain, body, span=t.span)
+        return type(t)(t.binder, domain, body, t.span)
     # Formulae come here too: every lookup normalizes its goal and its closed
     # formula (an axiom is normalized once, when declared, and a local
     # assumption once per checker), so connectives and equations stay inline.
@@ -676,11 +701,11 @@ def _norm(t, budget):
         left, right = _norm(t.left, budget), _norm(t.right, budget)
         if left is t.left and right is t.right:
             return t
-        return type(t)(left, right, span=t.span)
+        return type(t)(left, right, t.span)
     if isinstance(t, Eq):
         at = None if t.at is None else _norm(t.at, budget)
         left, right = _norm(t.left, budget), _norm(t.right, budget)
         if left is t.left and right is t.right and at is t.at:
             return t
-        return Eq(left, right, at, span=t.span)
+        return Eq(left, right, at, t.span)
     return map_children(t, _norm, budget)

@@ -148,16 +148,16 @@ class Eraser:
         if isinstance(t, (Var, Const, Top, Bottom)):
             return t
         if isinstance(t, App):
-            return App(self.erase_term(t.fun), self.erase_term(t.arg), span=t.span)
+            return App(self.erase_term(t.fun), self.erase_term(t.arg), t.span)
         if isinstance(t, Lam):
-            return Lam(t.binder, erased_image(t.domain), self.erase_term(t.body), span=t.span)
+            return Lam(t.binder, erased_image(t.domain), self.erase_term(t.body), t.span)
         if isinstance(t, Binder):
             # Quantifiers and choice guard their variable with its PER: by
             # `=>` under `!`, by `&` under `?` and `@+`.
             guard = self.per_of_type(t.domain, Var(t.binder), Var(t.binder))
             guarded = Implies if isinstance(t, Forall) else And
             return type(t)(t.binder, erased_image(t.domain),
-                           guarded(guard, self.erase_term(t.body)), span=t.span)
+                           guarded(guard, self.erase_term(t.body)), t.span)
         if isinstance(t, Eq):
             if t.at is None:
                 raise ErasureError(

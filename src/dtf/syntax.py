@@ -82,6 +82,7 @@ class Token(NamedTuple):
     kind: str  # lower|upper|dollar|quoted|number|one of _PUNCT|eof
     text: str
     span: int
+    height = 1  # as a surface tree
 
 
 def _found(tok: Token) -> str:
@@ -168,30 +169,35 @@ def locate(text: str | None, offset: int | None) -> Span | None:
 # ---------------------------------------------------------------------------
 # Surface trees: plain slotted classes, since the parser builds each node
 # once, nothing compares two of them, and the elaborator only reads them.  A
-# name is its Token, of kind lower, upper, dollar or quoted.
+# name is its Token, of kind lower, upper, dollar or quoted.  `height` is the
+# depth that `_too_deep` counts: 1 for a name, one more per operator or
+# negation, and k more for a binder with k variables.
 
 
 class SBin:
-    __slots__ = ("op", "left", "right", "span")  # op: @ (left applied to right) = != & | => <= <=> <~> >
+    # op: @ (left applied to right) = != & | => <= <=> <~> >
+    __slots__ = ("op", "left", "right", "span", "height")
 
     def __init__(self, op: str, left, right, span: int):
         self.op, self.left, self.right = op, left, right  # four at once would build a tuple
-        self.span = span
+        left_height, right_height = left.height, right.height
+        self.span, self.height = span, (left_height if left_height > right_height else right_height) + 1
 
 
 class SNot:
-    __slots__ = ("operand", "span")
+    __slots__ = ("operand", "span", "height")
 
     def __init__(self, operand, span: int):
-        self.operand, self.span = operand, span
+        self.operand, self.span, self.height = operand, span, operand.height + 1
 
 
 class SBinder:
     # op: ! ? ^ !> @+; variables: tuple[(Token, surface-type), ...]
-    __slots__ = ("op", "variables", "body", "span")
+    __slots__ = ("op", "variables", "body", "span", "height")
 
     def __init__(self, op: str, variables: tuple, body, span: int):
-        self.op, self.variables, self.body, self.span = op, variables, body, span
+        self.op, self.variables, self.body = op, variables, body
+        self.span, self.height = span, len(variables) + max(body.height, *(ty.height for _, ty in variables))
 
 
 class AnnotatedFormula:
@@ -238,7 +244,9 @@ class Problem(core.Record):
 
 
 def _too_deep(tree: object, limit: int) -> object:
-    """The first surface node nested deeper than limit, or None.
+    """The first surface node nested deeper than limit, or None.  There is one
+    exactly when the tree's `height` is over limit, so the parser calls this
+    only then, to locate its error.
 
     Depth counts the nodes on the path from the root, so a chain such as
     `a & b & c` nests one level per operator, and a binder with k variables
@@ -426,10 +434,9 @@ class _Parser:
             subject, body = self.parse_typing()
         else:
             body = self.parse_expr()
-        too_deep = _too_deep(body, MAX_NESTING)
-        if too_deep is not None:
+        if body.height > MAX_NESTING:
             raise DiagnosticError(error(f"formula nests deeper than {MAX_NESTING} levels",
-                                        locate(self.text, too_deep.span), self.path))
+                                        locate(self.text, _too_deep(body, MAX_NESTING).span), self.path))
         # The source and useful-info annotations are checked for balance and skipped.
         for _ in range(2):
             if self.peek().kind != ",":
@@ -737,21 +744,21 @@ class _Elaborator:
         if isinstance(sty, Token):
             if sty.kind == "dollar":
                 if sty.text == "$o":
-                    return core.BoolType(span=sty.span)
+                    return core.BoolType(sty.span)
                 if sty.text == "$tType":
                     self.polymorphic = True
-                    return BaseApp(Name("$tType", NameKind.TYPE), span=sty.span)
+                    return BaseApp(Name("$tType", NameKind.TYPE), (), sty.span)
                 raise self.err(f"unsupported $-symbol {sty.text!r} in type position", sty.span)
             if sty.kind == "upper":
                 entry = venv.get(sty.text)
                 if entry and entry[0] == "tyvar":
-                    return BaseApp(Name(sty.text, NameKind.VAR), span=sty.span)
+                    return BaseApp(Name(sty.text, NameKind.VAR), (), sty.span)
                 if entry:
                     raise self.err(f"term variable {sty.text!r} used as a type", sty.span)
                 raise self.err(f"unbound type variable {sty.text!r}", sty.span)
             decl = self.symbols.get(sty.text)
             if isinstance(decl, TypeDecl):
-                return BaseApp(decl.name, span=sty.span)
+                return BaseApp(decl.name, (), sty.span)
             if decl is not None:
                 raise self.err(f"{sty.text!r} is not a type symbol", sty.span)
             raise self.err(f"unknown type symbol {sty.text!r}", sty.span)
@@ -770,12 +777,12 @@ class _Elaborator:
             if not isinstance(head_ty, BaseApp):
                 raise self.err("only base types take term arguments", sty.span)
             args = tuple(self.elaborate_term(a, venv) for a in spine)
-            return BaseApp(head_ty.head, args, span=sty.span)
+            return BaseApp(head_ty.head, args, sty.span)
         if isinstance(sty, SBin) and sty.op == ">":
             name = Name(self._invent_binder(venv), NameKind.VAR)
             domain = self.elaborate_type(sty.left, venv)
             codomain = self.elaborate_type(sty.right, venv, allow_pi=False)
-            return Pi(name, domain, codomain, span=sty.span)
+            return Pi(name, domain, codomain, sty.span)
         if isinstance(sty, SBinder) and sty.op == "!>":
             if not allow_pi:
                 raise self.err("'!>' is only allowed prenex in declaration types", sty.span)
@@ -783,7 +790,7 @@ class _Elaborator:
             bound = self._bind_written(sty.variables, venv)
             result = self.elaborate_type(sty.body, venv, allow_pi=True)
             for name, domain in reversed(bound):
-                result = Pi(name, domain, result, span=sty.span)
+                result = Pi(name, domain, result, sty.span)
             return result
         if isinstance(sty, SBinder):
             raise self.err(f"binder {sty.op!r} cannot appear in a type", sty.span)
@@ -796,24 +803,23 @@ class _Elaborator:
             return self._elaborate_name(s, venv)
         if isinstance(s, SBin):
             if s.op == "@":  # the commonest node
-                return App(self.elaborate_term(s.left, venv), self.elaborate_term(s.right, venv),
-                           span=s.span)
+                return App(self.elaborate_term(s.left, venv), self.elaborate_term(s.right, venv), s.span)
             op = s.op
             if op == ">":
                 raise self.err("arrow cannot appear in a formula", s.span)
             left = self.elaborate_term(s.left, venv)
             right = self.elaborate_term(s.right, venv)
             if op == "=" or op == "!=":
-                eq = Eq(left, right, self._synth(left, venv), span=s.span)
-                return Not(eq, span=s.span) if op == "!=" else eq
+                eq = Eq(left, right, self._synth(left, venv), s.span)
+                return Not(eq, s.span) if op == "!=" else eq
             if op in _CONNECTIVES:
-                return _CONNECTIVES[op](left, right, span=s.span)
+                return _CONNECTIVES[op](left, right, s.span)
             if op == "<=":
-                return Implies(right, left, span=s.span)
-            both = And(Implies(left, right, span=s.span), Implies(right, left, span=s.span), span=s.span)
-            return both if op == "<=>" else Not(both, span=s.span)  # <=> or <~>
+                return Implies(right, left, s.span)
+            both = And(Implies(left, right, s.span), Implies(right, left, s.span), s.span)
+            return both if op == "<=>" else Not(both, s.span)  # <=> or <~>
         if isinstance(s, SNot):
-            return Not(self.elaborate_term(s.operand, venv), span=s.span)
+            return Not(self.elaborate_term(s.operand, venv), s.span)
         if isinstance(s, SBinder):
             return self._elaborate_binder(s, venv)
         raise self.err("expected a formula", getattr(s, "span", None))
@@ -821,9 +827,9 @@ class _Elaborator:
     def _elaborate_name(self, s: Token, venv: dict) -> Term:
         if s.kind == "dollar":
             if s.text == "$true":
-                return Top(span=s.span)
+                return Top(s.span)
             if s.text == "$false":
-                return Bottom(span=s.span)
+                return Bottom(s.span)
             if s.text in ("$o", "$tType"):
                 raise self.err(f"{s.text} cannot appear in a formula", s.span)
             raise self.err(f"unsupported $-symbol {s.text!r}", s.span)
@@ -833,10 +839,10 @@ class _Elaborator:
                 raise self.err(f"unbound variable {s.text!r}", s.span)
             if entry[0] == "tyvar":
                 raise self.err(f"type variable {s.text!r} used as a term", s.span)
-            return Var(entry[1], span=s.span)
+            return Var(entry[1], s.span)
         decl = self.symbols.get(s.text)
         if isinstance(decl, ConstDecl):
-            return Const(decl.name, span=s.span)
+            return Const(decl.name, s.span)
         if isinstance(decl, TypeDecl):
             raise self.err(f"type symbol {s.text!r} used as a term", s.span)
         raise self.err(f"unknown symbol {s.text!r}", s.span)
@@ -855,7 +861,7 @@ class _Elaborator:
             bound.append((name, domain))
         body = self.elaborate_term(s.body, venv)
         for name, domain in reversed(bound):
-            body = node(name, domain, body, span=s.span)
+            body = node(name, domain, body, s.span)
         return body
 
     def _fresh_binder(self, text: str) -> str:

@@ -1,10 +1,12 @@
 """Core AST: substitution, alpha-equivalence, normalization."""
 
+import inspect
 import weakref
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dtf import core
 from dtf.core import (
     And,
     App,
@@ -480,6 +482,53 @@ def test_assigning_or_deleting_a_field_raises(node, field):
         delattr(node, field)
     with pytest.raises(AttributeError):
         node.no_such_field = 1
+
+
+def _concrete_nodes(cls=core.Node) -> set:
+    """The classes of dtf.core below cls that have no subclass there."""
+    below = {sub for sub in cls.__subclasses__() if sub.__module__ == "dtf.core"}
+    return set().union(*map(_concrete_nodes, below)) if below else {cls}
+
+
+CONCRETE_NODES = sorted(_concrete_nodes(), key=lambda cls: cls.__name__)
+
+
+def test_the_node_walk_finds_every_concrete_class():
+    assert {cls.__name__ for cls in CONCRETE_NODES} == {
+        "BaseApp", "BoolType", "Var", "Const", "App", "Lam", "Forall", "Exists", "Choice", "Pi",
+        "Implies", "And", "Or", "Not", "Eq", "Top", "Bottom", "TypeDecl", "ConstDecl", "Axiom"}
+
+
+@pytest.mark.parametrize("cls", CONCRETE_NODES, ids=lambda cls: cls.__name__)
+def test_every_node_reads_back_what_it_was_built_from_and_stays_immutable(cls):
+    params = inspect.signature(cls).parameters
+    fields = [name for name in params if name not in ("span", "path")]
+    values = [f"{cls.__name__}.{name}" for name in fields]
+    if issubclass(cls, core.Decl):
+        # Declarations take span and path by keyword only.
+        assert params["span"].kind is params["path"].kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            cls(*values, 7)
+        nodes = [cls(*values, span=7, path="a.p")]
+        assert nodes[0].path == "a.p"
+    else:
+        # Term and type nodes take span last, positionally or by keyword.
+        assert list(params)[-1] == "span"
+        assert params["span"].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        nodes = [cls(*values, 7), cls(*values, span=7)]
+        assert nodes[0] == nodes[1] and hash(nodes[0]) == hash(nodes[1])
+        assert repr(nodes[0]) == repr(nodes[1])
+    for node in nodes:
+        assert type(node) is cls and node.span == 7
+        assert [getattr(node, name) for name in fields] == values
+        for name in (*fields, "span"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        with pytest.raises(AttributeError):
+            node.no_such_field = 1
+        assert [getattr(node, name) for name in fields] == values and node.span == 7
 
 
 def test_a_problem_can_be_weakly_referenced():

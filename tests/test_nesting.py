@@ -6,10 +6,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtf import cli
 from dtf.cli import EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
-from dtf.syntax import MAX_INCLUDE_DEPTH, MAX_NESTING, Problem, parse_problem
+from dtf.diagnostics import DiagnosticError
+from dtf.printer import print_problem
+from dtf.syntax import (MAX_INCLUDE_DEPTH, MAX_NESTING, Problem, _Elaborator, _Parser, _too_deep,
+                        parse_problem)
+
+from genutil import gen_formula_problem, gen_problem, load_generator
 
 REPO = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -142,3 +148,110 @@ def test_a_biconditional_nest_at_the_limit_parses_in_linear_time(op, tmp_path):
     proc = _dtf(tmp_path, "parse", "nest.p")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         EXIT_OK, "parsed 2 formulae (axiom: 1, type: 1)\n", "")
+
+
+# The height a surface node records as the parser builds it stands in for
+# `_too_deep`'s walk: a tree is over a limit exactly when the walk finds a node.
+
+
+def _assert_height_agrees(tree) -> None:
+    height = tree.height
+    for limit in {1, height - 1, height, height + 1, MAX_NESTING, MAX_NESTING + 1} - {0}:
+        assert (height > limit) == (_too_deep(tree, limit) is not None), (height, limit)
+
+
+def _surface(formula: str, typing: bool = False):
+    """The surface tree of a formula, or of the type in a typing such as
+    `c: $o > $o`, parsed without the height check of `parse_annotated`."""
+    parser = _Parser(formula + ".", None, _Elaborator(), None, set())
+    parser.peek()  # lexes the item
+    return parser.parse_typing()[1] if typing else parser.parse_expr()
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_the_recorded_height_agrees_with_the_walk_on_every_shape(shape, depth):
+    try:
+        tree = _surface(SHAPES[shape](depth))
+    except DiagnosticError as exc:
+        # The parser's own depth counter refuses parentheses and negations
+        # one level past the limit, before any height is read.
+        assert depth > MAX_NESTING and "nests deeper" in exc.diagnostic.message
+        return
+    assert tree.height == (1 if shape == "parentheses" else depth)  # parentheses add no node
+    _assert_height_agrees(tree)
+
+
+@pytest.mark.parametrize("typing", [
+    "c: " + " > ".join(["$o"] * MAX_NESTING),
+    "c: " + " > ".join(["$o"] * (MAX_NESTING + 1)),
+    "c: " + "(" * 50 + "$o > $o" + ")" * 50,
+    "c: !> [X: nat, Y: vec @ X]: (vec @ X > $o > $o)",
+    "vec: nat > nat > $tType",
+], ids=["arrows at the limit", "arrows past the limit", "parenthesized arrow", "prenex", "type constructor"])
+def test_the_recorded_height_agrees_with_the_walk_on_declaration_types(typing):
+    _assert_height_agrees(_surface(typing, typing=True))
+
+
+@pytest.mark.parametrize("formula", [
+    "! [" + ", ".join(f"X{i}: $o" for i in range(MAX_NESTING)) + "]: p",
+    "! [" + ", ".join(f"X{i}: $o > $o > $o" for i in range(60)) + "]: p",
+    "^ [X: " + " > ".join(["$o"] * 150) + "]: X",  # the variable's type is the deepest part
+    "! [X: $o]: ? [Y: $o, Z: $o]: ^ [W: $o]: (X & Y & Z & W & p & q)",
+    "@+ [X: $o]: (X = (^ [Y: $o, Z: $o]: Y) @ X @ X)",
+], ids=["variables at the limit", "arrow-typed variables", "deepest in a type", "nested", "choice"])
+def test_the_recorded_height_agrees_with_the_walk_on_binders(formula):
+    _assert_height_agrees(_surface(formula))
+
+
+def _chain(op_and_operands) -> str:
+    op, operands = op_and_operands
+    return "(" + f" {op} ".join(operands) + ")"
+
+
+_MIXED = st.recursive(
+    st.sampled_from(["p", "q", "f", "X", "$true"]),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["@", "&", "|"]), st.lists(sub, min_size=2, max_size=5)).map(_chain),
+        st.tuples(st.sampled_from(["=>", "=", "!=", "<=>"]), st.lists(sub, min_size=2, max_size=2)).map(_chain),
+        sub.map(lambda t: f"(~ {t})"),
+        st.tuples(st.integers(1, 3), sub).map(
+            lambda kt: "(! [" + ", ".join(f"Y{i}: $o" for i in range(kt[0])) + f"]: {kt[1]})"),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MIXED)
+def test_the_recorded_height_agrees_with_the_walk_on_mixed_chains(formula):
+    _assert_height_agrees(_surface(formula))
+
+
+class _Trees:
+    """Stands in for the elaborator: keeps each annotated formula's surface tree."""
+
+    def __init__(self):
+        self.trees: list = []
+
+    def run(self, formula, text: str) -> None:
+        self.trees.append(formula.body)
+
+
+def _assert_heights_agree_in(text: str) -> None:
+    trees = _Trees()
+    diagnostics, _ = _Parser(text, None, trees, None, set()).parse_items()
+    assert not diagnostics and trees.trees
+    for tree in trees.trees:
+        _assert_height_agrees(tree)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_recorded_height_agrees_with_the_walk_on_generated_problems(seed):
+    for problem in (gen_problem(seed), gen_formula_problem(seed)):
+        _assert_heights_agree_in(print_problem(problem))
+
+
+@pytest.mark.parametrize("family", ["axioms", "terms", "discharge"])
+def test_the_recorded_height_agrees_with_the_walk_on_benchmark_families(family):
+    _assert_heights_agree_in(load_generator().family(family, 1, 0.3)[0])
