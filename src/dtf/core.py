@@ -18,6 +18,9 @@ class NameKind(Enum):
     VAR = "variable"
 
 
+_VAR = NameKind.VAR  # read on every BaseApp built: an Enum member is slow to look up
+
+
 class Record:
     """Base of the immutable records: equal when of one class with equal
     `_fields`, which the hash and the repr read too.  `__init__` writes each slot
@@ -82,7 +85,15 @@ class Node(Record):
     """Base of the types, terms and declarations: where the node was written,
     the offset of its token in its file (see `syntax.locate`), left out of
     equality.  Term and type nodes take it last, and the hot paths pass it
-    positionally."""
+    positionally.
+
+    A term or type node is `ground` when its subtree has no `Var`, no binder
+    and no base type headed by a type variable: no name in it is bound or
+    free, so substitution and normalization leave it as it is, and it is
+    alpha-equal to itself under any renaming.  Leaves and binders carry the
+    bit as a class attribute; the other nodes compute it from their children
+    when built, and a child without the bit counts as not ground.
+    """
 
     __slots__ = ("span",)
 
@@ -99,21 +110,27 @@ class Type(Node):
 class BaseApp(Type):
     """A declared base-type symbol applied to term arguments, e.g. list @ N."""
 
-    __slots__ = _fields = ("head", "args")
+    __slots__ = ("head", "args", "ground")
+    _fields = ("head", "args")
 
     def __init__(self, head: Name, args: tuple = (), span: int | None = None):
         _base_head(self, head)
         _base_args(self, args)
+        ground = getattr(head, "kind", _VAR) is not _VAR
+        for arg in args:
+            ground = ground and getattr(arg, "ground", False)
+        _base_ground(self, ground)
         _span(self, span)
 
 
 class BoolType(Type):
     __slots__ = ()
+    ground = True
 
 
 # The slot setters of the records above, which their `__init__`s call.
 _name_text, _name_kind, _span = Name.text.__set__, Name.kind.__set__, Node.span.__set__
-_base_head, _base_args = BaseApp.head.__set__, BaseApp.args.__set__
+_base_head, _base_args, _base_ground = BaseApp.head.__set__, BaseApp.args.__set__, BaseApp.ground.__set__
 BOOL = BoolType()
 
 # $tType is representable only so that rank-1 polymorphic declarations can be
@@ -137,6 +154,7 @@ class Term(Node):
 
 class Var(Term):
     __slots__ = _fields = ("name",)
+    ground = False
 
     def __init__(self, name: Name, span: int | None = None):
         _var_name(self, name)
@@ -145,6 +163,7 @@ class Var(Term):
 
 class Const(Term):
     __slots__ = _fields = ("name",)
+    ground = True
 
     def __init__(self, name: Name, span: int | None = None):
         _const_name(self, name)
@@ -152,11 +171,13 @@ class Const(Term):
 
 
 class App(Term):
-    __slots__ = _fields = ("fun", "arg")
+    __slots__ = ("fun", "arg", "ground")
+    _fields = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term, span: int | None = None):
         _app_fun(self, fun)
         _app_arg(self, arg)
+        _app_ground(self, getattr(fun, "ground", False) and getattr(arg, "ground", False))
         _span(self, span)
 
 
@@ -168,6 +189,7 @@ class Binder(Term):
     """
 
     __slots__ = _fields = ("binder", "domain", "body")
+    ground = False
 
     def __init__(self, binder: Name, domain: Type, body: Term, span: int | None = None):
         _binder_binder(self, binder)
@@ -214,11 +236,13 @@ class Pi(Binder, Type):
 class Connective(Term):
     """A binary connective; `op` is the TPTP symbol of each subclass."""
 
-    __slots__ = _fields = ("left", "right")
+    __slots__ = ("left", "right", "ground")
+    _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term, span: int | None = None):
         _conn_left(self, left)
         _conn_right(self, right)
+        _conn_ground(self, getattr(left, "ground", False) and getattr(right, "ground", False))
         _span(self, span)
 
 
@@ -238,10 +262,12 @@ class Or(Connective):
 
 
 class Not(Term):
-    __slots__ = _fields = ("arg",)
+    __slots__ = ("arg", "ground")
+    _fields = ("arg",)
 
     def __init__(self, arg: Term, span: int | None = None):
         _not_arg(self, arg)
+        _not_ground(self, getattr(arg, "ground", False))
         _span(self, span)
 
 
@@ -253,30 +279,35 @@ class Eq(Term):
     simply typed skeleton, which the checkers reject before anything reads it.
     """
 
-    __slots__ = _fields = ("left", "right", "at")
+    __slots__ = ("left", "right", "at", "ground")
+    _fields = ("left", "right", "at")
 
     def __init__(self, left: Term, right: Term, at: Type | None = None, span: int | None = None):
         _eq_left(self, left)
         _eq_right(self, right)
         _eq_at(self, at)
+        _eq_ground(self, getattr(left, "ground", False) and getattr(right, "ground", False)
+                   and (at is None or getattr(at, "ground", False)))
         _span(self, span)
 
 
 class Top(Term):
     __slots__ = ()
+    ground = True
 
 
 class Bottom(Term):
     __slots__ = ()
+    ground = True
 
 
 # Var's setter refuses a Const, so each has its own.
 _var_name, _const_name = Var.name.__set__, Const.name.__set__
-_app_fun, _app_arg = App.fun.__set__, App.arg.__set__
+_app_fun, _app_arg, _app_ground = App.fun.__set__, App.arg.__set__, App.ground.__set__
 _binder_binder, _binder_domain, _binder_body = Binder.binder.__set__, Binder.domain.__set__, Binder.body.__set__
-_conn_left, _conn_right = Connective.left.__set__, Connective.right.__set__
-_not_arg = Not.arg.__set__
-_eq_left, _eq_right, _eq_at = Eq.left.__set__, Eq.right.__set__, Eq.at.__set__
+_conn_left, _conn_right, _conn_ground = Connective.left.__set__, Connective.right.__set__, Connective.ground.__set__
+_not_arg, _not_ground = Not.arg.__set__, Not.ground.__set__
+_eq_left, _eq_right, _eq_at, _eq_ground = Eq.left.__set__, Eq.right.__set__, Eq.at.__set__, Eq.ground.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +475,11 @@ def free_vars(t) -> frozenset:
 
 
 def _free_into(t, acc: set, bound: tuple) -> None:
+    if t.ground:
+        return
     if isinstance(t, Var):
         if t.name.text not in bound:
             acc.add(t.name.text)
-    elif isinstance(t, (Const, BoolType)):
-        pass
     elif isinstance(t, App):
         _free_into(t.fun, acc, bound)
         _free_into(t.arg, acc, bound)
@@ -515,10 +546,10 @@ def substitute(t, x: Name, u: Term):
 def _substitute(t, x: Name, u: Term, u_free: list):
     # u_free holds free_vars(u) once the first binder needs it: u may be far
     # larger than a t without binders, such as an instantiated codomain.
+    if t.ground:
+        return t
     if isinstance(t, Var):
         return u if t.name == x else t
-    if isinstance(t, (Const, Top, Bottom, BoolType)):
-        return t
     if isinstance(t, App):
         fun = _substitute(t.fun, x, u, u_free)
         arg = _substitute(t.arg, x, u, u_free)
@@ -566,6 +597,8 @@ def _name_matches(a: Name, b: Name, lr: dict, rl: dict) -> bool:
 
 
 def _alpha(a, b, lr: dict, rl: dict) -> bool:
+    if a is b and a.ground:
+        return True
     if type(a) is not type(b):
         return False
     if isinstance(a, Var):
@@ -661,8 +694,9 @@ def _spend(budget) -> None:
 
 def _norm(t, budget):
     # Like substitute, every case returns t itself when no child changed and
-    # no redex fired, so a term already in normal form is not copied.
-    if isinstance(t, (Var, Const, BoolType)):
+    # no redex fired, so a term already in normal form is not copied.  A
+    # ground t has no Lam, so no redex.
+    if t.ground or isinstance(t, Var):
         return t
     if isinstance(t, App):
         # Head reduction iterates in place: a looping redex must exhaust the

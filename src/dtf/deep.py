@@ -224,7 +224,8 @@ class DeepChecker:
             return
         a_n = self._normalize(a, span)
         b_n = self._normalize(b, span)
-        if alpha_equal(a_n, b_n):
+        # When both were normal already, this comparison is the one that failed above.
+        if (a_n is not a or b_n is not b) and alpha_equal(a_n, b_n):
             return
         if isinstance(a_n, BaseApp) and isinstance(b_n, BaseApp):
             if a_n.head != b_n.head or len(a_n.args) != len(b_n.args):

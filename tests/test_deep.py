@@ -1,5 +1,6 @@
 """Deep checking: obligation generation, discharge, closure, diagnostics."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -469,6 +470,25 @@ def test_normalizations_grow_linearly_with_the_axioms(monkeypatch):
         assert [ob.label for ob in report.obligations] == list(expected.residual)
         counts.append(calls[0])
     assert counts[1] <= 2.3 * counts[0], counts
+
+
+@pytest.mark.parametrize("family", ["axioms", "terms"])
+def test_check_deep_verbose_at_scale_4_gives_the_generators_answers(family, tmp_path, capsys):
+    # Scale 4 reaches deeper sharing of substituted index terms than scale 1,
+    # where the benchmark checks the same answers.
+    text, expected = generate.family(family, 1, 4.0)
+    path = tmp_path / f"{expected.path_stem}.p"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", "--deep", "--verbose", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    residual = [m.group(1) for m in map(re.compile(r"(ob\d+) \[residual\]").match, lines) if m]
+    discharged = {m.group(1): m.group(2) for m in
+                  map(re.compile(r"(ob\d+) \[discharged by (.+?)\]:").match, lines) if m}
+    assert captured.err == ""
+    assert residual == list(expected.residual)
+    assert discharged == expected.discharged_by
+    assert lines[-1] == expected.check_summary()
 
 
 def test_alpha_equal_types_are_equal_without_normalizing(tmp_path, capsys):
