@@ -3,7 +3,8 @@
 Subcommands: parse, check, obligations, translate, stats, solve.
 
 Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
-2 parse or usage error, 3 prover or system error.
+2 parse or usage error, 3 prover or system error, 141 (128 + SIGPIPE) when
+the reader of stdout closed it early, as `| head` does.
 
 Only what every subcommand needs is imported at the top: `deep`, `erasure`
 and `prover` are imported by the subcommands that call them, so `parse`,
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 
 from . import shallow
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_SYSTEM = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a process the signal ended
 
 
 def _emit_diagnostics(diagnostics) -> None:
@@ -350,7 +353,15 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # The recipe of the "Note on SIGPIPE" in the `signal` docs: end quietly,
+        # with fd 1 on devnull so that the flush at exit cannot fail again.
+        # Restoring SIG_DFL instead would kill solve before it reaps its provers.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"dtf: {exc}", file=sys.stderr)
         return EXIT_SYSTEM

@@ -275,8 +275,9 @@ class Eq(Term):
     """Typed equality; `at` is the type both sides inhabit.
 
     Surface syntax writes bare `=`; elaboration fills `at` from the inferred
-    type of the left operand. It can be None only on terms that fail the
-    simply typed skeleton, which the checkers reject before anything reads it.
+    type of the left operand, and `<=>` is equality with `at` the type `$o`.
+    It can be None only on terms that fail the simply typed skeleton, which
+    the checkers reject before anything reads it.
     """
 
     __slots__ = ("left", "right", "at", "ground")

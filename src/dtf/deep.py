@@ -291,6 +291,9 @@ class DeepChecker:
             right_ty = self.infer(ctx, t.right)
             self.type_equal(ctx, left_ty, right_ty, t.span,
                             "equation sides must have equal types")
+            if isinstance(t.at, BoolType):  # `<=>` relates formulae
+                self.type_equal(ctx, left_ty, BOOL, t.span,
+                                "equivalence operands must be formulae")
             return BOOL
         if isinstance(t, Binder):
             self.wf_type(ctx, t.domain)

@@ -180,6 +180,9 @@ class _ShallowChecker:
             if left != right:
                 self.report(f"equation sides have different skeletons: {left} vs {right}", t.span)
                 return None
+            if isinstance(t.at, BoolType) and left != BOOL_SKEL:  # `<=>` relates formulae
+                self.report(f"equivalence operands must have skeleton $o, got {left}", t.span)
+                return None
             return BOOL_SKEL
         if isinstance(t, (Top, Bottom)):
             return BOOL_SKEL

@@ -809,15 +809,14 @@ class _Elaborator:
                 raise self.err("arrow cannot appear in a formula", s.span)
             left = self.elaborate_term(s.left, venv)
             right = self.elaborate_term(s.right, venv)
-            if op == "=" or op == "!=":
-                eq = Eq(left, right, self._synth(left, venv), s.span)
-                return Not(eq, s.span) if op == "!=" else eq
             if op in _CONNECTIVES:
                 return _CONNECTIVES[op](left, right, s.span)
             if op == "<=":
                 return Implies(right, left, s.span)
-            both = And(Implies(left, right, s.span), Implies(right, left, s.span), s.span)
-            return both if op == "<=>" else Not(both, s.span)  # <=> or <~>
+            # =, !=, and equivalence, which is equality at $o: <=> and <~>.
+            at = self._synth(left, venv) if op == "=" or op == "!=" else BOOL
+            eq = Eq(left, right, at, s.span)
+            return eq if op == "=" or op == "<=>" else Not(eq, s.span)
         if isinstance(s, SNot):
             return Not(self.elaborate_term(s.operand, venv), s.span)
         if isinstance(s, SBinder):

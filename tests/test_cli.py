@@ -413,6 +413,25 @@ def test_module_invocation(corpus_dir):
     assert proc.stdout == ""
 
 
+def test_a_reader_that_closes_stdout_early_ends_dtf_quietly(tmp_path):
+    # 3,000 residual obligations print about 340 kB, line by line, far more
+    # than a pipe holds, so dtf is still writing when the reader goes, as
+    # under `dtf check --deep big.p | head -n 1`.
+    header = ("thf(nat_type, type, nat: $tType).\nthf(vec_type, type, vec: nat > $tType).\n"
+              "thf(n_type, type, n: nat).\nthf(m_type, type, m: nat).\n"
+              "thf(v_type, type, v: vec @ n).\nthf(w_type, type, w: vec @ m).\n")
+    path = tmp_path / "big.p"
+    path.write_text(header + "".join(f"thf(a{i}, axiom, v = w).\n" for i in range(3000)),
+                    encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "dtf", "check", "--deep", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"ob1 [residual]: ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # -- located diagnostics for type-level input ------------------------------------------
 
 

@@ -4,6 +4,8 @@ formula read from an included file is reported under that file's path."""
 import pytest
 
 from dtf.cli import EXIT_CHECK, EXIT_PARSE, run
+from dtf.deep import check_problem
+from dtf.syntax import parse_problem
 
 from test_deep import BUDGET_FILES
 
@@ -12,6 +14,15 @@ thf(nat_type, type, nat: $tType).
 thf(z_type, type, z: nat).
 thf(vec_type, type, vec: nat > $tType).
 """
+
+
+# `<=>` is equality at $o, so its operands must be formulae.
+EQUIVALENCE_ROWS = [
+    ("thf(a, axiom, z <=> z).", EXIT_CHECK, "4:17: error: equivalence operands must have skeleton $o, got nat"),
+    ("thf(a, axiom, z <~> z).", EXIT_CHECK, "4:17: error: equivalence operands must have skeleton $o, got nat"),
+    ("thf(a, axiom, z <=> $true).", EXIT_CHECK,
+     "4:17: error: equation sides have different skeletons: nat vs $o"),
+]
 
 
 def _check(args: list, capsys) -> tuple:
@@ -61,11 +72,27 @@ def _check(args: list, capsys) -> tuple:
      "4:34: error: type application needs a type-symbol head"),
     ("thf(c_type, type, c: nat > nat & nat).", EXIT_PARSE, "4:32: error: '&' after '>' needs parentheses"),
     ("thf(a, axiom, ! [X: nat = nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
+    *EQUIVALENCE_ROWS,
 ])
 def test_one_line_diagnostic(line, code, expected, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p.p").write_text(PRELUDE + line + "\n", encoding="utf-8")
     assert _check(["p.p"], capsys) == (code, f"p.p:{expected}\n")
+
+
+@pytest.mark.parametrize("line, code, expected", EQUIVALENCE_ROWS)
+def test_the_deep_check_reports_a_bad_equivalence_operand_once(line, code, expected, tmp_path,
+                                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.p").write_text(PRELUDE + line + "\n", encoding="utf-8")
+    assert _check(["--deep", "p.p"], capsys) == (code, f"p.p:{expected}\n")
+
+
+@pytest.mark.parametrize("op", ["<=>", "<~>"])
+def test_deep_check_problem_alone_rejects_an_equivalence_of_terms(op):
+    problem = parse_problem(PRELUDE + f"thf(a, axiom, z {op} z).\n", "p.p")
+    [diagnostic] = check_problem(problem).diagnostics
+    assert diagnostic.format() == "p.p:4:17: error: types differ: nat vs $o"
 
 
 # -- included files ----------------------------------------------------------------

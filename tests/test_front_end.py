@@ -21,7 +21,8 @@ DIGESTS = {
     "choice.p": "1ea0dea25deeb8b5acc3b060f8b15ed5e0f05c323dc778f809ff08a9491639b8",
     "dep_impl.p": "4ae32bab7612af7dabe6fb5f4be8365a1303644164fbce8acd6101b11c44aea3",
     "dep_impl_rev.p": "c4ae2eebdd03b9321dcdbd4d13d70a2054c24b7dbcda3cd626cecb02aff7cdd7",
-    "desugar.p": "cd1813ff4d397adb17e9434e6410e9d5a25007383f0090f32106bae9840242e7",
+    # Recorded once `<=>` became equality at $o, one `Eq` node.
+    "desugar.p": "cc0abf62f9c97741561c68139e3c83ca40a6b479a0749f545a239830bf26ffd4",
     "hol.p": "685bb5bbf57ca0f53cb23af9fdbef7b66f79c0070969f7f97ee11b61b110448e",
     "list_append.p": "fdcadeac7497c0cbd994aa9d31ccd242de94d3888be4426517158d13171313aa",
     "roles.p": "ca0322b45368d41718bcac659777f1bd94981609285caa6dee6b9d730631e568",

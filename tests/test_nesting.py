@@ -38,6 +38,11 @@ def _implications(k: int) -> str:
     return "(p => " * k + "(v = w)" + ")" * k
 
 
+def _nest(op: str, d: int) -> str:
+    # p op (p op ... (p op p)): d - 1 operators, each one level.
+    return f"p {op} (" * (d - 2) + f"p {op} p" + ")" * (d - 2)
+
+
 # Each shape maps a depth d >= 3 to a formula nested exactly d levels deep.
 SHAPES = {
     "conjunctions": lambda d: " & ".join(["p"] * d),
@@ -45,6 +50,8 @@ SHAPES = {
     "negations": lambda d: "~ " * (d - 1) + "p",
     "binder variables": lambda d: "! [" + ", ".join(f"X{i}: $o" for i in range(d - 1)) + "]: p",
     "implications": lambda d: _implications(d - 2),
+    "equivalences": lambda d: _nest("<=>", d),
+    "non-equivalences": lambda d: _nest("<~>", d),
 }
 
 
@@ -135,19 +142,6 @@ def test_an_include_past_the_limit_is_located_at_the_directive(tmp_path):
         assert proc.returncode == EXIT_PARSE, argv
         assert proc.stderr == (f"f{MAX_INCLUDE_DEPTH}.ax:1:1: error: "
                                f"include nests deeper than {MAX_INCLUDE_DEPTH} files\n"), argv
-
-
-@pytest.mark.parametrize("op", ["<=>", "<~>"])
-def test_a_biconditional_nest_at_the_limit_parses_in_linear_time(op, tmp_path):
-    # The elaborator shares both operands of `(l => r) & (r => l)`, so a walk
-    # that followed them would visit 2**MAX_NESTING nodes.
-    nest = f"p {op} (" * (MAX_NESTING - 2) + f"p {op} p" + ")" * (MAX_NESTING - 2)
-    text = "thf(p_type, type, p: $o).\nthf(a, axiom, {}).\n"
-    assert "nests deeper" in parse_problem(text.format(f"p {op} ({nest})"))[0].message  # at the limit
-    (tmp_path / "nest.p").write_text(text.format(nest))
-    proc = _dtf(tmp_path, "parse", "nest.p")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (
-        EXIT_OK, "parsed 2 formulae (axiom: 1, type: 1)\n", "")
 
 
 # The height a surface node records as the parser builds it stands in for

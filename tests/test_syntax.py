@@ -18,10 +18,10 @@ from dtf.core import (
     Eq,
     Exists,
     Forall,
-    Implies,
     Lam,
     Not,
     Pi,
+    Top,
     Var,
     alpha_equal,
 )
@@ -104,11 +104,10 @@ def test_lambda_and_choice():
 # -- connective sugar -------------------------------------------------------------
 
 
-def test_iff_desugars_to_two_implications():
+def test_iff_is_equality_at_o():
     f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, q <=> r)."))
-    assert isinstance(f, And)
-    assert isinstance(f.left, Implies) and isinstance(f.right, Implies)
-    assert f.left.left == f.right.right  # q
+    assert isinstance(f, Eq) and isinstance(f.at, BoolType)
+    assert (f.left.name.text, f.right.name.text) == ("q", "r")
 
 
 def test_reverse_implication_swaps_sides():
@@ -119,7 +118,8 @@ def test_reverse_implication_swaps_sides():
 
 def test_xor_is_negated_iff():
     f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, q <~> r)."))
-    assert isinstance(f, Not) and isinstance(f.arg, And)
+    g = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, q <=> r)."))
+    assert isinstance(f, Not) and alpha_equal(f.arg, g)
 
 
 def test_disequality_is_negated_equality():
@@ -129,7 +129,7 @@ def test_disequality_is_negated_equality():
 
 def test_truth_constants():
     f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, q <=> $true)."))
-    assert isinstance(f, And)
+    assert isinstance(f, Eq) and isinstance(f.at, BoolType) and isinstance(f.right, Top)
 
 
 def test_mixed_connectives_need_parens():
