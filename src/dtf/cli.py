@@ -1,15 +1,18 @@
 """Command line interface.
 
-Subcommands: parse, check, obligations, translate, stats, solve.
+Subcommands: parse, check, obligations, translate, stats, solve.  Each runs
+its files through one driver, `_each_problem`, which parses, checks as far
+as the subcommand asks (`parse` and `stats`: not at all; `check`: shallow,
+or deep with `--deep`; the rest: deep) and hands on the problems that pass.
 
 Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
 2 parse or usage error, 3 prover or system error, 141 (128 + SIGPIPE) when
 the reader of stdout closed it early, as `| head` does.
 
 Only what every subcommand needs is imported at the top: `deep`, `erasure`
-and `prover` are imported by the subcommands that call them, so `parse`,
-`check` and `stats` load none of them and only `solve` loads the process
-and thread stack.
+and `prover` are imported where they are called, so `parse`, `check` and
+`stats` load none of them and only `solve` loads the process and thread
+stack.
 """
 
 from __future__ import annotations
@@ -36,70 +39,54 @@ def _emit_diagnostics(diagnostics) -> None:
         print(d.format(), file=sys.stderr)
 
 
-def _load(path: str):
-    """Parse a problem file; on failure print diagnostics and return None.
+def _each_problem(paths, one, check=None) -> int:
+    """Parse each file and check it (check: None, "shallow" or "deep"); call
+    one(path, problem, report) on each that passes, report being the deep
+    check's or None.  A failed stage prints its diagnostics and gives 2
+    (parse) or 1 (check).  Returns the worst exit code.
 
-    Everything alive after the parse, the problem included, is moved out of
-    the cyclic collector's generations (`gc.freeze`), so that no later
-    collection walks the theory again.  Frozen objects are still freed by
-    reference counting, which is all the acyclic trees of a problem need.
+    Everything alive after a parse is moved out of the cyclic collector's
+    generations (`gc.freeze`), so that no later collection walks the theory
+    again.  Frozen objects are still freed by reference counting, which is
+    all the acyclic trees of a problem need: a problem, and all that was
+    made of it, is freed before the next file is parsed.
     """
-    result = parse_file(path)
-    gc.freeze()
-    if isinstance(result, Problem):
-        _emit_diagnostics(result.warnings)
-        return result
-    _emit_diagnostics(result)
-    return None
+    worst = EXIT_OK
+    for path in paths:
+        problem = parse_file(path)
+        gc.freeze()
+        report = None
+        if isinstance(problem, Problem):
+            _emit_diagnostics(problem.warnings)
+            diagnostics = shallow.check_shallow(problem) if check else ()
+            if check == "deep" and not diagnostics:
+                from . import deep
 
-
-def _run_checks(problem: Problem, deep: bool = True):
-    """Shallow then, with deep, deep check; returns (exit_code, report | None).
-
-    The report is None when a check failed, after printing its diagnostics,
-    and when deep is false.
-    """
-    diags = shallow.check_shallow(problem)
-    if diags:
-        _emit_diagnostics(diags)
-        return EXIT_CHECK, None
-    if not deep:
-        return EXIT_OK, None
-    from .deep import check_problem
-
-    report = check_problem(problem)
-    if report.diagnostics:
-        _emit_diagnostics(report.diagnostics)
-        return EXIT_CHECK, None
-    return EXIT_OK, report
+                report = deep.check_problem(problem)
+                diagnostics = report.diagnostics
+            _emit_diagnostics(diagnostics)
+            code = EXIT_CHECK if diagnostics else one(path, problem, report)
+        else:
+            _emit_diagnostics(problem)  # the parse diagnostics
+            code = EXIT_PARSE
+        worst = max(worst, code)
+        del problem, report
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _each_problem(paths, one) -> int:
-    """Call one(path, problem) on each file that loads; returns the worst exit code.
-
-    Only one file's problem is alive at a time: it, and all that one made of
-    it, is freed before the next file is parsed.
-    """
-    worst = EXIT_OK
-    for path in paths:
-        problem = _load(path)
-        worst = max(worst, EXIT_PARSE if problem is None else one(path, problem))
-        del problem
-    return worst
-
-
 def cmd_parse(args) -> int:
     many = len(args.files) > 1
 
-    def one(path, problem) -> int:
+    def one(path, problem, report) -> int:
         if args.print:
             if many:
                 print(f"% {path}")
-            sys.stdout.write(print_problem(problem))
+            # In lines, as one large write into a closed pipe can seem to succeed.
+            sys.stdout.writelines(print_problem(problem).splitlines(keepends=True))
         else:
             counts = problem.role_counts()
             summary = ", ".join(f"{role}: {n}" for role, n in sorted(counts.items()))
@@ -113,10 +100,9 @@ def cmd_parse(args) -> int:
 def cmd_check(args) -> int:
     many = len(args.files) > 1
 
-    def one(path, problem) -> int:
-        code, report = _run_checks(problem, deep=args.deep)
+    def one(path, problem, report) -> int:
         if report is None:
-            return code  # a failure, or a silent shallow success
+            return EXIT_OK  # the shallow check is silent on success
         if many:
             print(f"% {path}")
         shown = list(report.obligations)
@@ -126,9 +112,9 @@ def cmd_check(args) -> int:
             _print_obligation(ob)
         print(f"obligations: {len(report.obligations)} residual, "
               f"{len(report.discharged)} discharged")
-        return code
+        return EXIT_OK
 
-    return _each_problem(args.files, one)
+    return _each_problem(args.files, one, "deep" if args.deep else "shallow")
 
 
 def _print_obligation(ob) -> None:
@@ -148,52 +134,46 @@ def _print_obligation(ob) -> None:
 def cmd_obligations(args) -> int:
     from . import deep
 
-    problem = _load(args.file)
-    if problem is None:
-        return EXIT_PARSE
-    code, report = _run_checks(problem)
-    if report is None:
-        return code
-    selected = list(report.obligations)
-    if args.all:
-        selected += report.discharged
-    paths = deep.export_obligations(problem, selected, args.out_dir)
-    for path in paths:
-        print(path)
-    if not paths:
-        print("no obligations to export", file=sys.stderr)
-    return EXIT_OK
+    def one(path, problem, report) -> int:
+        selected = list(report.obligations)
+        if args.all:
+            selected += report.discharged
+        paths = deep.export_obligations(problem, selected, args.out_dir)
+        for exported in paths:
+            print(exported)
+        if not paths:
+            print("no obligations to export", file=sys.stderr)
+        return EXIT_OK
+
+    return _each_problem([args.file], one, "deep")
 
 
 def cmd_translate(args) -> int:
     from . import erasure
 
-    problem = _load(args.file)
-    if problem is None:
-        return EXIT_PARSE
-    code, report = _run_checks(problem)
-    if report is None:
-        return code
-    assumed = ()
-    if report.obligations:
-        if not args.assume_obligations:
-            print(f"translate: {len(report.obligations)} unproved obligation(s); "
-                  "discharge them or pass --assume-obligations", file=sys.stderr)
-            return EXIT_CHECK
-        assumed = tuple(report.obligations)
-    text = print_th0(erasure.erase_problem(problem, assume_obligations=assumed))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    def one(path, problem, report) -> int:
+        assumed = ()
+        if report.obligations:
+            if not args.assume_obligations:
+                print(f"translate: {len(report.obligations)} unproved obligation(s); "
+                      "discharge them or pass --assume-obligations", file=sys.stderr)
+                return EXIT_CHECK
+            assumed = tuple(report.obligations)
+        text = print_th0(erasure.erase_problem(problem, assume_obligations=assumed))
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.writelines(text.splitlines(keepends=True))  # as in cmd_parse
+        return EXIT_OK
+
+    return _each_problem([args.file], one, "deep")
 
 
 def cmd_stats(args) -> int:
     shown = []  # the files summarized so far
 
-    def one(path, problem) -> int:
+    def one(path, problem, report) -> int:
         if shown:
             print()
         shown.append(path)
@@ -227,60 +207,57 @@ def cmd_solve(args) -> int:
         print(f"solve: no prover configured; pass --prover or set "
               f"{prover.PROVER_ENV_VAR}", file=sys.stderr)
         return EXIT_SYSTEM
-    problem = _load(args.file)
-    if problem is None:
-        return EXIT_PARSE
-    code, report = _run_checks(problem)
-    if report is None:
-        return code
 
-    th0 = erasure.TH0Printer(problem)
-    obligations = () if args.conjecture_only else report.obligations
-    tasks = [(ob.label, th0.print(deep.obligation_problem(problem, ob))) for ob in obligations]
-    conjecture_label = None
-    if not args.obligations_only and problem.goal is not None:
-        goal_label = problem.goal.label
-        while goal_label in {label for label, _ in tasks}:
-            goal_label += "_goal"
-        conjecture_label = goal_label
-        tasks.append((goal_label, th0.print(problem, tuple(report.obligations))))
+    def one(path, problem, report) -> int:
+        th0 = erasure.TH0Printer(problem)
+        obligations = () if args.conjecture_only else report.obligations
+        tasks = [(ob.label, th0.print(deep.obligation_problem(problem, ob))) for ob in obligations]
+        conjecture_label = None
+        if not args.obligations_only and problem.goal is not None:
+            goal_label = problem.goal.label
+            while goal_label in {label for label, _ in tasks}:
+                goal_label += "_goal"
+            conjecture_label = goal_label
+            tasks.append((goal_label, th0.print(problem, tuple(report.obligations))))
 
-    if not tasks:
-        if args.obligations_only:
-            print("nothing to prove: no residual obligations")
-        elif args.conjecture_only:
-            print("nothing to prove: no conjecture")
-        else:
-            print("nothing to prove: no residual obligations and no conjecture")
-        print(f"% SZS status Theorem for {args.file}")
-        return EXIT_OK
+        if not tasks:
+            if args.obligations_only:
+                print("nothing to prove: no residual obligations")
+            elif args.conjecture_only:
+                print("nothing to prove: no conjecture")
+            else:
+                print("nothing to prove: no residual obligations and no conjecture")
+            print(f"% SZS status Theorem for {path}")
+            return EXIT_OK
 
-    results = prover.discharge_all(config, tasks, jobs=args.jobs)
-    any_error = False
-    all_proved = True
-    for label, _ in tasks:
-        res = results[label]
-        print(f"{label}: {res.verdict.status} ({res.elapsed:.2f}s)")
-        if res.verdict.status == "Error":
-            any_error = True
-        if not res.verdict.proved:
-            all_proved = False
+        results = prover.discharge_all(config, tasks, jobs=args.jobs)
+        any_error = False
+        all_proved = True
+        for label, _ in tasks:
+            res = results[label]
+            print(f"{label}: {res.verdict.status} ({res.elapsed:.2f}s)")
+            if res.verdict.status == "Error":
+                any_error = True
+            if not res.verdict.proved:
+                all_proved = False
 
-    if any_error:
-        print(f"% SZS status Error for {args.file}")
-        return EXIT_SYSTEM
-    if all_proved:
-        print(f"% SZS status Theorem for {args.file}")
-        return EXIT_OK
-    status = "GaveUp"
-    if conjecture_label is not None:
-        others_ok = all(
-            results[label].verdict.proved
-            for label, _ in tasks if label != conjecture_label)
-        if others_ok:
-            status = results[conjecture_label].verdict.status
-    print(f"% SZS status {status} for {args.file}")
-    return EXIT_CHECK
+        if any_error:
+            print(f"% SZS status Error for {path}")
+            return EXIT_SYSTEM
+        if all_proved:
+            print(f"% SZS status Theorem for {path}")
+            return EXIT_OK
+        status = "GaveUp"
+        if conjecture_label is not None:
+            others_ok = all(
+                results[label].verdict.proved
+                for label, _ in tasks if label != conjecture_label)
+            if others_ok:
+                status = results[conjecture_label].verdict.status
+        print(f"% SZS status {status} for {path}")
+        return EXIT_CHECK
+
+    return _each_problem([args.file], one, "deep")
 
 
 # ---------------------------------------------------------------------------

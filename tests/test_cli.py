@@ -10,9 +10,10 @@ import pytest
 
 from dtf import cli, shallow
 from dtf.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
+from dtf.printer import print_problem
 from dtf.prover import PROVER_ENV_VAR
 from dtf.shallow import check_shallow
-from dtf.syntax import Problem, parse_problem
+from dtf.syntax import Problem, parse_file, parse_problem
 
 
 # -- parse ----------------------------------------------------------------------
@@ -41,6 +42,13 @@ def test_parse_print_round_trips(corpus_dir, capsys):
     reparsed = parse_problem(text)
     assert isinstance(reparsed, Problem)
     assert check_shallow(reparsed) == []
+
+
+def test_parse_print_heads_each_file_with_its_path(corpus_dir, capsys):
+    first, second = str(corpus_dir / "hol.p"), str(corpus_dir / "vect.p")
+    assert run(["parse", "--print", first, second]) == EXIT_OK
+    assert capsys.readouterr().out == (f"% {first}\n" + print_problem(parse_file(first))
+                                       + f"% {second}\n" + print_problem(parse_file(second)))
 
 
 def test_parse_error_exit_code(negative_dir, capsys):
@@ -235,6 +243,14 @@ def test_obligations_none_to_export(corpus_dir, tmp_path, capsys):
     assert "no obligations to export" in capsys.readouterr().err
 
 
+def test_obligations_on_an_ill_typed_file_exports_nothing(negative_dir, tmp_path, capsys):
+    path = str(negative_dir / "neg_arity_missing.p")
+    out_dir = tmp_path / "obs"
+    assert run(["obligations", path, "--out-dir", str(out_dir)]) == EXIT_CHECK
+    assert capsys.readouterr() == ("", f"{path}:5:19: error: type 'vec' expects 1 argument, got 0\n")
+    assert not out_dir.exists()
+
+
 # -- translate ----------------------------------------------------------------------
 
 
@@ -310,6 +326,13 @@ def test_solve_without_prover(corpus_dir, monkeypatch, capsys):
     monkeypatch.delenv(PROVER_ENV_VAR, raising=False)
     assert run(["solve", str(corpus_dir / "list_append.p")]) == EXIT_SYSTEM
     assert "no prover configured" in capsys.readouterr().err
+
+
+def test_solve_without_prover_reads_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv(PROVER_ENV_VAR, raising=False)
+    assert run(["solve", str(tmp_path / "absent.p")]) == EXIT_SYSTEM
+    assert capsys.readouterr() == (
+        "", f"solve: no prover configured; pass --prover or set {PROVER_ENV_VAR}\n")
 
 
 def test_solve_all_proved(corpus_dir, fake_prover, capsys):
@@ -413,19 +436,24 @@ def test_module_invocation(corpus_dir):
     assert proc.stdout == ""
 
 
-def test_a_reader_that_closes_stdout_early_ends_dtf_quietly(tmp_path):
-    # 3,000 residual obligations print about 340 kB, line by line, far more
-    # than a pipe holds, so dtf is still writing when the reader goes, as
-    # under `dtf check --deep big.p | head -n 1`.
+@pytest.mark.parametrize("command, first", [
+    (["check", "--deep"], b"ob1 [residual]: "),
+    (["parse", "--print"], b"thf(nat_type, type, nat: $tType)."),
+    (["translate", "--assume-obligations"], b"thf(nat_type, type, nat: $tType)."),
+], ids=["check --deep", "parse --print", "translate --assume-obligations"])
+def test_a_reader_that_closes_stdout_early_ends_dtf_quietly(command, first, tmp_path):
+    # 8,000 residual obligations print about 900 kB, their problem 220 kB and
+    # its translation 680 kB, several times what a pipe holds, so dtf is
+    # still writing when the reader goes, as under `dtf check --deep big.p | head -n 1`.
     header = ("thf(nat_type, type, nat: $tType).\nthf(vec_type, type, vec: nat > $tType).\n"
               "thf(n_type, type, n: nat).\nthf(m_type, type, m: nat).\n"
               "thf(v_type, type, v: vec @ n).\nthf(w_type, type, w: vec @ m).\n")
     path = tmp_path / "big.p"
-    path.write_text(header + "".join(f"thf(a{i}, axiom, v = w).\n" for i in range(3000)),
+    path.write_text(header + "".join(f"thf(a{i}, axiom, v = w).\n" for i in range(8000)),
                     encoding="utf-8")
-    proc = subprocess.Popen([sys.executable, "-m", "dtf", "check", "--deep", str(path)],
+    proc = subprocess.Popen([sys.executable, "-m", "dtf", *command, str(path)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"ob1 [residual]: ")
+    assert proc.stdout.readline().startswith(first)
     proc.stdout.close()
     assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
     assert proc.stderr.read() == b""

@@ -195,6 +195,17 @@ def test_ground_index_mismatch_stays_residual(corpus_dir):
     assert alpha_equal(ob.formula, ob.goal)
 
 
+def test_types_equal_after_normalization_leave_no_obligation(tmp_path, capsys):
+    # p expects a vec @ ((^ [X: nat]: X) @ z), which normalizes to v's vec @ z.
+    path = tmp_path / "beta.p"
+    path.write_text("thf(nat_type, type, nat: $tType).\nthf(z_type, type, z: nat).\n"
+                    "thf(vec_type, type, vec: nat > $tType).\nthf(v_type, type, v: vec @ z).\n"
+                    "thf(p_type, type, p: (vec @ ((^ [X: nat]: X) @ z)) > $o).\n"
+                    "thf(a, axiom, p @ v).\n", encoding="utf-8")
+    assert run(["check", "--deep", str(path)]) == EXIT_OK
+    assert capsys.readouterr() == ("obligations: 0 residual, 0 discharged\n", "")
+
+
 # -- diagnostics ------------------------------------------------------------------
 
 

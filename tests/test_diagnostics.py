@@ -72,6 +72,18 @@ def _check(args: list, capsys) -> tuple:
      "4:34: error: type application needs a type-symbol head"),
     ("thf(c_type, type, c: nat > nat & nat).", EXIT_PARSE, "4:32: error: '&' after '>' needs parentheses"),
     ("thf(a, axiom, ! [X: nat = nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
+    ("include(X).", EXIT_PARSE, "4:9: error: include expects a quoted file name"),
+    ("thf(, axiom, $true).", EXIT_PARSE, "4:5: error: expected a formula name"),
+    ("thf(t, type, X: $o).", EXIT_PARSE, "4:14: error: expected the declared symbol name"),
+    ("thf(a, axiom, (z z)).", EXIT_PARSE, "4:18: error: expected ')', found 'z'"),
+    ("thf(c_type, type, c: $o @ z).", EXIT_PARSE, "4:25: error: only base types take term arguments"),
+    # skeleton errors nested in a type argument, a binder domain and an applied argument
+    ("thf(c_type, type, c: vec @ (z @ z)).", EXIT_CHECK,
+     "4:31: error: term of skeleton nat cannot be applied"),
+    ("thf(a, axiom, ! [X: vec @ (z @ z)]: $true).", EXIT_CHECK,
+     "4:30: error: term of skeleton nat cannot be applied"),
+    ("thf(a, axiom, (^ [X: nat]: $true) @ (z @ z)).", EXIT_CHECK,
+     "4:40: error: term of skeleton nat cannot be applied"),
     *EQUIVALENCE_ROWS,
 ])
 def test_one_line_diagnostic(line, code, expected, tmp_path, monkeypatch, capsys):

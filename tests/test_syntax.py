@@ -110,6 +110,12 @@ def test_iff_is_equality_at_o():
     assert (f.left.name.text, f.right.name.text) == ("q", "r")
 
 
+def test_an_equation_with_a_formula_left_side_is_at_o():
+    f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, ((~ q) = q))."))
+    assert isinstance(f, Eq) and isinstance(f.at, BoolType)
+    assert isinstance(f.left, Not)
+
+
 def test_reverse_implication_swaps_sides():
     f = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, q <= r)."))
     g = only_axiom(parse_ok(PRELUDE + "thf(a, axiom, r => q)."))
