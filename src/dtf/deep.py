@@ -57,7 +57,6 @@ from .core import (
 )
 from .diagnostics import Diagnostic, DiagnosticError, error
 from .printer import decl_line, format_type
-from .shallow import check_shallow
 from .syntax import Problem, locate
 
 
@@ -389,8 +388,8 @@ def check_problem(problem) -> CheckReport:
     formulae; each obligation records how many theory declarations it may
     rely on.
     """
-    if problem.polymorphic:  # check_shallow's one diagnostic
-        return CheckReport([], [], check_shallow(problem))
+    if problem.polymorphic:
+        return CheckReport([], [], [problem.polymorphic])
     checker = DeepChecker(problem.path, problem.texts)
     diagnostics = [d for d in map(checker.check_decl, problem.decls()) if d is not None]
     return CheckReport(checker.obligations, checker.discharged, diagnostics)
@@ -402,7 +401,6 @@ def obligation_problem(problem, ob: Obligation):
     return Problem(
         theory=Theory(tuple(visible)),
         goal=Axiom(ob.label, ob.formula, "conjecture"),
-        polymorphic=False,
         path=problem.path,
     )
 

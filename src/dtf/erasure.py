@@ -222,7 +222,7 @@ def erase_problem(problem, assume_obligations=()) -> Problem:
     decls = (*problem.theory.decls, *assumed_axioms(assume_obligations))
     erased = tuple(e for decl in decls for e in eraser.erase_decl(decl))
     goal = problem.goal and eraser.erase_decl(problem.goal)[0]
-    return Problem(theory=Theory(erased), goal=goal, polymorphic=False, path=problem.path)
+    return Problem(theory=Theory(erased), goal=goal, path=problem.path)
 
 
 def th0_lines(eraser: Eraser, decl) -> str:

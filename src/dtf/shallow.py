@@ -30,8 +30,6 @@ from .core import (
     Type,
     TypeDecl,
     Var,
-    children,
-    is_type_kind,
 )
 from .diagnostics import Diagnostic, error
 from .syntax import locate
@@ -99,10 +97,7 @@ class _ShallowChecker:
         if isinstance(ty, BaseApp):
             expected = self.type_arity.get(ty.head.text)
             if expected is None:
-                if ty.head.kind.value == "variable":
-                    self.report(f"type variable {ty.head.text!r} is not supported here", ty.span)
-                else:
-                    self.report(f"unknown type symbol {ty.head.text!r}", ty.span)
+                self.report(f"unknown type symbol {ty.head.text!r}", ty.span)
                 return False
             if len(ty.args) != len(expected):
                 self.report(
@@ -197,45 +192,14 @@ class _ShallowChecker:
         return got is not None
 
 
-def find_polymorphic(problem) -> tuple:
-    """(span, path) of the first declaration that mentions the kind of types, else
-    of the first binder of an axiom or the conjecture that binds a type variable."""
-
-    def mentions_kind(ty: Type) -> bool:
-        if is_type_kind(ty):
-            return True
-        if isinstance(ty, Pi):
-            return mentions_kind(ty.domain) or mentions_kind(ty.codomain)
-        if isinstance(ty, BaseApp):
-            return ty.head.kind.value == "variable"
-        return False
-
-    for decl in problem.theory.decls:
-        if isinstance(decl, TypeDecl) and any(mentions_kind(ty) for _, ty in decl.telescope):
-            return decl.span, decl.path
-        if isinstance(decl, ConstDecl) and mentions_kind(decl.ty):
-            return decl.span, decl.path
-    for decl in problem.decls():
-        stack = [decl.formula] if isinstance(decl, Axiom) else []
-        while stack:
-            t = stack.pop()
-            if isinstance(t, Binder) and mentions_kind(t.domain):
-                return t.span, decl.path
-            stack.extend(reversed(children(t)))
-    return None, None
-
-
 def check_shallow(problem) -> list[Diagnostic]:
     """Skeleton-check every declaration and formula of an elaborated problem.
 
     Returns an empty list exactly when the problem is shallowly well typed.
     """
-    checker = _ShallowChecker(problem.texts)
     if problem.polymorphic:
-        span, path = find_polymorphic(problem)
-        checker.path = path or problem.path
-        checker.report("polymorphic declarations are not supported", span)
-        return checker.diagnostics
+        return [problem.polymorphic]
+    checker = _ShallowChecker(problem.texts)
     for decl in problem.decls():
         checker.path = decl.path or problem.path
         if isinstance(decl, TypeDecl):
@@ -243,9 +207,6 @@ def check_shallow(problem) -> list[Diagnostic]:
             skels: list = []
             for name, ty in decl.telescope:
                 checker.check_type(ty, env)
-                if is_type_kind(ty):
-                    checker.report("polymorphic declarations are not supported", decl.span)
-                    return checker.diagnostics
                 skel = skeletonize(ty)
                 env[name.text] = skel
                 skels.append(skel)

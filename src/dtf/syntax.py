@@ -213,15 +213,17 @@ class AnnotatedFormula:
 
 class Problem(core.Record):
     """An elaborated problem: the core theory, its conjecture as an Axiom of role
-    "conjecture", and how many formulae had each role.  `texts`, left out of
-    equality, maps each `Decl.path` to the text that `locate` reads offsets in."""
+    "conjecture", and how many formulae had each role.  `polymorphic` is the
+    located diagnostic that both checkers give a problem that uses `$tType` in
+    a type position, else None.  `texts`, left out of equality, maps each
+    `Decl.path` to the text that `locate` reads offsets in."""
 
     # roles holds (role, count) pairs, in order of first appearance.
     _fields = ("roles", "theory", "goal", "polymorphic", "path", "warnings")
     __slots__ = (*_fields, "texts", "__weakref__")
 
     def __init__(self, roles: tuple = (), theory: Theory = Theory(), goal: Axiom | None = None,
-                 polymorphic: bool = False, path: str | None = None, warnings: tuple = (),
+                 polymorphic: Diagnostic | None = None, path: str | None = None, warnings: tuple = (),
                  texts: dict | None = None):
         for name, value in zip(self.__slots__, (roles, theory, goal, polymorphic, path, warnings,
                                                 {} if texts is None else texts)):
@@ -644,7 +646,8 @@ class _Elaborator:
         self.decls: list = []
         self.symbols: dict = {}
         self.diagnostics: list[Diagnostic] = []
-        self.polymorphic = False
+        self.polymorphic: Diagnostic | None = None  # at the first `$tType` in a type position
+        self.site: int | None = None  # the term binder whose domains are elaborated, else the formula
         self.conjecture: Axiom | None = None  # of role "conjecture"
         self._used_binders: set = set()
         self._arrow_counter = 0
@@ -669,6 +672,7 @@ class _Elaborator:
             raise self.err(f"unsupported role {f.role!r}", f.span)
         self._used_binders = set()
         self._arrow_counter = 0
+        self.site = f.span
         if f.role == "type":
             self.elaborate_declaration(f)
             return
@@ -746,7 +750,9 @@ class _Elaborator:
                 if sty.text == "$o":
                     return core.BoolType(sty.span)
                 if sty.text == "$tType":
-                    self.polymorphic = True
+                    if self.polymorphic is None:
+                        self.polymorphic = self.err("polymorphic declarations are not supported",
+                                                    self.site).diagnostic
                     return BaseApp(Name("$tType", NameKind.TYPE), (), sty.span)
                 raise self.err(f"unsupported $-symbol {sty.text!r} in type position", sty.span)
             if sty.kind == "upper":
@@ -852,12 +858,14 @@ class _Elaborator:
         node = _BINDERS[s.op]
         venv = dict(venv)
         bound: list = []
+        site, self.site = self.site, s.span
         for var, vty in s.variables:
             domain = self.elaborate_type(vty, venv)
             name = Name(self._fresh_binder(var.text), NameKind.VAR)
             venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
             venv[name] = domain
             bound.append((name, domain))
+        self.site = site
         body = self.elaborate_term(s.body, venv)
         for name, domain in reversed(bound):
             body = node(name, domain, body, s.span)

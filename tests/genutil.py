@@ -6,7 +6,8 @@ types), so every generated problem must pass both checkers with zero
 residual obligations.  gen_dependent_type builds arbitrary dependent types
 for comparing the two independent type-flattening implementations.
 forall_guard_violations scans erased formulae for universals over base-typed
-variables that lack a relatedness premise.
+variables that lack a relatedness premise.  gen_polymorphic_input writes a
+problem with one `$tType` binder and says where both checkers must refuse it.
 """
 
 from __future__ import annotations
@@ -224,3 +225,56 @@ def gen_formula_problem(seed: int) -> Problem:
         theory=problem.theory,
         goal=Axiom("generated_goal", conjecture, "conjecture"),
     )
+
+
+# Where the one polymorphism diagnostic points: the innermost `!`, `?`, `^` or
+# `@+` whose variable's type holds the `$tType`, else the declaration's `thf`.
+# `#` marks that place while an input is built.
+_KIND_ARG = "(vec @ ((#^ [A: $tType]: z) @ z))"  # a `$tType` inside a type argument
+_POLY_DECLS = [
+    "#thf(f_type, type, f: !> [A: $tType]: (A > A)).",
+    "#thf(f_type, type, f: !> [A: $tType, N: nat]: ((vec @ N) > A)).",
+    "#thf(g_type, type, g: !> [A: $tType]: $tType).",
+    "#thf(f_type, type, f: $tType > $o).",
+    "#thf(f_type, type, f: nat > ($tType > $o) > nat).",
+    "#thf(g_type, type, g: nat > ($tType > $o) > $tType).",
+    f"thf(c_type, type, c: {_KIND_ARG}).",
+    f"thf(f_type, type, f: nat > {_KIND_ARG} > $o).",
+    f"thf(g_type, type, g: {_KIND_ARG} > $tType).",
+]
+_POLY_BINDERS = [
+    "#! [A: $tType]: $true",
+    "#? [X: nat, A: $tType]: $true",
+    "#! [F: $tType > $o]: $true",
+    "#? [A: $tType, X: A]: (X = X)",
+    "(#^ [A: $tType]: $true) = (^ [A: nat]: $true)",
+    "(#@+ [F: nat > $tType]: $true) = (@+ [F: nat > $o]: $true)",
+    f"! [X: {_KIND_ARG}]: $true",
+    f"! [X: nat, Y: {_KIND_ARG}]: (X = X)",
+]
+_POLY_CONTEXTS = ["{}", "$true & ({})", "~ ({})", "! [Y: nat]: ({})",
+                  "! [V: vec @ ((^ [B: nat]: z) @ z)]: ({})"]
+_FILLER = ["thf(m{k}_type, type, m{k}: nat).", "thf(e{k}, axiom, ! [X: nat]: (X = X)).",
+           "thf(w{k}_type, type, w{k}: vec @ z).", "thf(s{k}_type, type, s{k}: nat > nat)."]
+
+
+def gen_polymorphic_input(seed: int) -> tuple:
+    """(text, line, column): a problem with one `$tType` binder at a random type
+    position, and the place of the one diagnostic both checkers must give it."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        poly = rng.choice(_POLY_DECLS)
+    else:
+        role = rng.choice(["axiom", "conjecture"])
+        body = rng.choice(_POLY_CONTEXTS).format(rng.choice(_POLY_BINDERS))
+        newline = rng.choice(["", "\n    "])
+        poly = f"thf(p, {role},{newline} {body})."
+    lines = ["thf(nat_type, type, nat: $tType).", "thf(vec_type, type, vec: nat > $tType).",
+             "thf(z_type, type, z: nat)."]
+    filler = [rng.choice(_FILLER).format(k=k) for k in range(rng.randint(0, 6))]
+    cut = rng.randint(0, len(filler))
+    lines += filler[:cut] + [" " * rng.randint(0, 3) + poly] + filler[cut:]
+    text = "\n".join(lines) + "\n"
+    at = text.index("#")
+    line_start = text.rfind("\n", 0, at) + 1
+    return text.replace("#", "", 1), text.count("\n", 0, at) + 1, at - line_start + 1

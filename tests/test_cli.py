@@ -477,6 +477,10 @@ def test_applied_ttype_is_a_located_parse_error(tmp_path, capsys, decl, column):
         assert captured.err == f"{path}:2:{column}: error: $tType takes no arguments\n"
 
 
+VEC_PRELUDE = ("thf(nat_type, type, nat: $tType).\nthf(vec_type, type, vec: nat > $tType).\n"
+               "thf(z_type, type, z: nat).\n")
+
+
 @pytest.mark.parametrize("formula, line, column", [
     ("thf(a, axiom, ! [A: $tType]: $true).", 1, 15),
     ("thf(nat_type, type, nat: $tType).\nthf(a, axiom, $true & (! [F: $tType > $o]: $true)).",
@@ -484,7 +488,14 @@ def test_applied_ttype_is_a_located_parse_error(tmp_path, capsys, decl, column):
     ("thf(nat_type, type, nat: $tType).\n"
      "thf(a, conjecture, ? [A: $tType]: ! [X: A]: (X = X)).", 2, 20),
     ("thf(a, axiom, ! [A: $tType]: $true).\nthf(b, conjecture, ? [B: $tType]: $true).", 1, 15),
-], ids=["axiom", "axiom_arrow_domain", "conjecture", "axiom_before_conjecture"])
+    # In file order; a `$tType` in a type argument is located at the `^` that binds it.
+    (VEC_PRELUDE + "thf(c_decl, type, c: vec @ ((^ [A: $tType]: z) @ z)).", 4, 30),
+    (VEC_PRELUDE + "thf(t_decl, type, t: (vec @ ((^ [A: $tType]: z) @ z)) > $tType).", 4, 31),
+    ("thf(a, axiom, ! [A: $tType]: $true).\nthf(id_type, type, id: !> [A: $tType]: (A > A)).", 1, 15),
+    ("thf(a, conjecture, ! [A: $tType]: $true).\nthf(b, axiom, ? [A: $tType]: $true).", 1, 20),
+], ids=["axiom", "axiom_arrow_domain", "conjecture", "axiom_before_conjecture",
+        "constant_type_argument", "telescope_type_argument", "axiom_before_declaration",
+        "conjecture_before_axiom"])
 def test_polymorphic_formula_diagnostic_is_located(tmp_path, capsys, formula, line, column):
     path = tmp_path / "poly.p"
     path.write_text(formula + "\n", encoding="utf-8")

@@ -20,6 +20,7 @@ from dtf.core import (
     Implies,
     Name,
     NameKind,
+    TYPE_KIND,
     Theory,
     TypeDecl,
     Var,
@@ -554,6 +555,19 @@ def test_polymorphic_problem_is_refused_as_by_the_shallow_check(negative_dir, na
     assert report.diagnostics == check_shallow(problem)
     assert [d.span is not None for d in report.diagnostics] == [True]
     assert report.obligations == [] and report.discharged == []
+
+
+@pytest.mark.parametrize("decl", [
+    ConstDecl(Name("c", NameKind.CONST), BaseApp(Name("A", NameKind.VAR)), "c_type"),
+    TypeDecl(Name("t", NameKind.TYPE), ((Name("A", NameKind.VAR), TYPE_KIND),), "t_type"),
+], ids=["type_variable", "kind_in_telescope"])
+def test_polymorphism_built_by_hand_is_refused_by_both_checkers(decl):
+    # The elaborator flags every parsed polymorphic problem; one built by hand,
+    # with no flag, fails on the type symbol neither checker knows.
+    problem = Problem(theory=Theory((decl,)))
+    assert problem.polymorphic is None
+    assert check_shallow(problem)
+    assert check_problem(problem).diagnostics
 
 
 # -- type arguments compared one by one ------------------------------------------------

@@ -5,8 +5,10 @@ import pytest
 
 from dtf.cli import EXIT_CHECK, EXIT_PARSE, run
 from dtf.deep import check_problem
-from dtf.syntax import parse_problem
+from dtf.shallow import check_shallow
+from dtf.syntax import parse_file, parse_problem
 
+from genutil import gen_polymorphic_input
 from test_deep import BUDGET_FILES
 
 PRELUDE = """\
@@ -162,3 +164,18 @@ def test_polymorphism_diagnostic_names_the_included_file(tmp_path, capsys):
     main, included = _include(tmp_path, PRELUDE + "thf(id_type, type, id: !> [A: $tType]: (A > A)).\n")
     assert _check([main], capsys) == (
         EXIT_CHECK, f"{included}:4:1: error: polymorphic declarations are not supported\n")
+
+
+# -- polymorphism, located where the elaborator met it ------------------------------
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_generated_polymorphic_input_gives_one_located_line(seed, tmp_path, capsys):
+    text, line, column = gen_polymorphic_input(seed)
+    path = tmp_path / "poly.p"
+    path.write_text(text, encoding="utf-8")
+    expected = f"{path}:{line}:{column}: error: polymorphic declarations are not supported"
+    problem = parse_file(str(path))
+    assert [d.format() for d in check_shallow(problem)] == [expected]
+    assert [d.format() for d in check_problem(problem).diagnostics] == [expected]
+    assert _check([str(path)], capsys) == (EXIT_CHECK, expected + "\n")
