@@ -124,9 +124,8 @@ def _print_obligation(ob) -> None:
     for entry in ob.context.entries:
         if isinstance(entry, VarDecl):
             parts.append(f"{entry.name.text}: {format_type(entry.ty)}")
-        elif entry.label is None:
+        else:
             parts.append(f"assume {format_term(entry.formula)}")
-        # labeled assumptions are theory axioms, not local context
     print(f"  context: {', '.join(parts) if parts else 'none'}")
     print(f"  goal: {format_term(ob.goal)}")
 

@@ -377,7 +377,7 @@ class VarDecl(Record):
 
 
 class Assumption(Record):
-    """A formula assumed in context; label is set when seeded from an axiom."""
+    """A formula assumed in context; a label names the axiom it stands for."""
 
     __slots__ = _fields = ("formula", "label")
 

@@ -7,9 +7,9 @@ types up to beta-eta normalization and alpha-equivalence, and turns every
 remaining equation into an Obligation: a goal in a typing context, plus a
 closed formula obtained by discharging the context.
 
-Obligations whose closed or open form matches a context assumption are
-discharged by lookup and reported separately; the rest are residual and can
-be exported as self-contained problems.
+Obligations whose closed or open form matches an axiom or a context
+assumption are discharged by lookup and reported separately; the rest are
+residual and can be exported as self-contained problems.
 """
 
 from __future__ import annotations
@@ -121,8 +121,9 @@ def close_obligation(context: Context, goal: Term) -> Term:
 
 class DeepChecker:
     """Checks declarations and formulae against the declarations made so far,
-    accumulating obligations.  `context` holds the declared axioms, which every
-    context passed to `check` extends; each is normalized and keyed once.
+    accumulating obligations.  The declared axioms live only in `_axiom_index`,
+    each normalized and keyed once; a context holds what the formula being
+    checked binds and assumes.
     """
 
     def __init__(self, path: str | None = None, texts: dict | None = None):
@@ -130,7 +131,6 @@ class DeepChecker:
         self.texts = texts or {}  # path -> text, against which a node's offset is located
         self.obligations: list = []
         self.discharged: list = []
-        self.context = Context()
         self._counter = 0
         self._theory_prefix = 0
         self._current_label = "formula"
@@ -150,7 +150,7 @@ class DeepChecker:
         self._current_label = (decl.label if isinstance(decl, Axiom)
                                else decl.label or decl.name.text)
         self._current_path = decl.path or self.path
-        ctx = self.context
+        ctx = Context()
         diagnostic = None
         try:
             if isinstance(decl, TypeDecl):
@@ -176,8 +176,7 @@ class DeepChecker:
         elif isinstance(decl, Axiom):
             key = _normal_key(decl.formula)
             self._axiom_index.setdefault(
-                key, (len(self.context.entries), None if key is None else decl.label))
-            self.context = self.context.push_assumption(decl.formula, label=decl.label)
+                key, (self._theory_prefix, None if key is None else decl.label))
         self._theory_prefix += 1
 
     # -- plumbing -----------------------------------------------------------
@@ -318,8 +317,7 @@ class DeepChecker:
 
     def emit(self, ctx: Context, goal: Term, origin: str, span: int | None) -> None:
         self._counter += 1
-        # The axioms stay out of the closed formula, so close over the rest.
-        closed = close_obligation(Context(self._local_entries(ctx)), goal)
+        closed = close_obligation(ctx, goal)
         matched = self._lookup(ctx, goal, closed, span)
         ob = Obligation(
             label=f"ob{self._counter}",
@@ -337,10 +335,11 @@ class DeepChecker:
                 span: int | None) -> str | None:
         """Discharge by assumption: open or closed form, up to normalization.
 
-        The answer is that of a scan over the assumptions of ctx, axioms first,
-        which fails at the first axiom past the budget that it reaches.  (The
-        closed form has every local assumption as a premise, so a local
-        assumption past the budget has already failed the lookup.)
+        The answer is that of a scan over the declared axioms in order, then
+        the assumptions of ctx, which fails at the first axiom past the budget
+        that it reaches.  (The closed form has every local assumption as a
+        premise, so a local assumption past the budget has already failed the
+        lookup.)
         """
         goal_n = self._normalize(goal, span)
         closed_n = self._normalize(closed, span)
@@ -351,7 +350,7 @@ class DeepChecker:
             if hit[1] is None:
                 raise self.fail("normalization budget exceeded", span)
             return hit[1]
-        for entry in self._local_entries(ctx):
+        for entry in ctx.entries:
             if isinstance(entry, Assumption):
                 if id(entry) not in self._local_keys:
                     # Kept with the entry, so that its id is not reused.
@@ -359,10 +358,6 @@ class DeepChecker:
                 if self._local_keys[id(entry)][1] in keys:
                     return entry.label or "local assumption"
         return None
-
-    def _local_entries(self, ctx: Context) -> tuple:
-        """The entries of ctx after the declared axioms that it extends."""
-        return ctx.entries[len(self.context.entries):]
 
 
 def _normal_key(formula: Term):
@@ -384,9 +379,8 @@ def _instantiate_telescope(telescope, args, i) -> Type:
 def check_problem(problem) -> CheckReport:
     """Deep-check every declaration and the conjecture of a problem.
 
-    Earlier axioms are visible as labeled assumptions when checking later
-    formulae; each obligation records how many theory declarations it may
-    rely on.
+    Earlier axioms discharge the obligations of later formulae; each
+    obligation records how many theory declarations it may rely on.
     """
     if problem.polymorphic:
         return CheckReport([], [], [problem.polymorphic])

@@ -849,6 +849,8 @@ class _Elaborator:
         if isinstance(decl, ConstDecl):
             return Const(decl.name, s.span)
         if isinstance(decl, TypeDecl):
+            if self.polymorphic:  # a type argument of a polymorphic constant
+                return Const(decl.name, s.span)
             raise self.err(f"type symbol {s.text!r} used as a term", s.span)
         raise self.err(f"unknown symbol {s.text!r}", s.span)
 

@@ -479,6 +479,9 @@ def test_applied_ttype_is_a_located_parse_error(tmp_path, capsys, decl, column):
 
 VEC_PRELUDE = ("thf(nat_type, type, nat: $tType).\nthf(vec_type, type, vec: nat > $tType).\n"
                "thf(z_type, type, z: nat).\n")
+TH1_APPLICATION = ("thf(nat_type, type, nat: $tType).\n"
+                   "thf(id_type, type, id: !> [A: $tType]: (A > A)).\n"
+                   "thf(z_type, type, z: nat).\nthf(a, axiom, ((id @ nat @ z) = z)).")
 
 
 @pytest.mark.parametrize("formula, line, column", [
@@ -493,9 +496,11 @@ VEC_PRELUDE = ("thf(nat_type, type, nat: $tType).\nthf(vec_type, type, vec: nat 
     (VEC_PRELUDE + "thf(t_decl, type, t: (vec @ ((^ [A: $tType]: z) @ z)) > $tType).", 4, 31),
     ("thf(a, axiom, ! [A: $tType]: $true).\nthf(id_type, type, id: !> [A: $tType]: (A > A)).", 1, 15),
     ("thf(a, conjecture, ! [A: $tType]: $true).\nthf(b, axiom, ? [A: $tType]: $true).", 1, 20),
+    # A type symbol passed to a polymorphic constant is a term of the TH1 problem.
+    (TH1_APPLICATION, 2, 1),
 ], ids=["axiom", "axiom_arrow_domain", "conjecture", "axiom_before_conjecture",
         "constant_type_argument", "telescope_type_argument", "axiom_before_declaration",
-        "conjecture_before_axiom"])
+        "conjecture_before_axiom", "type_application"])
 def test_polymorphic_formula_diagnostic_is_located(tmp_path, capsys, formula, line, column):
     path = tmp_path / "poly.p"
     path.write_text(formula + "\n", encoding="utf-8")
@@ -503,6 +508,17 @@ def test_polymorphic_formula_diagnostic_is_located(tmp_path, capsys, formula, li
         assert run([*argv, str(path)]) == EXIT_CHECK
         assert capsys.readouterr().err == (
             f"{path}:{line}:{column}: error: polymorphic declarations are not supported\n")
+
+
+def test_type_application_prints_back_and_is_refused_as_polymorphic(tmp_path, capsys):
+    path = tmp_path / "th1.p"
+    path.write_text(TH1_APPLICATION + "\n", encoding="utf-8")
+    assert run(["parse", "--print", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == TH1_APPLICATION + "\n"
+    assert run(["translate", str(path)]) == EXIT_CHECK
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{path}:2:1: error: polymorphic declarations are not supported\n"
 
 
 # -- user symbols spelled like defined ones --------------------------------------------

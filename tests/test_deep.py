@@ -190,9 +190,8 @@ def test_ground_index_mismatch_stays_residual(corpus_dir):
     assert report.ok
     assert len(report.obligations) == 1
     ob = report.obligations[0]
-    # Ground conjecture: no bound variables, only seeded (labeled) axioms.
-    assert all(isinstance(e, Assumption) and e.label is not None
-               for e in ob.context.entries)
+    # Ground conjecture: no bound variables and no local assumptions.
+    assert ob.context.entries == ()
     assert alpha_equal(ob.formula, ob.goal)
 
 
@@ -390,22 +389,29 @@ def test_first_matching_assumption_discharges():
 
 # -- discharge by key against the linear scan -------------------------------------
 #
-# The linear scan below is the lookup that the key index replaced, kept
-# unchanged as an oracle: check_problem must give the same report with either.
+# The linear scan below is the lookup that the key index replaced, kept as an
+# oracle: check_problem must give the same report with either.  It scans the
+# axioms declared so far, then the local context.
 
-def oracle_lookup(self, ctx: Context, goal, closed, span) -> str | None:
-    """Discharge by assumption: open or closed form, up to normalization."""
-    goal_n = self._normalize(goal, span)
-    closed_n = self._normalize(closed, span)
-    if isinstance(goal_n, Eq) and alpha_equal(goal_n.left, goal_n.right):
-        return "reflexivity"
-    for entry in ctx.entries:
-        if not isinstance(entry, Assumption):
-            continue
-        form_n = self._normalize(entry.formula, span)
-        if alpha_equal(form_n, goal_n) or alpha_equal(form_n, closed_n):
-            return entry.label or "local assumption"
-    return None
+def oracle_lookup(problem: Problem):
+    def lookup(self, ctx: Context, goal, closed, span) -> str | None:
+        """Discharge by assumption: open or closed form, up to normalization."""
+        goal_n = self._normalize(goal, span)
+        closed_n = self._normalize(closed, span)
+        if isinstance(goal_n, Eq) and alpha_equal(goal_n.left, goal_n.right):
+            return "reflexivity"
+        axioms = tuple(Assumption(d.formula, d.label)
+                       for d in problem.theory.decls[:self._theory_prefix]
+                       if isinstance(d, Axiom))
+        for entry in axioms + ctx.entries:
+            if not isinstance(entry, Assumption):
+                continue
+            form_n = self._normalize(entry.formula, span)
+            if alpha_equal(form_n, goal_n) or alpha_equal(form_n, closed_n):
+                return entry.label or "local assumption"
+        return None
+
+    return lookup
 
 
 def _differential_inputs() -> list:
@@ -435,7 +441,7 @@ def test_keyed_lookup_matches_the_linear_scan(monkeypatch, problem):
     assert isinstance(problem, Problem)
     report = check_problem(problem)
     with monkeypatch.context() as patch:
-        patch.setattr(DeepChecker, "_lookup", oracle_lookup)
+        patch.setattr(DeepChecker, "_lookup", oracle_lookup(problem))
         oracle = check_problem(problem)
     _same_obligations(report.obligations, oracle.obligations)
     _same_obligations(report.discharged, oracle.discharged)
@@ -464,24 +470,47 @@ def test_differential_inputs_reach_every_outcome():
 
 def test_normalizations_grow_linearly_with_the_axioms(monkeypatch):
     # Deterministic, unlike a timing: count the normalizations the deep check
-    # makes when the number of axioms doubles from 50 to 100.
+    # makes when the number of axioms doubles from 50 to 100, and the entries
+    # of the contexts it builds, which hold no axioms.
     calls = [0]
+    entries = [0]
     normalize = deep.beta_eta_normalize
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return normalize(*args, **kwargs)
 
+    def counting_entries(push):
+        def pushed(*args, **kwargs):
+            ctx = push(*args, **kwargs)
+            entries[0] += len(ctx.entries)
+            return ctx
+        return pushed
+
     monkeypatch.setattr(deep, "beta_eta_normalize", counting)
-    counts = []
+    for method in ("push_var", "push_assumption"):
+        monkeypatch.setattr(Context, method, counting_entries(getattr(Context, method)))
+    counts, entry_counts = [], []
     for scale in (0.5, 1.0):
         text, expected = generate.family("axioms", 1, scale)
         problem = parse_problem(text, "axioms.p")
-        calls[0] = 0
+        calls[0] = entries[0] = 0
         report = check_problem(problem)
         assert [ob.label for ob in report.obligations] == list(expected.residual)
         counts.append(calls[0])
+        entry_counts.append(entries[0])
     assert counts[1] <= 2.3 * counts[0], counts
+    assert 0 < entry_counts[1] <= 2.3 * entry_counts[0], entry_counts
+
+
+@pytest.mark.parametrize("problem", _differential_inputs())
+def test_obligation_contexts_hold_no_axioms(problem):
+    # The axioms live in the checker's index; an obligation's context is what
+    # its formula binds and assumes.
+    report = check_problem(problem)
+    for ob in report.obligations + report.discharged:
+        assert not [e for e in ob.context.entries
+                    if isinstance(e, Assumption) and e.label is not None], ob.label
 
 
 @pytest.mark.parametrize("family", ["axioms", "terms"])
