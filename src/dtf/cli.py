@@ -210,16 +210,22 @@ def cmd_solve(args) -> int:
     def one(path, problem, report) -> int:
         th0 = erasure.TH0Printer(problem)
         obligations = () if args.conjecture_only else report.obligations
-        tasks = [(ob.label, th0.print(deep.obligation_problem(problem, ob))) for ob in obligations]
-        conjecture_label = None
+        labels = [ob.label for ob in obligations]
+        goal_label = None
         if not args.obligations_only and problem.goal is not None:
             goal_label = problem.goal.label
-            while goal_label in {label for label, _ in tasks}:
+            while goal_label in labels:
                 goal_label += "_goal"
-            conjecture_label = goal_label
-            tasks.append((goal_label, th0.print(problem, tuple(report.obligations))))
+            labels.append(goal_label)
 
-        if not tasks:
+        def tasks():
+            # Each text is made only when a prover is free to take it.
+            for ob in obligations:
+                yield ob.label, th0.print(deep.obligation_problem(problem, ob))
+            if goal_label is not None:
+                yield goal_label, th0.print(problem, tuple(report.obligations))
+
+        if not labels:
             if args.obligations_only:
                 print("nothing to prove: no residual obligations")
             elif args.conjecture_only:
@@ -229,10 +235,10 @@ def cmd_solve(args) -> int:
             print(f"% SZS status Theorem for {path}")
             return EXIT_OK
 
-        results = prover.discharge_all(config, tasks, jobs=args.jobs)
+        results = prover.discharge_all(config, tasks(), jobs=args.jobs)
         any_error = False
         all_proved = True
-        for label, _ in tasks:
+        for label in labels:
             res = results[label]
             print(f"{label}: {res.verdict.status} ({res.elapsed:.2f}s)")
             if res.verdict.status == "Error":
@@ -247,12 +253,11 @@ def cmd_solve(args) -> int:
             print(f"% SZS status Theorem for {path}")
             return EXIT_OK
         status = "GaveUp"
-        if conjecture_label is not None:
+        if goal_label is not None:
             others_ok = all(
-                results[label].verdict.proved
-                for label, _ in tasks if label != conjecture_label)
+                results[label].verdict.proved for label in labels if label != goal_label)
             if others_ok:
-                status = results[conjecture_label].verdict.status
+                status = results[goal_label].verdict.status
         print(f"% SZS status {status} for {path}")
         return EXIT_CHECK
 

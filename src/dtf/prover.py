@@ -4,17 +4,24 @@ The prover is an arbitrary command template containing a single `{file}`
 placeholder.  Results are classified by the first `SZS status` line of the
 prover's output; anything else degrades to Unknown or Error rather than
 guessing.
+
+`discharge_all` runs many tasks as a pipeline: on at most `jobs` plain
+threads, each worker draws the next (label, text) pair only when its prover
+has ended, so a generator of pairs makes each text while earlier provers
+run.  All task files of one call go in one temporary run directory, each
+named by its escaped label and removed when its prover has ended.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import signal
 import subprocess
 import tempfile
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 from .core import Record
@@ -92,14 +99,31 @@ def parse_szs(output: str) -> SzsVerdict | None:
     return SzsVerdict("Unknown", first_line)
 
 
-def run_prover(config: ProverConfig, problem_text: str,
-               stem: str = "problem") -> ProverResult:
-    """Run the prover on a TH0 problem given as text."""
+def _task_file(directory: str, stem: str) -> str:
+    """The problem file of the task `stem` in `directory`.  The stem is
+    escaped (`%`, `/` and NUL as `%25`, `%2F` and `%00`), so that the file
+    lies in `directory` whatever the label, and distinct stems name distinct
+    files."""
+    name = stem.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+    return os.path.join(directory, f"{name}.p")
+
+
+def run_prover(config: ProverConfig, problem_text: str, stem: str = "problem",
+               directory: str | None = None) -> ProverResult:
+    """Run the prover on a TH0 problem given as text.  The text is written to
+    the file of `stem` in `directory`, which is removed once the prover has
+    ended; without a directory, in a temporary directory of its own."""
+    if directory is None:
+        with tempfile.TemporaryDirectory(prefix="dtf_prover_") as tmp:
+            return _run_in(config, problem_text, _task_file(tmp, stem))
+    return _run_in(config, problem_text, _task_file(directory, stem))
+
+
+def _run_in(config: ProverConfig, problem_text: str, path: str) -> ProverResult:
     start = time.monotonic()
-    with tempfile.TemporaryDirectory(prefix="dtf_prover_") as tmp:
-        path = os.path.join(tmp, f"{stem}.p")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(problem_text)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(problem_text)
+    try:
         try:
             proc = subprocess.Popen(
                 config.argv(path),
@@ -127,6 +151,10 @@ def run_prover(config: ProverConfig, problem_text: str,
             return ProverResult(
                 SzsVerdict("Timeout", None), stdout or "", stderr or "",
                 proc.returncode, time.monotonic() - start, timed_out=True)
+    finally:
+        # The prover has ended; it may have removed its input itself.
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     elapsed = time.monotonic() - start
     verdict = parse_szs(stdout) or parse_szs(stderr)
     if verdict is None:
@@ -135,12 +163,71 @@ def run_prover(config: ProverConfig, problem_text: str,
 
 
 def discharge_all(config: ProverConfig, problems, jobs: int = 1) -> dict:
-    """Prove many (label, problem_text) pairs; returns label -> ProverResult."""
-    items = list(problems)
-    with ThreadPoolExecutor(max_workers=max(1, min(jobs, len(items)))) as pool:
-        futures = {label: pool.submit(run_prover, config, text, label)
-                   for label, text in items}
-    return {label: future.result() for label, future in futures.items()}
+    """Prove (label, problem_text) pairs; returns label -> ProverResult, in
+    the order of the pairs.
+
+    At most `jobs` workers (at least one) run the prover, each on a thread
+    started when a pair is drawn for it.  A worker draws the next pair only
+    when its prover has ended, so when `problems` is a generator each text
+    is made only once a worker is free to prove it.  Every task file goes in
+    one temporary run directory.  Once drawing a pair or running a prover
+    raises, no further pair is drawn: the provers already started are
+    reaped, and the first exception is raised again.  Labels must be
+    distinct, as they key the results and name the task files.
+    """
+    tasks = iter(problems)
+    results: dict = {}
+    errors: list = []
+    lock = threading.Lock()  # guards all three; a generator runs in one thread at a time
+
+    def fail(exc: BaseException) -> None:
+        with lock:
+            errors.append(exc)
+
+    def draw():
+        with lock:
+            if errors:
+                return None
+            try:
+                label, text = next(tasks)
+                if label in results:
+                    raise ValueError(f"duplicate prover task label {label!r}")
+            except StopIteration:
+                return None
+            except BaseException as exc:
+                errors.append(exc)
+                return None
+            results[label] = None  # holds the label's place in task order
+            return label, text
+
+    def work(task, run_dir: str) -> None:
+        while task is not None:
+            label, text = task
+            try:
+                result = run_prover(config, text, label, run_dir)
+            except BaseException as exc:
+                fail(exc)
+                return
+            with lock:
+                results[label] = result
+            task = draw()
+
+    with tempfile.TemporaryDirectory(prefix="dtf_prover_") as run_dir:
+        threads: list = []
+        try:
+            while len(threads) < max(1, jobs) and (task := draw()) is not None:
+                thread = threading.Thread(target=work, args=(task, run_dir))
+                thread.start()
+                threads.append(thread)
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # an interrupt, or a thread that would not start
+            fail(exc)
+            for thread in threads:
+                thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def config_from_env(command: str | None = None,

@@ -1,10 +1,12 @@
 """Command line behavior: exit codes, output shapes, prover wiring."""
 
 import gc
+import os
 import re
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -613,6 +615,28 @@ def test_solve_renames_a_conjecture_that_shares_an_obligation_label(tmp_path, fa
     goal = (seen / "ob1_goal.p").read_text(encoding="utf-8")
     assert "thf(ob1_assumed, axiom," in goal
     assert goal.endswith("thf(ob1, conjecture, per_nat @ zero @ zero).\n")
+
+
+def test_solve_writes_no_task_file_outside_its_temporary_directory(tmp_path):
+    # Task files are named by their escaped labels, so a label with `/`
+    # cannot reach out of the run directory under TMPDIR.
+    tmp = tmp_path / "outer" / "tmp"
+    tmp.mkdir(parents=True)
+    path = tmp_path / "escape.p"
+    path.write_text("thf(a_type, type, a: $o).\n"
+                    "thf('../../escaped', conjecture, a => a).\n", encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, TMPDIR=str(tmp),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtf", "solve", str(path), "--jobs", "2", "--prover",
+         "sh -c 'test -f \"$0\" && echo \"% SZS status Theorem\"' {file}"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert re.fullmatch(r"\.\./\.\./escaped: Theorem \(\d+\.\d\ds\)\n"
+                        + re.escape(f"% SZS status Theorem for {path}\n"), proc.stdout)
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "escape.p", "outer", "outer/tmp"]
 
 
 def test_solve_conjecture_only_without_a_conjecture(tmp_path, fake_prover, capsys):

@@ -2,10 +2,14 @@
 
 import os
 import subprocess
+import sys
+import tempfile
+import threading
 import time
 
 import pytest
 
+from dtf import prover
 from dtf.cli import EXIT_SYSTEM, run
 from dtf.prover import (
     DEFAULT_TIMEOUT,
@@ -15,6 +19,7 @@ from dtf.prover import (
     SzsVerdict,
     config_from_env,
     discharge_all,
+    ProverResult,
     parse_szs,
     run_prover,
 )
@@ -227,6 +232,249 @@ def test_discharge_all_clamps_the_pool(fake_prover, jobs):
     results = discharge_all(config, [("one", "p"), ("two", "q")], jobs=jobs)
     assert list(results) == ["one", "two"]
     assert all(r.verdict.proved for r in results.values())
+
+
+# -- dispatch: tasks drawn as workers free up ------------------------------------------
+
+PROVED = ProverResult(SzsVerdict("Theorem"), "", "", 0, 0.0)
+
+
+class Pairs:
+    """An iterator of (label, text) pairs that logs each draw, and raises
+    instead of returning pair number `fail_at` (counted from 1)."""
+
+    def __init__(self, n: int, log: list, fail_at: int | None = None):
+        self.n, self.log, self.fail_at, self.drawn = n, log, fail_at, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.drawn += 1
+        if self.drawn == self.fail_at:
+            raise RuntimeError("no text")
+        if self.drawn > self.n:
+            raise StopIteration
+        self.log.append(("make", self.drawn))
+        return f"t{self.drawn}", f"text {self.drawn}"
+
+
+@pytest.fixture
+def own_tmpdir(tmp_path, monkeypatch):
+    """A fresh directory for every temporary directory made in the test,
+    alone in a directory of its own."""
+    tmp = tmp_path / "outer" / "tmp"
+    tmp.mkdir(parents=True)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+    return tmp
+
+
+def assert_left_nothing(tmp) -> None:
+    assert list(tmp.iterdir()) == []
+    assert list(tmp.parent.iterdir()) == [tmp]
+
+
+def test_discharge_all_makes_a_text_only_once_a_prover_is_free(monkeypatch):
+    log: list = []
+
+    def fake(config, text, stem="problem", directory=None):
+        time.sleep(0.01)
+        log.append(("end", stem))
+        return PROVED
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    results = discharge_all(ProverConfig("p {file}"), Pairs(6, log), jobs=2)
+    assert list(results) == [f"t{k}" for k in range(1, 7)]
+    for k in range(3, 7):
+        ended = [e for e in log[:log.index(("make", k))] if e[0] == "end"]
+        assert len(ended) >= k - 2, log
+
+
+def test_discharge_all_returns_results_in_task_order(monkeypatch):
+    fast_done = threading.Event()
+    finished: list = []
+
+    def fake(config, text, stem="problem", directory=None):
+        if stem == "slow":
+            assert fast_done.wait(10)
+        finished.append(stem)
+        if stem == "fast":
+            fast_done.set()
+        return ProverResult(SzsVerdict("Theorem"), stem, "", 0, 0.0)
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    results = discharge_all(ProverConfig("p {file}"), [("slow", "a"), ("fast", "b")], jobs=2)
+    assert finished == ["fast", "slow"]
+    assert list(results) == ["slow", "fast"]
+    assert [r.stdout for r in results.values()] == ["slow", "fast"]
+
+
+def test_discharge_all_loses_no_result_under_thread_switches(monkeypatch):
+    # More workers than cores, switching threads as often as possible.
+    active, most, calls = [0], [0], []
+    count = threading.Lock()
+
+    def fake(config, text, stem="problem", directory=None):
+        with count:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+        calls.append(stem)
+        time.sleep(0)
+        with count:
+            active[0] -= 1
+        return ProverResult(SzsVerdict("Theorem"), text, "", 0, 0.0)
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = time.monotonic()
+        results = discharge_all(ProverConfig("p {file}"), Pairs(300, []), jobs=8)
+        assert time.monotonic() - start < 30
+    finally:
+        sys.setswitchinterval(interval)
+    assert list(results) == [f"t{k}" for k in range(1, 301)]
+    assert all(r.stdout == f"text {label[1:]}" for label, r in results.items())
+    assert sorted(calls) == sorted(results)
+    assert 1 <= most[0] <= 8
+
+
+def test_discharge_all_runs_no_more_workers_than_tasks(monkeypatch):
+    before = set(threading.enumerate())
+    alive: list = []
+
+    def fake(config, text, stem="problem", directory=None):
+        alive.append(len(set(threading.enumerate()) - before))
+        return PROVED
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    assert list(discharge_all(ProverConfig("p {file}"), [("a", "x"), ("b", "y")], jobs=8)) \
+        == ["a", "b"]
+    assert alive and max(alive) <= 2
+
+
+def test_discharge_all_starts_a_thread_per_task_drawn_at_most(monkeypatch):
+    # A Thread that refuses a fourth start, so a huge `jobs` cannot start
+    # more than three threads even when the pool ignores the task count.
+    started: list = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            if len(started) > 3:
+                raise RuntimeError("a fourth thread for three tasks")
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    monkeypatch.setattr(prover, "run_prover", lambda *args: PROVED)
+    pairs = [("a", "x"), ("b", "y"), ("c", "z")]
+    assert list(discharge_all(ProverConfig("p {file}"), pairs, jobs=2**62)) == ["a", "b", "c"]
+    assert 1 <= len(started) <= 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_discharge_all_draws_nothing_after_a_text_fails(monkeypatch, jobs):
+    log: list = []
+    proved: list = []
+
+    def fake(config, text, stem="problem", directory=None):
+        proved.append(stem)
+        return PROVED
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    pairs = Pairs(6, log, fail_at=3)
+    with pytest.raises(RuntimeError, match="no text"):
+        discharge_all(ProverConfig("p {file}"), pairs, jobs=jobs)
+    assert pairs.drawn == 3
+    assert sorted(proved) == ["t1", "t2"]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_discharge_all_draws_nothing_after_a_prover_raises(monkeypatch, jobs):
+    # With two workers, t1 raises once t2 runs, and t2 ends only once t1's
+    # worker has given up, so a draw after the raise would be t3.
+    t2_started = threading.Event()
+    raised = []
+
+    def fake(config, text, stem="problem", directory=None):
+        if stem == "t1":
+            assert jobs == 1 or t2_started.wait(10)
+            raised.append(threading.current_thread())
+            raise RuntimeError("prover broke")
+        t2_started.set()
+        deadline = time.monotonic() + 10
+        while not raised or raised[0].is_alive():
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        return PROVED
+
+    monkeypatch.setattr(prover, "run_prover", fake)
+    pairs = Pairs(6, [])
+    with pytest.raises(RuntimeError, match="prover broke"):
+        discharge_all(ProverConfig("p {file}"), pairs, jobs=jobs)
+    assert pairs.drawn == jobs
+
+
+def test_discharge_all_refuses_a_repeated_label(monkeypatch):
+    monkeypatch.setattr(prover, "run_prover", lambda *args: PROVED)
+    with pytest.raises(ValueError, match="duplicate prover task label 'a'"):
+        discharge_all(ProverConfig("p {file}"), [("a", "x"), ("a", "y")])
+
+
+@pytest.mark.parametrize("case", ["proved", "error", "timeout", "raise"])
+def test_discharge_all_keeps_at_most_jobs_task_files(fake_prover, own_tmpdir, tmp_path,
+                                                     monkeypatch, case):
+    # Each prover counts the files of its run directory, its own included.
+    counts = tmp_path / "counts"
+    body = f'ls -A "$(dirname "$1")" | wc -l >> "{counts}"\n'
+    body += "sleep 5\n" if case == "timeout" else "sleep 0.02\n"
+    config = ProverConfig(f"{fake_prover(body + 'echo % SZS status Theorem')} {{file}}",
+                          timeout=0.3 if case == "timeout" else 10)
+    if case == "error":
+        config = ProverConfig("/nonexistent/prover_binary {file}", timeout=10)
+    communicate = subprocess.Popen.communicate
+    if case == "raise":
+        def interrupted(proc, *args, **kwargs):
+            if kwargs.get("timeout"):  # the wait, not the reaping after it
+                communicate(proc, *args, **kwargs)
+                raise RuntimeError("wait broke")
+            return communicate(proc, *args, **kwargs)
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+
+    pairs = [(f"t{k}", "thf(a, axiom, $true).") for k in range(5)]
+    if case == "raise":
+        with pytest.raises(RuntimeError, match="wait broke"):
+            discharge_all(config, pairs, jobs=2)
+    else:
+        results = discharge_all(config, pairs, jobs=2)
+        assert list(results) == [label for label, _ in pairs]
+        expected = {"proved": "Theorem", "error": "Error", "timeout": "Timeout"}[case]
+        assert {r.verdict.status for r in results.values()} == {expected}
+    assert_left_nothing(own_tmpdir)
+    if case != "error":
+        assert 1 <= max(int(n) for n in counts.read_text().split()) <= 2
+
+
+@pytest.mark.parametrize("label, name", [
+    ("ob1", "ob1.p"),
+    ("../../up", "..%2F..%2Fup.p"),
+    ("a%2Fb", "a%252Fb.p"),
+    ("nul\0x", "nul%00x.p"),
+])
+def test_task_files_are_named_by_their_escaped_labels(fake_prover, tmp_path, own_tmpdir,
+                                                      label, name):
+    seen = tmp_path / "seen"
+    script = fake_prover(f"basename \"$1\" > '{seen}'\necho '% SZS status Theorem'")
+    results = discharge_all(ProverConfig(f"{script} {{file}}"), [(label, "x")])
+    assert results[label].verdict.proved
+    assert seen.read_text().strip() == name
+    assert_left_nothing(own_tmpdir)
+
+
+def test_run_prover_alone_cleans_up_its_directory(fake_prover, own_tmpdir):
+    script = fake_prover("echo '% SZS status Theorem'")
+    assert run_prover(ProverConfig(f"{script} {{file}}"), "x", "../../up").verdict.proved
+    assert_left_nothing(own_tmpdir)
 
 
 # -- environment --------------------------------------------------------------------------

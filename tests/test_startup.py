@@ -36,7 +36,7 @@ HOMES = {
 EXPORTS = [name for names in HOMES.values() for name in names]
 SUBMODULES = ["cli", *HOMES]
 HEAVY = {"dtf.deep", "dtf.erasure", "dtf.prover"}
-PROCESS_STACK = {"subprocess", "concurrent.futures"}
+PROCESS_STACK = {"subprocess"}
 
 
 def fresh(code: str, *args: str):
@@ -108,7 +108,8 @@ def test_only_solve_loads_the_process_stack():
 CODEGEN = {"dataclasses", "inspect"}
 
 
-@pytest.mark.parametrize("argv", [
+# Every subcommand, `solve` with one prover and with two.
+EVERY_SUBCOMMAND = pytest.mark.parametrize("argv", [
     ["parse", "--print", "corpus/vect.p"],
     ["check", "corpus/vect.p"],
     ["check", "--deep", "corpus/vect.p"],
@@ -116,11 +117,29 @@ CODEGEN = {"dataclasses", "inspect"}
     ["translate", "--assume-obligations", "corpus/vect.p"],
     ["obligations", "corpus/vect.p", "--out-dir", "{tmp}"],
     ["solve", "corpus/list_append.p", "--prover", "sh perfbench/fake_prover.sh {file}"],
-], ids=["parse", "check", "check-deep", "stats", "translate", "obligations", "solve"])
+    ["solve", "corpus/list_append.p", "--prover", "sh perfbench/fake_prover.sh {file}",
+     "--jobs", "2"],
+], ids=["parse", "check", "check-deep", "stats", "translate", "obligations", "solve",
+        "solve-jobs-2"])
+
+
+@EVERY_SUBCOMMAND
 def test_no_subcommand_loads_dataclasses_or_inspect(argv, tmp_path):
     new = loaded_by([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
     assert "dtf.cli" in new
     assert not new & CODEGEN
+
+
+# `solve` runs its provers on plain threads: `concurrent.futures` would pull in
+# `logging`: about 3.5 ms of import in every `solve` process (`-X importtime`).
+POOL_STACK = {"concurrent.futures", "logging"}
+
+
+@EVERY_SUBCOMMAND
+def test_no_subcommand_loads_concurrent_futures_or_logging(argv, tmp_path):
+    new = loaded_by([arg.replace("{tmp}", str(tmp_path)) for arg in argv])
+    assert "dtf.cli" in new
+    assert not new & POOL_STACK
 
 
 def imported_by(*args: str) -> set:
@@ -212,7 +231,7 @@ def test_solve_timeout_defaults_to_the_prover_default(corpus_dir, monkeypatch, c
                                                       extra, timeout):
     seen = []
 
-    def fake_run_prover(config, text, stem="problem"):
+    def fake_run_prover(config, text, stem="problem", directory=None):
         seen.append(config.timeout)
         return ProverResult(SzsVerdict("Theorem"), "", "", 0, 0.0)
 
