@@ -103,8 +103,16 @@ def _task_file(directory: str, stem: str) -> str:
     """The problem file of the task `stem` in `directory`.  The stem is
     escaped (`%`, `/` and NUL as `%25`, `%2F` and `%00`), so that the file
     lies in `directory` whatever the label, and distinct stems name distinct
-    files."""
+    files.  A name past the 255 bytes a file name may take keeps a prefix and
+    ends in `%H` and a digest of the whole escaped stem; no escaped stem holds
+    `%H`, so it names no other task's file."""
     name = stem.replace("%", "%25").replace("/", "%2F").replace("\0", "%00")
+    encoded = name.encode("utf-8")
+    if len(encoded) + len(".p") > 255:
+        import hashlib
+        digest = hashlib.sha256(encoded).hexdigest()
+        keep = 255 - len(".p") - len("%H") - len(digest)
+        name = encoded[:keep].decode("utf-8", "ignore") + "%H" + digest
     return os.path.join(directory, f"{name}.p")
 
 

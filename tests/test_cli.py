@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, output shapes, prover wiring."""
 
+import contextlib
 import gc
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import weakref
@@ -17,6 +20,11 @@ from dtf.prover import PROVER_ENV_VAR
 from dtf.shallow import check_shallow
 from dtf.syntax import Problem, parse_file, parse_problem
 
+from genutil import load_generator
+
+REPO = Path(__file__).resolve().parents[1]
+# The benchmark's stand-in prover, as a --prover command.
+FAKE_PROVER = f"sh {shlex.quote(str(REPO / 'perfbench' / 'fake_prover.sh'))} {{file}}"
 
 # -- parse ----------------------------------------------------------------------
 
@@ -74,7 +82,8 @@ def test_parse_keeps_going_after_bad_file(corpus_dir, tmp_path, capsys):
     assert "cannot read" in captured.err
 
 
-@pytest.mark.parametrize("command", [["parse"], ["check", "--deep"], ["stats"]], ids=" ".join)
+@pytest.mark.parametrize("command", [["parse"], ["check"], ["check", "--deep"], ["stats"]],
+                         ids=" ".join)
 def test_a_file_that_is_not_utf8_is_located_and_the_files_after_it_still_run(command, corpus_dir,
                                                                              tmp_path, capsys):
     first, last = str(corpus_dir / "hol.p"), str(corpus_dir / "vect.p")
@@ -83,7 +92,8 @@ def test_a_file_that_is_not_utf8_is_located_and_the_files_after_it_still_run(com
     assert run([*command, first, str(bad), last]) == EXIT_PARSE
     captured = capsys.readouterr()
     assert captured.err == f"{bad}:2:3: error: cannot read '{bad}': byte 0xff is not UTF-8\n"
-    assert first in captured.out and last in captured.out
+    if command != ["check"]:  # which prints nothing for a file it accepts
+        assert first in captured.out and last in captured.out
 
 
 def test_usage_error():
@@ -202,6 +212,8 @@ def test_check_deep_multiple_files_labels_output(corpus_dir, capsys):
 def test_check_worst_exit_code_wins(corpus_dir, negative_dir, capsys):
     assert run(["check", str(negative_dir / "neg_arity_missing.p"),
                 str(corpus_dir / "hol.p")]) == EXIT_CHECK
+    # The negative corpus holds both parse and check errors.
+    assert run(["check", *sorted(map(str, negative_dir.glob("*.p")))]) == EXIT_PARSE
     capsys.readouterr()
 
 
@@ -625,7 +637,7 @@ def test_solve_writes_no_task_file_outside_its_temporary_directory(tmp_path):
     path = tmp_path / "escape.p"
     path.write_text("thf(a_type, type, a: $o).\n"
                     "thf('../../escaped', conjecture, a => a).\n", encoding="utf-8")
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = REPO / "src"
     env = dict(os.environ, TMPDIR=str(tmp),
                PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
@@ -637,6 +649,16 @@ def test_solve_writes_no_task_file_outside_its_temporary_directory(tmp_path):
                         + re.escape(f"% SZS status Theorem for {path}\n"), proc.stdout)
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
         "escape.p", "outer", "outer/tmp"]
+    # Many tasks on two provers leave nothing behind either.
+    path = tmp_path / "discharge_1.p"
+    path.write_text(load_generator().family("discharge", 1)[0], encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtf", "solve", str(path), "--jobs", "2", "--prover", FAKE_PROVER],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert proc.stdout.endswith(f"% SZS status Theorem for {path}\n")
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "discharge_1.p", "escape.p", "outer", "outer/tmp"]
 
 
 def test_solve_conjecture_only_without_a_conjecture(tmp_path, fake_prover, capsys):
@@ -649,3 +671,55 @@ def test_solve_conjecture_only_without_a_conjecture(tmp_path, fake_prover, capsy
     assert capsys.readouterr().out == (
         f"nothing to prove: no conjecture\n% SZS status Theorem for {path}\n")
     assert not ran.exists()
+
+
+# -- every bundled input through every subcommand ------------------------------------------
+
+BUNDLED_INPUTS = [*sorted(REPO.glob("corpus/*.p")), *sorted(REPO.glob("corpus/negative/*.p")),
+                  *sorted(REPO.glob("tests/fixtures/*.p")), REPO / "tests/fixtures/include/inc_main.p"]
+
+
+def run_on(argv: list, path) -> tuple:
+    """`dtf ARGV PATH` through `cli.run`, checked for what every input must
+    give: exit 0, 1 or 2 and no internal error.  Returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([*argv, str(path)])
+    assert code in (EXIT_OK, EXIT_CHECK, EXIT_PARSE), (argv, str(path), code, err.getvalue())
+    assert "internal error" not in err.getvalue(), (argv, str(path), err.getvalue())
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["parse", "--print"], ["check"], ["check", "--deep"],
+    ["check", "--deep", "--verbose"], ["stats"], ["translate"],
+    ["translate", "--assume-obligations"], ["obligations", "--all", "--out-dir"], ["solve"],
+], ids=" ".join)
+def test_every_bundled_input_ends_with_a_documented_exit_code(argv, tmp_path):
+    assert len(BUNDLED_INPUTS) == 22
+    if argv[0] == "obligations":
+        argv = [*argv, str(tmp_path / "obs")]
+    elif argv[0] == "solve":
+        argv = [*argv, "--prover", FAKE_PROVER]
+    for path in BUNDLED_INPUTS:
+        run_on(argv, path)
+
+
+# Each stderr line of `check` names a file, a line and a column.
+LOCATED = re.compile(r"[^:]+:[0-9]+:[0-9]+: (error|warning): ")
+
+
+def test_every_diagnostic_of_check_names_a_line_and_column(tmp_path):
+    # A `$tType` bound inside a declaration's type argument is located at the
+    # `^` that binds it, and a TH1 problem that passes a type symbol to a
+    # polymorphic constant is refused as polymorphic, with exit 1.
+    poly = tmp_path / "poly-type-argument.p"
+    poly.write_text(VEC_PRELUDE + "thf(c_decl, type, c: vec @ ((^ [A: $tType]: z) @ z)).\n",
+                    encoding="utf-8")
+    th1 = tmp_path / "th1-type-application.p"
+    th1.write_text(TH1_APPLICATION + "\n", encoding="utf-8")
+    for path in [*BUNDLED_INPUTS, poly, th1]:
+        for argv in (["check"], ["check", "--deep"]):
+            code, _, err = run_on(argv, path)
+            assert [line for line in err.splitlines() if not LOCATED.match(line)] == [], (argv, path)
+            assert path != th1 or code == EXIT_CHECK, argv

@@ -1,6 +1,7 @@
 """Core AST: substitution, alpha-equivalence, normalization."""
 
 import inspect
+import re
 import weakref
 
 import pytest
@@ -529,6 +530,15 @@ def test_every_node_reads_back_what_it_was_built_from_and_stays_immutable(cls):
         with pytest.raises(AttributeError):
             node.no_such_field = 1
         assert [getattr(node, name) for name in fields] == values and node.span == 7
+
+
+def test_no_record_sets_a_slot_by_name():
+    # Each record's __init__ writes its slots through descriptor setters bound
+    # once in dtf.core: setting them by name through object.__setattr__ costs
+    # every node about twice as much.
+    lines = inspect.getsource(core).splitlines()
+    assert [f"core.py:{n}: {line}" for n, line in enumerate(lines, 1)
+            if re.search(r"object\.__setattr__|_set\(", line)] == []
 
 
 def test_a_problem_can_be_weakly_referenced():

@@ -24,12 +24,17 @@ LEXER_ERRORS = [
     (DECL + "thf(a, axiom, # q).\n", 2, 15, 1, "unexpected character '#'"),
     (DECL + "/* one\n   two */ thf(a, axiom, q).\n/* three\nfour\n */  thf(b, axiom, \u00a0q).\n",
      6, 20, 1, "unexpected character '\\xa0'"),
+    # The unterminated atom runs to the line end, its `\r` included.
+    ("thf(nat_type, type, nat: $tType).\r\nthf(z_type, type, z: nat).\r\n"
+     "thf(a, axiom, 'open = z).\r\n", 3, 15, 12, "unterminated quoted atom"),
+    ("thf(p_type, type, p: $o > $o).\nthf(a, axiom, p @", 2, 18, 1,
+     "expected a term, found 'end of input'"),
 ]
 
 
 @pytest.mark.parametrize("text, line, column, length, message", LEXER_ERRORS, ids=[
     "block_comment", "quoted_at_newline", "quoted_at_end", "stray_dollar",
-    "unexpected_character", "after_block_comments"])
+    "unexpected_character", "after_block_comments", "quoted_after_crlf", "end_of_input"])
 def test_lexer_error_is_located(tmp_path, capsys, text, line, column, length, message):
     path = tmp_path / "bad.p"
     path.write_text(text, encoding="utf-8")

@@ -1,6 +1,8 @@
 """Deeply nested input ends in a located diagnostic, never a traceback."""
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,25 @@ def _commands(path: str, out_dir: str, prover: str) -> dict:
     }
 
 
+class _Expired(BaseException):
+    """Not an Exception, so that `cli.run` does not report it as its own."""
+
+
+@contextlib.contextmanager
+def _at_most(seconds: float):
+    """Stop the block with _Expired once it has run for seconds."""
+    def expire(signum, frame):
+        raise _Expired(f"ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("shape", SHAPES)
 def test_every_subcommand_at_and_past_the_limit(shape, tmp_path, fake_prover, capsys):
     prover = fake_prover("echo '% SZS status Theorem'") + " {file}"
@@ -76,7 +97,9 @@ def test_every_subcommand_at_and_past_the_limit(shape, tmp_path, fake_prover, ca
     too_deep.write_text(HEADER + f"thf(deep, axiom, {SHAPES[shape](MAX_NESTING + 1)}).\n")
 
     for name, argv in _commands(str(at_limit), str(tmp_path / "obs"), prover).items():
-        assert run(argv) == EXIT_OK, name
+        # A `<=>` nest written out as `(l => r) & (r => l)` ran for ever.
+        with _at_most(20):
+            assert run(argv) == EXIT_OK, name
         assert capsys.readouterr().err in ("", "no obligations to export\n"), name
 
     for name, argv in _commands(str(too_deep), str(tmp_path / "obs2"), prover).items():

@@ -1,6 +1,7 @@
 """External prover invocation and SZS verdict parsing."""
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from dtf import prover
-from dtf.cli import EXIT_SYSTEM, run
+from dtf.cli import EXIT_OK, EXIT_SYSTEM, run
 from dtf.prover import (
     DEFAULT_TIMEOUT,
     MAX_TIMEOUT,
@@ -460,6 +461,7 @@ def test_discharge_all_keeps_at_most_jobs_task_files(fake_prover, own_tmpdir, tm
     ("../../up", "..%2F..%2Fup.p"),
     ("a%2Fb", "a%252Fb.p"),
     ("nul\0x", "nul%00x.p"),
+    ("a" * 253, "a" * 253 + ".p"),  # 255 bytes, the longest name kept whole
 ])
 def test_task_files_are_named_by_their_escaped_labels(fake_prover, tmp_path, own_tmpdir,
                                                       label, name):
@@ -468,6 +470,37 @@ def test_task_files_are_named_by_their_escaped_labels(fake_prover, tmp_path, own
     results = discharge_all(ProverConfig(f"{script} {{file}}"), [(label, "x")])
     assert results[label].verdict.proved
     assert seen.read_text().strip() == name
+    assert_left_nothing(own_tmpdir)
+
+
+# Each label escapes to a stem of more than 253 bytes of UTF-8.
+@pytest.mark.parametrize("label", ["a" * 300, "/" * 100, "\u00e9" * 200],
+                         ids=["300_chars", "100_slashes", "200_e_acute"])
+def test_solve_runs_a_conjecture_whose_label_is_too_long_for_a_file_name(
+        fake_prover, tmp_path, own_tmpdir, capsys, label):
+    path = tmp_path / "long.p"
+    path.write_text(f"thf(a_type, type, a: $o).\nthf('{label}', conjecture, a => a).\n",
+                    encoding="utf-8")
+    script = fake_prover("test -f \"$1\" && echo '% SZS status Theorem'")
+    assert run(["solve", "--prover", f"{script} {{file}}", str(path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith(f"{label}: Theorem (")
+    assert out.endswith(f"% SZS status Theorem for {path}\n")
+    assert_left_nothing(own_tmpdir)
+
+
+def test_long_labels_with_a_common_prefix_get_distinct_short_names(fake_prover, tmp_path,
+                                                                   own_tmpdir):
+    seen = tmp_path / "seen"
+    script = fake_prover(f"basename \"$1\" >> '{seen}'\necho '% SZS status Theorem'")
+    labels = ["x" * 250 + "a" * 50, "x" * 250 + "b" * 50, "a" * 254]
+    results = discharge_all(ProverConfig(f"{script} {{file}}"), [(label, "x") for label in labels])
+    assert all(results[label].verdict.proved for label in labels)
+    names = seen.read_text(encoding="utf-8").split()
+    assert len(set(names)) == 3
+    for name in names:
+        assert len(name.encode("utf-8")) <= 255
+        assert re.fullmatch(r"[xab]+%H[0-9a-f]{64}\.p", name)
     assert_left_nothing(own_tmpdir)
 
 

@@ -159,6 +159,16 @@ def test_python_m_dtf_check_on_an_empty_file_loads_neither(tmp_path):
     assert not loaded & CODEGEN
 
 
+def test_python_m_dtf_solve_loads_neither_the_codegen_nor_the_pool_stack():
+    # `python -m dtf` goes through the package `__init__` and `__main__`, as the
+    # benchmark runs it; `solve` loads the most modules.
+    loaded = (imported_by("-m", "dtf", "solve", "corpus/list_append.p",
+                          "--prover", "sh perfbench/fake_prover.sh {file}")
+              - imported_by("-c", "pass"))
+    assert {"dtf", "dtf.cli", "subprocess"} <= loaded
+    assert not loaded & (CODEGEN | POOL_STACK)
+
+
 def test_importing_the_package_loads_no_submodule():
     loaded = fresh("import json, sys, dtf\n"
                    "print(json.dumps([m for m in sys.modules if m.startswith('dtf.')]))")

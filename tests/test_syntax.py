@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtf.cli import EXIT_PARSE, run
 from dtf.core import (
     And,
     App,
@@ -408,7 +409,7 @@ def test_include_cycle_detected_when_the_back_edge_is_spelled_differently(tmp_pa
     assert [d.format() for d in diags] == ["b.ax:1:1: error: circular include of '../d/a.p'"]
 
 
-def test_include_cycle_through_a_symbolic_link(tmp_path, monkeypatch):
+def test_include_cycle_through_a_symbolic_link(tmp_path, monkeypatch, capsys):
     d = tmp_path / "d"
     d.mkdir()
     (d / "link").symlink_to(".")
@@ -419,6 +420,8 @@ def test_include_cycle_through_a_symbolic_link(tmp_path, monkeypatch):
     diags = parse_file("a.p")
     assert isinstance(diags, list)
     assert [d.format() for d in diags] == ["a.p:1:1: error: circular include of 'link/a.p'"]
+    assert run(["check", "a.p"]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", "a.p:1:1: error: circular include of 'link/a.p'\n")
     # One file reached by two spellings is included twice, not a cycle.
     diags = parse_file("twice.p")
     assert isinstance(diags, list)
@@ -542,11 +545,15 @@ def test_exists_parses():
 # -- lexing one item at a time ---------------------------------------------------------
 
 
-def test_a_lexical_error_after_the_diagnostic_cap_is_the_only_diagnostic():
+def test_a_lexical_error_after_the_diagnostic_cap_is_the_only_diagnostic(tmp_path, capsys):
     # The 21 bad items alone would give 20 parse errors.
     text = "thf(aK, axiom, ).\n" * 21 + "thf(z, axiom, # ).\n"
     assert [d.format() for d in parse_problem(text)] == [
         "<input>:22:15: error: unexpected character '#'"]
+    path = tmp_path / "lexical-after-cap.p"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", str(path)]) == EXIT_PARSE
+    assert capsys.readouterr() == ("", f"{path}:22:15: error: unexpected character '#'\n")
 
 
 def _lexed(lex, text: str):
