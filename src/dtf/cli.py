@@ -23,7 +23,7 @@ import os
 import sys
 
 from . import shallow
-from .core import Axiom, ConstDecl, TypeDecl, VarDecl, term_size
+from .core import Axiom, ConstDecl, TypeDecl, VarDecl, in_own_chunk, term_size
 from .printer import format_term, format_type, print_problem, print_th0
 from .syntax import Problem, parse_file
 
@@ -328,6 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    """`dtf ARGV`; returns the exit code.  Every frame that the run calls
+    shares one frame-stack chunk (`core.in_own_chunk`)."""
+    return in_own_chunk(_run, argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -417,6 +417,27 @@ _assume_formula, _assume_label = Assumption.formula.__set__, Assumption.label.__
 
 
 # ---------------------------------------------------------------------------
+# The frame stack of deep walks
+
+
+def in_own_chunk(func, *args):
+    """func(*args), with every frame it calls in one frame-stack chunk."""
+    return func(*args)
+
+
+# CPython 3.11 and later keep frames on a stack of 16 KiB chunks and unmap a
+# chunk as soon as the frame at its base returns, so a walk whose depth swings
+# across a chunk boundary pays an mmap, a munmap and a page fault at every
+# crossing, at depths set only by how deep the caller's stack was.  This frame
+# claims 512 KiB of operand stack that it never touches: CPython gives it a
+# 1 MiB chunk of its own and puts every frame it calls in the rest, where the
+# deepest walk at MAX_NESTING needs 136 kB (808 frames).  A deeper walk still
+# runs, on ordinary chunks past this one.  On 3.10, whose frames live on the
+# heap, the slots are allocated once and never touched.
+in_own_chunk.__code__ = in_own_chunk.__code__.replace(co_stacksize=64 * 1024)
+
+
+# ---------------------------------------------------------------------------
 # Generic structure, free variables and fresh names
 
 

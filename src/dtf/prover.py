@@ -24,7 +24,7 @@ import threading
 import time
 from typing import NamedTuple
 
-from .core import Record
+from .core import Record, in_own_chunk
 
 DEFAULT_TIMEOUT = 30.0
 #: The longest timeout the wait can take: poll() counts 2**31 - 1 milliseconds.
@@ -224,7 +224,7 @@ def discharge_all(config: ProverConfig, problems, jobs: int = 1) -> dict:
         threads: list = []
         try:
             while len(threads) < max(1, jobs) and (task := draw()) is not None:
-                thread = threading.Thread(target=work, args=(task, run_dir))
+                thread = threading.Thread(target=in_own_chunk, args=(work, task, run_dir))
                 thread.start()
                 threads.append(thread)
             for thread in threads:

@@ -1,6 +1,7 @@
 """Deeply nested input ends in a located diagnostic, never a traceback."""
 
 import contextlib
+import io
 import os
 import signal
 import subprocess
@@ -122,6 +123,44 @@ def test_parser_recovers_after_a_too_deep_formula():
             f"thf(b, axiom, {SHAPES['parentheses'](MAX_NESTING + 1)}).\n")
     result = parse_problem(text)
     assert [d.span.line for d in result] == [2, 3]
+
+
+def _at_depth(depth: int, call):
+    """call(), from depth more frames of about 120 bytes each."""
+    return call() if depth == 0 else _at_depth(depth - 1, call)
+
+
+def test_the_page_faults_of_a_deep_walk_do_not_depend_on_the_callers_depth(tmp_path):
+    # CPython 3.11 and later keep frames in 16 KiB chunks and unmap a chunk when
+    # the frame at its base returns, so a walk faults each time it swings back
+    # across a chunk boundary.  `cli.run` runs in a chunk of its own, so where
+    # its walks cross no longer depends on how deep its caller is.  Called
+    # from 0 to 130 more frames, more than one chunk, `check --deep` on this
+    # nest read 26 to 55 faults a call (at most 25 apart, in 24 runs on 3.11.7,
+    # 3.12.1 and 3.13.0); without its own chunk, 92 to 729 (618 to 629 apart).
+    resource = pytest.importorskip("resource")
+    nest = tmp_path / "nest.p"
+    nest.write_text(HEADER + f"thf(deep, axiom, {SHAPES['implications'](150)}).\n")
+
+    def faults() -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def call() -> int:
+        # Each call prints into a new buffer, so that the text does not grow the heap.
+        with contextlib.redirect_stdout(io.StringIO()):
+            before = faults()
+            code = run(["check", "--deep", str(nest)])
+            return faults() - before if code == EXIT_OK else -1
+
+    call()  # the first run maps what every later one reuses
+    counts = [_at_depth(depth, call) for depth in range(131)]
+    assert min(counts) >= 0, counts
+    # A crossing costs the same faults again at the same depth; a heap that
+    # happened to grow during one call does not.
+    least = min(counts)
+    counts = [min(c, _at_depth(depth, call)) if c - least > 64 else c
+              for depth, c in enumerate(counts)]
+    assert max(counts) - least <= 64, counts
 
 
 def test_unexpected_exception_is_one_line_and_exit_3(corpus_dir, monkeypatch, capsys):
