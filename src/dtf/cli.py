@@ -9,10 +9,12 @@ Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
 2 parse or usage error, 3 prover or system error, 141 (128 + SIGPIPE) when
 the reader of stdout closed it early, as `| head` does.
 
-Only what every subcommand needs is imported at the top: `deep`, `erasure`
-and `prover` are imported where they are called, so `parse`, `check` and
-`stats` load none of them and only `solve` loads the process and thread
-stack.
+`deep`, `erasure` and `prover` are imported where they are called, so
+`parse`, `check` and `stats` load none of them and only `solve` loads the
+process and thread stack.  `shallow` and `printer` load for every
+subcommand, though `stats` uses neither: `perfbench/tracing.py` wraps
+`cli.parse_file`, `cli.print_th0` and `cli.print_problem` as globals of this
+module, so a lazy `printer` import would break the traced benchmark runs.
 """
 
 from __future__ import annotations
@@ -43,18 +45,12 @@ def _each_problem(paths, one, check=None) -> int:
     """Parse each file and check it (check: None, "shallow" or "deep"); call
     one(path, problem, report) on each that passes, report being the deep
     check's or None.  A failed stage prints its diagnostics and gives 2
-    (parse) or 1 (check).  Returns the worst exit code.
-
-    Everything alive after a parse is moved out of the cyclic collector's
-    generations (`gc.freeze`), so that no later collection walks the theory
-    again.  Frozen objects are still freed by reference counting, which is
-    all the acyclic trees of a problem need: a problem, and all that was
-    made of it, is freed before the next file is parsed.
+    (parse) or 1 (check).  Returns the worst exit code.  A problem, and all
+    that was made of it, is freed before the next file is parsed.
     """
     worst = EXIT_OK
     for path in paths:
         problem = parse_file(path)
-        gc.freeze()
         report = None
         if isinstance(problem, Problem):
             _emit_diagnostics(problem.warnings)
@@ -328,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """`dtf ARGV`; returns the exit code.  Every frame that the run calls
-    shares one frame-stack chunk (`core.in_own_chunk`)."""
+    """`dtf ARGV`; returns the exit code.  The run's frames share one chunk,
+    and no cyclic collection starts in it (`core.in_own_chunk`)."""
     return in_own_chunk(_run, argv)
 
 
@@ -358,7 +354,9 @@ def _run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # so the collection at exit walks none of the imported objects
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ canonical comparison and substitution freshens on capture.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from enum import Enum
 from operator import attrgetter
@@ -421,8 +422,17 @@ _assume_formula, _assume_label = Assumption.formula.__set__, Assumption.label.__
 
 
 def in_own_chunk(func, *args):
-    """func(*args), with every frame it calls in one frame-stack chunk."""
-    return func(*args)
+    """func(*args) with every frame it calls in one frame-stack chunk, and the
+    cyclic collector off until it returns if it was on: the trees of a run are
+    acyclic, so reference counting frees them and a collection only walks them."""
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return func(*args)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # CPython 3.11 and later keep frames on a stack of 16 KiB chunks and unmap a

@@ -7,7 +7,6 @@ returns either an elaborated Problem or a list of Diagnostics.
 
 from __future__ import annotations
 
-import gc
 import os
 import re
 from bisect import bisect_right
@@ -158,9 +157,9 @@ def locate(text: str | None, offset: int | None) -> Span | None:
         c = text[offset:offset + 1]
         if c.isdigit():
             end = _number_end(text, offset)
-        elif c == "'":
+        elif c == "'":  # to the line end, before the "\r" of a "\r\n"
             stop = text.find("\n", offset)
-            end = len(text) if stop < 0 else stop
+            end = len(text) if stop < 0 else stop - (text[stop - 1] == "\r")
         else:
             end = offset + (2 if text.startswith("/*", offset) else 1)
     return Span(line, offset - starts[line - 1] + 1, max(1, end - offset))
@@ -907,20 +906,13 @@ class _Elaborator:
 
 
 def parse_problem(text: str, path: str | None = None):
-    """Parse and elaborate a DTF problem.
+    """Parse and elaborate a DTF problem, with the cyclic collector off
+    (`core.in_own_chunk`).
 
     Returns a Problem on success and a non-empty list of Diagnostics on any
-    lex, parse, or elaboration error.  The cyclic garbage collector is off
-    while it runs: the tokens and trees it builds are acyclic, so reference
-    counting frees them, and each collection would only walk them again.
+    lex, parse, or elaboration error.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_problem(text, path)
-    finally:
-        if enabled:
-            gc.enable()
+    return core.in_own_chunk(_parse_problem, text, path)
 
 
 def _parse_problem(text: str, path: str | None):

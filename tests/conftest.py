@@ -1,18 +1,9 @@
-import gc
 import stat
 from pathlib import Path
 
 import pytest
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(autouse=True)
-def thawed_gc():
-    """Undo the `gc.freeze()` of every `dtf.cli` load when a test ends, so
-    that garbage cycles of one test are still collected during the next."""
-    yield
-    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

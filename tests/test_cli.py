@@ -8,12 +8,13 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
 import pytest
 
-from dtf import cli, shallow
+from dtf import cli
 from dtf.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
 from dtf.printer import print_problem
 from dtf.prover import PROVER_ENV_VAR
@@ -101,40 +102,81 @@ def test_usage_error():
     assert run([]) == EXIT_PARSE
 
 
-# -- the collector after each load ------------------------------------------------------
+# -- the collector during each run ------------------------------------------------------
 
 
-def test_load_freezes_what_the_parse_left_alive(corpus_dir):
-    before = gc.get_freeze_count()
-    assert run(["check", str(corpus_dir / "list_append.p")]) == EXIT_OK
-    assert gc.get_freeze_count() > before
+@pytest.fixture
+def collections():
+    """The generation of each cyclic collection started while the test runs."""
+    started: list = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
 
 
-def test_each_loaded_problem_is_frozen_and_freed_after_the_next(corpus_dir, monkeypatch):
-    loaded = []    # a weak reference to each problem, in load order
-    observed = []  # per shallow check: (is the problem frozen, which loads are dead)
-    real_parse_file, real_check_shallow = cli.parse_file, shallow.check_shallow
-
-    def recording_parse_file(path):
-        problem = real_parse_file(path)
-        loaded.append(weakref.ref(problem))
-        return problem
-
-    def recording_check_shallow(problem):
-        frozen = not any(obj is problem for obj in gc.get_objects())
-        observed.append((frozen, [ref() is None for ref in loaded]))
-        return real_check_shallow(problem)
-
-    monkeypatch.setattr(cli, "parse_file", recording_parse_file)
-    monkeypatch.setattr(shallow, "check_shallow", recording_check_shallow)
-    files = [str(corpus_dir / "list_append.p"), str(corpus_dir / "hol.p")]
-    assert run(["check", *files]) == EXIT_OK
-    # Freezing keeps nothing alive: reference counting frees the first
-    # problem as soon as the second one replaces it.
-    assert observed == [(True, [False]), (True, [True, False])]
+def test_a_run_starts_no_collection(tmp_path, collections):
+    path = tmp_path / "axioms.p"
+    path.write_text(load_generator().family("axioms", 1)[0], encoding="utf-8")
+    gc.collect()
+    collections.clear()
+    assert run(["check", "--deep", str(path)]) == EXIT_OK
+    assert collections == []
 
 
-@pytest.mark.parametrize("command", ["parse", "check", "stats"])
+@pytest.mark.parametrize("argv, code", [
+    (["check", "--deep", "corpus/vect.p"], EXIT_OK),
+    (["frobnicate", "corpus/vect.p"], EXIT_PARSE),
+    (["check", "corpus/negative/neg_unknown_symbol.p"], EXIT_PARSE),
+    (["check", "corpus/negative/neg_app_mismatch.p"], EXIT_CHECK),
+], ids=["success", "usage_error", "parse_error", "check_failure"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_a_run_leaves_the_collector_as_it_found_it(argv, code, enabled, monkeypatch):
+    monkeypatch.chdir(REPO)
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        _set_collector(enabled)
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        _set_collector(was_enabled)
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_in_process_runs_do_not_keep_their_garbage(corpus_dir):
+    # Each run leaves a few garbage cycles, its `argparse` parser among them;
+    # a collection after the run must be able to free them.
+    argv = ["check", "--deep", str(corpus_dir / "vect.p")]
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            for _ in range(2):  # fill the caches, and on 3.10 the frame free list
+                assert run(argv) == EXIT_OK
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(100):
+                assert run(argv) == EXIT_OK
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["parse", "check", "check --deep", "stats"])
 def test_each_problem_is_freed_before_the_next_file_is_parsed(command, corpus_dir, monkeypatch):
     loaded = []  # a weak reference to each problem, in load order
     alive = []   # per parse: how many earlier problems are still alive
@@ -148,7 +190,7 @@ def test_each_problem_is_freed_before_the_next_file_is_parsed(command, corpus_di
 
     monkeypatch.setattr(cli, "parse_file", recording_parse_file)
     files = [str(corpus_dir / name) for name in ("list_append.p", "hol.p", "vect.p")]
-    assert run([command, *files]) == EXIT_OK
+    assert run([*command.split(), *files]) == EXIT_OK
     assert alive == [0, 0, 0]
 
 

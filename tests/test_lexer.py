@@ -24,9 +24,9 @@ LEXER_ERRORS = [
     (DECL + "thf(a, axiom, # q).\n", 2, 15, 1, "unexpected character '#'"),
     (DECL + "/* one\n   two */ thf(a, axiom, q).\n/* three\nfour\n */  thf(b, axiom, \u00a0q).\n",
      6, 20, 1, "unexpected character '\\xa0'"),
-    # The unterminated atom runs to the line end, its `\r` included.
+    # The unterminated atom runs to the line end, the `\r` of its `\r\n` excluded.
     ("thf(nat_type, type, nat: $tType).\r\nthf(z_type, type, z: nat).\r\n"
-     "thf(a, axiom, 'open = z).\r\n", 3, 15, 12, "unterminated quoted atom"),
+     "thf(a, axiom, 'open = z).\r\n", 3, 15, 11, "unterminated quoted atom"),
     ("thf(p_type, type, p: $o > $o).\nthf(a, axiom, p @", 2, 18, 1,
      "expected a term, found 'end of input'"),
 ]
@@ -115,7 +115,8 @@ def oracle_tokenize(text: str, path: str | None = None) -> list[Token]:
                     value.append(text[i + 1])
                     i += 2
                 elif text[i] == "\n":
-                    raise _SyntaxError(error("unterminated quoted atom", Span(line, col, i - start), path))
+                    length = i - start - (text[i - 1] == "\r")  # a "\r\n" ends the line
+                    raise _SyntaxError(error("unterminated quoted atom", Span(line, col, length), path))
                 else:
                     value.append(text[i])
                     i += 1

@@ -474,11 +474,15 @@ def test_a_byte_that_is_not_utf8_is_a_located_read_error(tmp_path, data, where, 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_other_line_ends_keep_the_spans_of_lf_input(tmp_path, newline):
-    text = PRELUDE + "thf(a, axiom,\n  q & zz).\n"
-    (tmp_path / "lf.p").write_bytes(text.encode())
-    (tmp_path / "other.p").write_bytes(text.replace("\n", newline).encode())
-    lf, other = parse_file(str(tmp_path / "lf.p")), parse_file(str(tmp_path / "other.p"))
-    assert [d.span for d in other] == [d.span for d in lf] == [(9, 7, 2)]
+    # An elaboration error, and a lexical one whose span runs to the line end.
+    for formula, span in [("q & zz", (9, 7, 2)), ("'open & q", (9, 3, 11))]:
+        text = PRELUDE + f"thf(a, axiom,\n  {formula}).\n"
+        (tmp_path / "lf.p").write_bytes(text.encode())
+        (tmp_path / "other.p").write_bytes(text.replace("\n", newline).encode())
+        lf, other = parse_file(str(tmp_path / "lf.p")), parse_file(str(tmp_path / "other.p"))
+        assert [d.span for d in other] == [d.span for d in lf] == [span]
+        if newline == "\r\n":  # a text not read from a file keeps its "\r\n"
+            assert [d.span for d in parse_problem(text.replace("\n", newline))] == [span]
 
 
 def test_include_of_a_file_that_is_not_utf8_is_reported_at_the_include(tmp_path, monkeypatch):
