@@ -9,12 +9,12 @@ Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
 2 parse or usage error, 3 prover or system error, 141 (128 + SIGPIPE) when
 the reader of stdout closed it early, as `| head` does.
 
-`deep`, `erasure` and `prover` are imported where they are called, so
-`parse`, `check` and `stats` load none of them and only `solve` loads the
-process and thread stack.  `shallow` and `printer` load for every
-subcommand, though `stats` uses neither: `perfbench/tracing.py` wraps
-`cli.parse_file`, `cli.print_th0` and `cli.print_problem` as globals of this
-module, so a lazy `printer` import would break the traced benchmark runs.
+`deep`, `erasure`, `printer` and `prover` are imported where they are
+called, so `parse`, `check` and `stats` load none of them and only `solve`
+loads the process and thread stack.  `shallow` loads for every subcommand,
+though `stats` does not use it.  `print_problem` and `print_th0` stay globals
+of this module, as `parse_file` does, since `perfbench/tracing.py` wraps them
+here; each imports `printer` when called.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import sys
 
 from . import shallow
 from .core import Axiom, ConstDecl, TypeDecl, VarDecl, in_own_chunk, term_size
-from .printer import format_term, format_type, print_problem, print_th0
 from .syntax import Problem, parse_file
 
 EXIT_OK = 0
@@ -34,6 +33,16 @@ EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_SYSTEM = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a process the signal ended
+
+
+def print_problem(problem) -> str:
+    from . import printer
+    return printer.print_problem(problem)
+
+
+def print_th0(problem) -> str:
+    from . import printer
+    return printer.print_th0(problem)
 
 
 def _emit_diagnostics(diagnostics) -> None:
@@ -114,6 +123,8 @@ def cmd_check(args) -> int:
 
 
 def _print_obligation(ob) -> None:
+    from .printer import format_term, format_type  # loaded by `deep` already
+
     status = f"discharged by {ob.discharged_by}" if ob.discharged_by else "residual"
     print(f"{ob.label} [{status}]: {ob.origin}")
     parts = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
 from enum import Enum
 from operator import attrgetter
 
@@ -442,9 +443,10 @@ def in_own_chunk(func, *args):
 # claims 512 KiB of operand stack that it never touches: CPython gives it a
 # 1 MiB chunk of its own and puts every frame it calls in the rest, where the
 # deepest walk at MAX_NESTING needs 136 kB (808 frames).  A deeper walk still
-# runs, on ordinary chunks past this one.  On 3.10, whose frames live on the
-# heap, the slots are allocated once and never touched.
-in_own_chunk.__code__ = in_own_chunk.__code__.replace(co_stacksize=64 * 1024)
+# runs, on ordinary chunks past this one.  3.10 keeps frames on the heap, and
+# would keep such a frame in its free list after a run, so it is left as it is.
+if sys.version_info >= (3, 11):
+    in_own_chunk.__code__ = in_own_chunk.__code__.replace(co_stacksize=64 * 1024)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_right
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import core
@@ -50,28 +52,48 @@ from .diagnostics import Diagnostic, DiagnosticError, Span, error, warning
 # ---------------------------------------------------------------------------
 # Lexer
 
-_PUNCT = [
+# Each punctuation token, which is also its own kind.
+_PUNCT = {p: p for p in [
     "<~>", "<=>", "=>", "<=", "!=", "!>", "?*", "@+", "@-",
     "(", ")", "[", "]", ",", ".", ":", "@", "!", "?", "^",
     "~", "&", "|", "=", ">",
-]
+]}
 
-# One match per token: the blanks and comments before it, then one alternative
-# per token class.  `\w` is exactly "alphanumeric or `_`".  A word must also
-# start with a letter.  The empty `other` alternative hands a token that starts
-# with a digit (`str.isdigit`, wider than `\d`), every lexical error and the end
-# of input to the hand-written branches of `tokenize` and `locate`.
-_TOKEN = re.compile(r"""
-    (?: [ \t\r\n]+ | %[^\n]* | /\*[\s\S]*?\*/ )*
-    (?: (?P<punct> """ + "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)) + r""" )
-      | (?P<word> [^\W\d_]\w* )
-      | (?P<quoted> '[^'\\\n]*(?:\\[^\n][^'\\\n]*)*' )
-      | (?P<dollar> \$(?:\$\w*|\w+) )
-      | (?P<other>)
-    )
-""", re.X)
-_ESCAPE = re.compile(r"\\(['\\])")
+# The blanks and comments before a token, and one pattern per token class.
+# `\w` is exactly "alphanumeric or `_`".  A word must also start with a letter.
+_BLANKS = r"(?:[ \t\r\n]+|%[^\n]*|/\*[\s\S]*?\*/)*"
+_CLASSES = {
+    "punct": "|".join(re.escape(p) for p in sorted(_PUNCT, key=len, reverse=True)),
+    "word": r"[^\W\d_]\w*",
+    "quoted": r"'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*'",
+    "dollar": r"\$(?:\$\w*|\w+)",
+}
+# One match per token: the blanks, then one named alternative per class.  The
+# empty `other` alternative hands a token that starts with a digit
+# (`str.isdigit`, wider than `\d`), every lexical error and the end of input to
+# the hand-written branches of `_tokenize_loop` and `locate`.
+_TOKEN = re.compile(_BLANKS + "(?:" + "".join(f"(?P<{name}>{pattern})|" for name, pattern in _CLASSES.items())
+                    + "(?P<other>))")
+_skip_blanks = re.compile(_BLANKS).match
+# The same alternatives as one group: split gives the text between tokens and
+# each token, in turn, and builds no match object.
+_split_tokens = re.compile("(" + "|".join(f"(?:{pattern})" for pattern in _CLASSES.values()) + ")").split
+# The text of a quoted atom: its quotes dropped and `\'` and `\\` unescaped.
+_unquote = partial(re.compile(r"^'|'$|\\(['\\])").sub, r"\1")
 _new_tuple = tuple.__new__  # builds a named tuple without its __new__ frame
+
+
+class _NameKinds(dict):
+    """The kind of a name, by its first character: None unless a letter, `$`
+    or `'`.  Filled in as characters are met."""
+
+    def __missing__(self, c: str):
+        kind = self[c] = ("dollar" if c == "$" else "quoted" if c == "'" else
+                          None if not c.isalpha() else "lower" if c.islower() else "upper")
+        return kind
+
+
+_name_kind = _NameKinds().__getitem__
 
 
 class Token(NamedTuple):
@@ -103,7 +125,32 @@ def tokenize(text: str, path: str | None = None, *, after: Token | None = None) 
     """The tokens of text, ending in `eof`; a lexical error raises DiagnosticError.
 
     With `after`, the `.` or START already read, only the tokens after it up
-    to and including the next `.` or `eof`: chained from START, one item a call."""
+    to and including the next `.` or `eof`: chained from START, one item a call.
+    Past the blanks and comments before it, the text up to the next `.` is
+    split into its tokens by one `re.split` when only blanks lie between them
+    (so no comment does, and the last token is that `.`) and every name starts
+    with a letter, `$` or `'`.  Anything else (a number, a lexical error, a
+    quoted atom holding a `.`, the end of the text) goes to `_tokenize_loop`,
+    which gives the same tokens one by one."""
+    if after is not None:
+        start = _skip_blanks(text, after.span + len(after.text)).end()
+        end = text.find(".", start) + 1
+        if end:
+            item = text[start:end]
+            parts = _split_tokens(item)
+            words = parts[1::2]
+            kinds = list(map(_PUNCT.get, words, map(_name_kind, map(itemgetter(0), words))))
+            if None not in kinds and not "".join(parts[::2]).strip(" \t\r\n"):
+                starts = islice(accumulate(map(len, parts), initial=start), 1, None, 2)
+                if "'" in item:
+                    words = map(_unquote, words)
+                return list(map(_new_tuple, repeat(Token), zip(kinds, words, starts)))
+    return _tokenize_loop(text, path, after=after)
+
+
+def _tokenize_loop(text: str, path: str | None = None, *, after: Token | None = None) -> list[Token]:
+    """tokenize, one `_TOKEN` match a token: the reference for the split, and
+    the only source of lexical diagnostics."""
     tokens: list[Token] = []
     pos = 0 if after is None else after.span + len(after.text)
     while True:
@@ -121,7 +168,7 @@ def tokenize(text: str, path: str | None = None, *, after: Token | None = None) 
         elif kind == "dollar":
             tokens.append(_new_tuple(Token, ("dollar", text[pos:end], pos)))
         elif kind == "quoted":
-            tokens.append(_new_tuple(Token, ("quoted", _ESCAPE.sub(r"\1", text[pos + 1:end - 1]), pos)))
+            tokens.append(_new_tuple(Token, ("quoted", _unquote(text[pos:end]), pos)))
         elif pos == len(text):
             break
         elif text[pos].isdigit():

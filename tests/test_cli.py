@@ -163,8 +163,7 @@ def test_in_process_runs_do_not_keep_their_garbage(corpus_dir):
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            for _ in range(2):  # fill the caches, and on 3.10 the frame free list
-                assert run(argv) == EXIT_OK
+            assert run(argv) == EXIT_OK  # to fill the caches
             gc.collect()
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(100):

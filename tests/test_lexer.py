@@ -1,6 +1,7 @@
 """The lexer: its diagnostics, and agreement with a frozen reference lexer."""
 
 import string
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import strategies as st
 
 from dtf.cli import EXIT_PARSE, run
 from dtf.diagnostics import DiagnosticError as _SyntaxError, Span, error
-from dtf.syntax import _PUNCT, locate, parse_problem, tokenize
+from dtf import syntax
+from dtf.syntax import _PUNCT, START, Problem, _tokenize_loop, locate, parse_problem, tokenize
+
+from genutil import load_generator
 
 # -- diagnostics ------------------------------------------------------------------
 
@@ -173,7 +177,7 @@ def _outcome(lex, text: str):
     return [(t.kind, t.text, *locate(text, t.span), t.span) for t in tokens]
 
 
-PIECES = (_PUNCT + list(string.ascii_letters + string.digits)
+PIECES = ([*_PUNCT] + list(string.ascii_letters + string.digits)
           + [" ", "\t", "\r", "\n", "%", "/*", "*/", "/", "*", "'", "\\", "$",
              ".", "e", "E", "+", "-",
              "é", "É", "中", "²", "½", "ǅ", "١", "Ⅷ", "\u00a0", "\f"])
@@ -190,3 +194,64 @@ def test_tokenize_matches_reference_on_the_corpus(corpus_dir):
     for path in paths:
         text = path.read_text(encoding="utf-8")
         assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
+
+
+# -- the split of one item against the loop ----------------------------------------
+#
+# With `after`, `tokenize` splits a plain item with one `re.split` and hands
+# everything else to `_tokenize_loop`; chained as the parser chains it, it must
+# give the loop's windows and the loop's diagnostic on every input.
+
+
+def _windows(lex, text: str):
+    """The windows lex gives from START to `eof`, then the diagnostic if one ends them."""
+    windows, last = [], START
+    while last.kind != "eof":
+        try:
+            windows.append(lex(text, "f.p", after=last))
+        except _SyntaxError as exc:
+            return windows, exc.diagnostic
+        last = windows[-1][-1]
+    return windows, None
+
+
+# Pieces with blanks and many item ends between them: about half of the
+# windows drawn are split, the others go to the loop.
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " ", "\n", "\r\n", ".", ".\r\n"])),
+                max_size=40).map(lambda pairs: "".join(piece + end for piece, end in pairs)))
+def test_chained_tokenize_matches_the_loop(text):
+    assert _windows(tokenize, text) == _windows(_tokenize_loop, text)
+
+
+REPO = Path(__file__).resolve().parents[1]
+FILES = sorted(path.relative_to(REPO).as_posix() for folder in ("corpus", "tests/fixtures")
+               for path in (REPO / folder).rglob("*") if path.suffix in (".p", ".ax"))
+FAMILIES = ["terms", "axioms", "discharge"]
+
+
+def _file_text(name: str) -> str:
+    if name in FAMILIES:
+        return load_generator().family(name, 1)[0]
+    return (REPO / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", FILES + FAMILIES)
+def test_chained_tokenize_matches_the_loop_on_every_bundled_input(name):
+    text = _file_text(name)
+    assert _windows(tokenize, text) == _windows(_tokenize_loop, text)
+
+
+@pytest.mark.parametrize("family", ["terms", "axioms"])
+def test_only_the_end_of_input_reaches_the_loop(family, monkeypatch):
+    # Every item of the families is split; a change that sent them back to the
+    # loop would give the same tokens, only slower.
+    windows = []
+
+    def loop(*args, **kwargs):
+        windows.append(_tokenize_loop(*args, **kwargs))
+        return windows[-1]
+
+    monkeypatch.setattr(syntax, "_tokenize_loop", loop)
+    assert isinstance(parse_problem(_file_text(family)), Problem)
+    assert [[tok.kind for tok in window] for window in windows] == [["eof"]]

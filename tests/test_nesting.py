@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtf import cli
 from dtf.cli import EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
+from dtf.core import in_own_chunk
 from dtf.diagnostics import DiagnosticError
 from dtf.printer import print_problem
 from dtf.syntax import (MAX_INCLUDE_DEPTH, MAX_NESTING, Problem, _Elaborator, _Parser, _too_deep,
@@ -161,6 +162,11 @@ def test_the_page_faults_of_a_deep_walk_do_not_depend_on_the_callers_depth(tmp_p
     counts = [min(c, _at_depth(depth, call)) if c - least > 64 else c
               for depth, c in enumerate(counts)]
     assert max(counts) - least <= 64, counts
+
+
+def test_only_3_11_and_later_reserve_a_chunk_for_a_run():
+    # 3.10 keeps frames on the heap, and would keep a reserved frame in its free list.
+    assert (in_own_chunk.__code__.co_stacksize >= 64 * 1024) is (sys.version_info >= (3, 11))
 
 
 def test_unexpected_exception_is_one_line_and_exit_3(corpus_dir, monkeypatch, capsys):

@@ -79,6 +79,7 @@ def test_front_end_subcommands_load_no_deep_erasure_or_prover(argv):
     new = loaded_by(argv)
     assert {"dtf.cli", "dtf.syntax", "dtf.shallow"} <= new
     assert not new & (HEAVY | PROCESS_STACK)
+    assert ("dtf.printer" in new) is ("--print" in argv)  # only a subcommand that prints formulae
 
 
 def test_deep_check_loads_neither_erasure_nor_prover():
