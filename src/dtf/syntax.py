@@ -68,16 +68,13 @@ _CLASSES = {
     "quoted": r"'[^'\\\n]*(?:\\[^\n][^'\\\n]*)*'",
     "dollar": r"\$(?:\$\w*|\w+)",
 }
-# One match per token: the blanks, then one named alternative per class.  The
-# empty `other` alternative hands a token that starts with a digit
-# (`str.isdigit`, wider than `\d`), every lexical error and the end of input to
-# the hand-written branches of `_tokenize_loop` and `locate`.
-_TOKEN = re.compile(_BLANKS + "(?:" + "".join(f"(?P<{name}>{pattern})|" for name, pattern in _CLASSES.items())
-                    + "(?P<other>))")
 _skip_blanks = re.compile(_BLANKS).match
-# The same alternatives as one group: split gives the text between tokens and
-# each token, in turn, and builds no match object.
-_split_tokens = re.compile("(" + "|".join(f"(?:{pattern})" for pattern in _CLASSES.values()) + ")").split
+# The token classes as one group, compiled once: split gives the text between
+# tokens and each token, in turn, and builds no match object; `_scan` matches
+# one token with it.  A number (`str.isdigit`, wider than `\d`), a lexical
+# error and the end of input get no kind from a class: `_scan` alone decides them.
+_TOKENS = re.compile("(" + "|".join(f"(?:{pattern})" for pattern in _CLASSES.values()) + ")")
+_split_tokens = _TOKENS.split
 # The text of a quoted atom: its quotes dropped and `\'` and `\\` unescaped.
 _unquote = partial(re.compile(r"^'|'$|\\(['\\])").sub, r"\1")
 _new_tuple = tuple.__new__  # builds a named tuple without its __new__ frame
@@ -115,12 +112,6 @@ def _found(tok: Token) -> str:
 START = Token("start", "", 0)
 
 
-def _number_end(text: str, pos: int) -> int:
-    while pos < len(text) and (text[pos].isdigit() or text[pos] in ".eE+-/"):
-        pos += 1
-    return pos
-
-
 def tokenize(text: str, path: str | None = None, *, after: Token | None = None) -> list[Token]:
     """The tokens of text, ending in `eof`; a lexical error raises DiagnosticError.
 
@@ -149,40 +140,47 @@ def tokenize(text: str, path: str | None = None, *, after: Token | None = None) 
 
 
 def _tokenize_loop(text: str, path: str | None = None, *, after: Token | None = None) -> list[Token]:
-    """tokenize, one `_TOKEN` match a token: the reference for the split, and
-    the only source of lexical diagnostics."""
+    """tokenize, one `_scan` a token: the reference for the split, and the
+    only source of lexical diagnostics."""
     tokens: list[Token] = []
-    pos = 0 if after is None else after.span + len(after.text)
+    end = 0 if after is None else after.span + len(after.text)
     while True:
-        m = _TOKEN.match(text, pos)
-        kind = m.lastgroup
-        pos = m.start(kind)
-        end = m.end()
-        if kind == "punct":
-            token = text[pos:end]
-            tokens.append(_new_tuple(Token, (token, token, pos)))
-            if token == "." and after is not None:
-                return tokens
-        elif kind == "word" and (c := text[pos]).isalpha():
-            tokens.append(_new_tuple(Token, ("lower" if c.islower() else "upper", text[pos:end], pos)))
-        elif kind == "dollar":
-            tokens.append(_new_tuple(Token, ("dollar", text[pos:end], pos)))
-        elif kind == "quoted":
-            tokens.append(_new_tuple(Token, ("quoted", _unquote(text[pos:end]), pos)))
-        elif pos == len(text):
-            break
-        elif text[pos].isdigit():
-            end = _number_end(text, pos)
-            tokens.append(Token("number", text[pos:end], pos))
-        else:
-            c = text[pos]
+        kind, start, end = _scan(text, end)
+        if kind is None:
+            c = text[start]
             message = ("unterminated quoted atom" if c == "'" else
-                       "unterminated block comment" if text.startswith("/*", pos) else
+                       "unterminated block comment" if text.startswith("/*", start) else
                        "stray '$'" if c == "$" else f"unexpected character {c!r}")
-            raise DiagnosticError(error(message, locate(text, pos), path))
-        pos = end
-    tokens.append(Token("eof", "", pos))
-    return tokens
+            raise DiagnosticError(error(message, locate(text, start), path))
+        word = text[start:end]
+        tokens.append(_new_tuple(Token, (kind, _unquote(word) if kind == "quoted" else word, start)))
+        if kind == "eof" or kind == "." and after is not None:
+            return tokens
+
+
+def _scan(text: str, pos: int) -> tuple:
+    """The kind, start and end of the first token at or after pos, past the
+    blanks and comments; at a lexical error, None and the error's span.  The
+    split in `tokenize` shares its class pattern and its kinds; numbers,
+    lexical errors and the end of input are decided here only."""
+    start = _skip_blanks(text, pos).end()
+    m = _TOKENS.match(text, start)
+    if m and (kind := _PUNCT.get(m[0]) or _name_kind(m[0][0])):
+        return kind, start, m.end()
+    c = text[start:start + 1]
+    if not c:
+        return "eof", start, start
+    end = start + 1
+    if c.isdigit():
+        while end < len(text) and (text[end].isdigit() or text[end] in ".eE+-/"):
+            end += 1
+        return "number", start, end
+    if c == "'":  # to the line end, before the "\r" of a "\r\n"
+        stop = text.find("\n", start)
+        end = len(text) if stop < 0 else stop - (text[stop - 1] == "\r")
+    elif text.startswith("/*", start):
+        end += 1
+    return None, start, end
 
 
 @lru_cache(maxsize=8)
@@ -197,19 +195,7 @@ def locate(text: str | None, offset: int | None) -> Span | None:
         return None
     starts = _line_starts(text)
     line = bisect_right(starts, offset)
-    m = _TOKEN.match(text, offset)
-    end = m.end()
-    if m.lastgroup == "other" or m.lastgroup == "word" and not text[offset].isalpha():
-        # tokenize's hand-written branches: a number, a lexical error or the end
-        c = text[offset:offset + 1]
-        if c.isdigit():
-            end = _number_end(text, offset)
-        elif c == "'":  # to the line end, before the "\r" of a "\r\n"
-            stop = text.find("\n", offset)
-            end = len(text) if stop < 0 else stop - (text[stop - 1] == "\r")
-        else:
-            end = offset + (2 if text.startswith("/*", offset) else 1)
-    return Span(line, offset - starts[line - 1] + 1, max(1, end - offset))
+    return Span(line, offset - starts[line - 1] + 1, max(1, _scan(text, offset)[2] - offset))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +363,8 @@ class _Parser:
             raise self.fail(f"expected {kind!r}, found {_found(tok)}", tok)
         return self.next()
 
-    def fail(self, message: str, at: Token | None = None) -> DiagnosticError:
-        """An error located at a token, by default the next one."""
+    def fail(self, message: str, at: object = None) -> DiagnosticError:
+        """An error located at a token or surface node, by default the next token."""
         return DiagnosticError(error(message, locate(self.text, (at or self.peek()).span), self.path))
 
     # -- items ----------------------------------------------------------
@@ -460,7 +446,7 @@ class _Parser:
                 message = (f"cannot read include {arg.text!r}: byte {byte:#04x} at line {at.line}, "
                            f"column {at.column} is not UTF-8")
         if message is not None:
-            inner[0].append(error(message, locate(self.text, kw.span), self.path))
+            inner[0].append(self.fail(message, kw).diagnostic)
             return
         diagnostics, warns = _Parser(text, name, self.elab, target, self.seen | {real},
                                      self.level + 1).parse_items()
@@ -483,8 +469,7 @@ class _Parser:
         else:
             body = self.parse_expr()
         if body.height > MAX_NESTING:
-            raise DiagnosticError(error(f"formula nests deeper than {MAX_NESTING} levels",
-                                        locate(self.text, _too_deep(body, MAX_NESTING).span), self.path))
+            raise self.fail(f"formula nests deeper than {MAX_NESTING} levels", _too_deep(body, MAX_NESTING))
         # The source and useful-info annotations are checked for balance and skipped.
         for _ in range(2):
             if self.peek().kind != ",":

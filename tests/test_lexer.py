@@ -196,11 +196,14 @@ def test_tokenize_matches_reference_on_the_corpus(corpus_dir):
         assert _outcome(tokenize, text) == _outcome(oracle_tokenize, text)
 
 
-# -- the split of one item against the loop ----------------------------------------
+# -- the split of one item against the loop and the reference ----------------------
 #
 # With `after`, `tokenize` splits a plain item with one `re.split` and hands
 # everything else to `_tokenize_loop`; chained as the parser chains it, it must
-# give the loop's windows and the loop's diagnostic on every input.
+# give the loop's windows and the loop's diagnostic on every input.  The split
+# and the loop share the class pattern and the kinds of `_scan`, so a fault in
+# what they share passes that comparison: the chained windows, flattened, are
+# also compared with the reference lexer above.
 
 
 def _windows(lex, text: str):
@@ -215,13 +218,30 @@ def _windows(lex, text: str):
     return windows, None
 
 
+def _chained(text: str, path: str):
+    """The chained windows of tokenize, flattened, or the diagnostic that ends them, raised."""
+    windows, diagnostic = _windows(tokenize, text)
+    if diagnostic is not None:
+        raise _SyntaxError(diagnostic)
+    return [tok for window in windows for tok in window]
+
+
 # Pieces with blanks and many item ends between them: about half of the
 # windows drawn are split, the others go to the loop.
+ITEMS = st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " ", "\n", "\r\n", ".", ".\r\n"])),
+                 max_size=40).map(lambda pairs: "".join(piece + end for piece, end in pairs))
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(PIECES), st.sampled_from(["", " ", "\n", "\r\n", ".", ".\r\n"])),
-                max_size=40).map(lambda pairs: "".join(piece + end for piece, end in pairs)))
+@given(ITEMS)
 def test_chained_tokenize_matches_the_loop(text):
     assert _windows(tokenize, text) == _windows(_tokenize_loop, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ITEMS)
+def test_chained_tokenize_matches_reference(text):
+    assert _outcome(_chained, text) == _outcome(oracle_tokenize, text)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -242,10 +262,17 @@ def test_chained_tokenize_matches_the_loop_on_every_bundled_input(name):
     assert _windows(tokenize, text) == _windows(_tokenize_loop, text)
 
 
-@pytest.mark.parametrize("family", ["terms", "axioms"])
+@pytest.mark.parametrize("name", FILES + FAMILIES)
+def test_chained_tokenize_matches_reference_on_every_bundled_input(name):
+    text = _file_text(name)
+    assert _outcome(_chained, text) == _outcome(oracle_tokenize, text)
+
+
+@pytest.mark.parametrize("family", FAMILIES + [name for name in FILES if name.startswith("corpus/")])
 def test_only_the_end_of_input_reaches_the_loop(family, monkeypatch):
-    # Every item of the families is split; a change that sent them back to the
-    # loop would give the same tokens, only slower.
+    # Every item of the families and of the corpus is split; a change that
+    # sent them back to the loop would give the same tokens, only slower.  Two
+    # negative files stop in the elaborator, after every item is lexed.
     windows = []
 
     def loop(*args, **kwargs):
@@ -253,5 +280,5 @@ def test_only_the_end_of_input_reaches_the_loop(family, monkeypatch):
         return windows[-1]
 
     monkeypatch.setattr(syntax, "_tokenize_loop", loop)
-    assert isinstance(parse_problem(_file_text(family)), Problem)
+    assert isinstance(parse_problem(_file_text(family)), Problem) or family.startswith("corpus/negative/")
     assert [[tok.kind for tok in window] for window in windows] == [["eof"]]
