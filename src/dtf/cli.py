@@ -215,7 +215,6 @@ def cmd_solve(args) -> int:
         return EXIT_SYSTEM
 
     def one(path, problem, report) -> int:
-        th0 = erasure.TH0Printer(problem)
         obligations = () if args.conjecture_only else report.obligations
         labels = [ob.label for ob in obligations]
         goal_label = None
@@ -224,14 +223,6 @@ def cmd_solve(args) -> int:
             while goal_label in labels:
                 goal_label += "_goal"
             labels.append(goal_label)
-
-        def tasks():
-            # Each text is made only when a prover is free to take it.
-            for ob in obligations:
-                yield ob.label, th0.print(deep.obligation_problem(problem, ob))
-            if goal_label is not None:
-                yield goal_label, th0.print(problem, tuple(report.obligations))
-
         if not labels:
             if args.obligations_only:
                 print("nothing to prove: no residual obligations")
@@ -241,32 +232,29 @@ def cmd_solve(args) -> int:
                 print("nothing to prove: no residual obligations and no conjecture")
             print(f"% SZS status Theorem for {path}")
             return EXIT_OK
+        th0 = erasure.TH0Printer(problem)
 
-        results = prover.discharge_all(config, tasks(), jobs=args.jobs)
-        any_error = False
-        all_proved = True
-        for label in labels:
-            res = results[label]
+        def tasks():
+            # Each text is made only when a prover is free to take it.
+            for ob in obligations:
+                yield ob.label, th0.print(deep.obligation_problem(problem, ob))
+            if goal_label is not None:
+                yield goal_label, th0.print(problem, tuple(report.obligations))
+
+        verdicts = []  # in task order, the goal's last
+        for label, res in prover.discharge_all(config, tasks(), jobs=args.jobs).items():
             print(f"{label}: {res.verdict.status} ({res.elapsed:.2f}s)")
-            if res.verdict.status == "Error":
-                any_error = True
-            if not res.verdict.proved:
-                all_proved = False
-
-        if any_error:
-            print(f"% SZS status Error for {path}")
-            return EXIT_SYSTEM
-        if all_proved:
-            print(f"% SZS status Theorem for {path}")
-            return EXIT_OK
-        status = "GaveUp"
-        if goal_label is not None:
-            others_ok = all(
-                results[label].verdict.proved for label in labels if label != goal_label)
-            if others_ok:
-                status = results[goal_label].verdict.status
+            verdicts.append(res.verdict)
+        if any(v.status == "Error" for v in verdicts):
+            status, code = "Error", EXIT_SYSTEM
+        elif all(v.proved for v in verdicts):
+            status, code = "Theorem", EXIT_OK
+        elif goal_label is not None and all(v.proved for v in verdicts[:-1]):
+            status, code = verdicts[-1].status, EXIT_CHECK  # only the goal is unproved
+        else:
+            status, code = "GaveUp", EXIT_CHECK
         print(f"% SZS status {status} for {path}")
-        return EXIT_CHECK
+        return code
 
     return _each_problem([args.file], one, "deep")
 

@@ -7,6 +7,7 @@ returns either an elaborated Problem or a list of Diagnostics.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 from bisect import bisect_right
@@ -514,9 +515,12 @@ class _Parser:
         return subject_tok, ty
 
     def _looks_like_typing_paren(self) -> bool:
-        tok = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        after = self.tokens[self.pos + 2] if self.pos + 2 < len(self.tokens) else None
-        return bool(tok and tok.kind in ("lower", "quoted") and after and after.kind == ":")
+        """Whether the `(` at pos opens a typing: a run of `(`, then a name
+        and `:`.  The window ends in `.` or `eof`, so the scan stays in it."""
+        tokens, pos = self.tokens, self.pos
+        while tokens[pos].kind == "(":
+            pos += 1
+        return tokens[pos].kind in ("lower", "quoted") and tokens[pos + 1].kind == ":"
 
     # -- formulae ---------------------------------------------------------
 
@@ -641,10 +645,7 @@ class _Parser:
         return SBinder(op_tok.kind, tuple(variables), body, op_tok.span)
 
     def parse_var_type(self) -> object:
-        operand = self.parse_unit()
-        if self.peek().kind != ">":
-            return operand
-        operands = [operand]
+        operands = [self.parse_unit()]
         while self.peek().kind == ">":
             at = self.next()
             operands.append(self.parse_unit())
@@ -728,7 +729,7 @@ class _Elaborator:
         tail = spine[-1]
         if isinstance(tail, Token) and tail.kind == "dollar" and tail.text == "$tType":
             venv: dict = {}
-            telescope = self._bind_written(binders, venv)
+            telescope = self._bind(binders, venv)
             for component in spine[:-1]:
                 domain = self.elaborate_type(component, venv, allow_pi=True)
                 telescope.append((Name(self._invent_binder(venv), NameKind.VAR), domain))
@@ -752,13 +753,14 @@ class _Elaborator:
             spine.append(last.right)
         return binders, spine
 
-    def _bind_written(self, variables, venv: dict) -> list:
-        """Bind the (Token, surface type) pairs of a `!>` in venv under their
-        written names; returns their (Name, domain) pairs in order."""
+    def _bind(self, variables, venv: dict, rename=None) -> list:
+        """Bind the (Token, surface type) pairs of a binder in venv, each under
+        rename(its written name), or that name itself; returns their (Name,
+        domain) pairs in order.  Each domain is elaborated before its rename."""
         bound: list = []
         for var, sty in variables:
             domain = self.elaborate_type(sty, venv)
-            name = Name(var.text, NameKind.VAR)
+            name = Name(rename(var.text) if rename else var.text, NameKind.VAR)
             venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
             venv[name] = domain
             bound.append((name, domain))
@@ -824,7 +826,7 @@ class _Elaborator:
             if not allow_pi:
                 raise self.err("'!>' is only allowed prenex in declaration types", sty.span)
             venv = dict(venv)
-            bound = self._bind_written(sty.variables, venv)
+            bound = self._bind(sty.variables, venv)
             result = self.elaborate_type(sty.body, venv, allow_pi=True)
             for name, domain in reversed(bound):
                 result = Pi(name, domain, result, sty.span)
@@ -890,14 +892,8 @@ class _Elaborator:
             raise self.err("'!>' is only allowed in declaration types", s.span)
         node = _BINDERS[s.op]
         venv = dict(venv)
-        bound: list = []
         site, self.site = self.site, s.span
-        for var, vty in s.variables:
-            domain = self.elaborate_type(vty, venv)
-            name = Name(self._fresh_binder(var.text), NameKind.VAR)
-            venv[var.text] = ("tyvar",) if is_type_kind(domain) else ("var", name)
-            venv[name] = domain
-            bound.append((name, domain))
+        bound = self._bind(s.variables, venv, self._fresh_binder)
         self.site = site
         body = self.elaborate_term(s.body, venv)
         for name, domain in reversed(bound):
@@ -938,13 +934,17 @@ class _Elaborator:
 
 
 def parse_problem(text: str, path: str | None = None):
-    """Parse and elaborate a DTF problem, with the cyclic collector off
-    (`core.in_own_chunk`).
+    """Parse and elaborate a DTF problem, with the cyclic collector off.
+
+    With the collector on, the parse goes through `core.in_own_chunk`; with
+    it off, as inside every `cli.run`, it runs in the caller's chunk.
 
     Returns a Problem on success and a non-empty list of Diagnostics on any
     lex, parse, or elaboration error.
     """
-    return core.in_own_chunk(_parse_problem, text, path)
+    if gc.isenabled():
+        return core.in_own_chunk(_parse_problem, text, path)
+    return _parse_problem(text, path)
 
 
 def _parse_problem(text: str, path: str | None):

@@ -1,3 +1,4 @@
+import gc
 import stat
 from pathlib import Path
 
@@ -32,3 +33,26 @@ def fake_prover(tmp_path):
         return str(path)
 
     return make
+
+
+@pytest.fixture
+def collections():
+    """The generation of each cyclic collection started while the test runs."""
+    started: list = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(count)
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()

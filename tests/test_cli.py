@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from dtf import cli
+from dtf import cli, core
 from dtf.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
 from dtf.printer import print_problem
 from dtf.prover import PROVER_ENV_VAR
 from dtf.shallow import check_shallow
 from dtf.syntax import Problem, parse_file, parse_problem
 
+from conftest import _set_collector
 from genutil import load_generator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -105,22 +106,6 @@ def test_usage_error():
 # -- the collector during each run ------------------------------------------------------
 
 
-@pytest.fixture
-def collections():
-    """The generation of each cyclic collection started while the test runs."""
-    started: list = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    gc.callbacks.append(count)
-    try:
-        yield started
-    finally:
-        gc.callbacks.remove(count)
-
-
 def test_a_run_starts_no_collection(tmp_path, collections):
     path = tmp_path / "axioms.p"
     path.write_text(load_generator().family("axioms", 1)[0], encoding="utf-8")
@@ -149,11 +134,27 @@ def test_a_run_leaves_the_collector_as_it_found_it(argv, code, enabled, monkeypa
         _set_collector(was_enabled)
 
 
-def _set_collector(enabled: bool) -> None:
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
+def test_a_parse_inside_a_run_reserves_no_chunk_of_its_own(monkeypatch):
+    # The run's own chunk holds every parse in it; a library parse, with the
+    # collector on, still reserves one.
+    monkeypatch.chdir(REPO)
+    calls = []
+    reserve = core.in_own_chunk
+
+    def counting(func, *args):
+        calls.append(func.__name__)
+        return reserve(func, *args)
+
+    monkeypatch.setattr(core, "in_own_chunk", counting)
+    assert run(["parse", "corpus/vect.p", "corpus/hol.p"]) == EXIT_OK
+    assert calls == []
+    was_enabled = gc.isenabled()
+    try:
+        _set_collector(True)
+        assert isinstance(parse_problem("thf(a, axiom, $true)."), Problem)
+    finally:
+        _set_collector(was_enabled)
+    assert calls == ["_parse_problem"]
 
 
 def test_in_process_runs_do_not_keep_their_garbage(corpus_dir):
@@ -473,6 +474,40 @@ def test_solve_conjecture_only(corpus_dir, fake_prover, capsys):
     assert "list_app_assoc_base: Theorem" in out
     assert "ob2:" not in out
     assert f"% SZS status Theorem for {path}" in out
+
+
+# (obligation answer, goal answer) -> the exit code and final status of `solve`
+# on list_append.p (one residual obligation, ob2, and the conjecture) run
+# plain, with --obligations-only and with --conjecture-only.
+SOLVE_TABLE = {
+    ("Theorem", "Theorem"): [(EXIT_OK, "Theorem"), (EXIT_OK, "Theorem"), (EXIT_OK, "Theorem")],
+    ("Theorem", "CounterSatisfiable"): [
+        (EXIT_CHECK, "CounterSatisfiable"), (EXIT_OK, "Theorem"),
+        (EXIT_CHECK, "CounterSatisfiable")],
+    ("GaveUp", "Theorem"): [(EXIT_CHECK, "GaveUp"), (EXIT_CHECK, "GaveUp"), (EXIT_OK, "Theorem")],
+    ("GaveUp", "CounterSatisfiable"): [
+        (EXIT_CHECK, "GaveUp"), (EXIT_CHECK, "GaveUp"), (EXIT_CHECK, "CounterSatisfiable")],
+    ("Error", "CounterSatisfiable"): [
+        (EXIT_SYSTEM, "Error"), (EXIT_SYSTEM, "Error"), (EXIT_CHECK, "CounterSatisfiable")],
+    ("Theorem", "Timeout"): [(EXIT_CHECK, "Timeout"), (EXIT_OK, "Theorem"), (EXIT_CHECK, "Timeout")],
+    ("CounterSatisfiable", "Theorem"): [
+        (EXIT_CHECK, "GaveUp"), (EXIT_CHECK, "GaveUp"), (EXIT_OK, "Theorem")],
+}
+
+
+@pytest.mark.parametrize("mode, flags", [
+    (0, []), (1, ["--obligations-only"]), (2, ["--conjecture-only"]),
+], ids=["plain", "obligations_only", "conjecture_only"])
+@pytest.mark.parametrize("answers", list(SOLVE_TABLE), ids="/".join)
+def test_solve_status_table(answers, mode, flags, corpus_dir, fake_prover, capsys):
+    path = str(corpus_dir / "list_append.p")
+    ob, goal = answers
+    script = fake_prover(
+        "grep -q 'thf(ob2, conjecture' \"$1\" "
+        f"&& echo '% SZS status {ob}' || echo '% SZS status {goal}'")
+    code, status = SOLVE_TABLE[answers][mode]
+    assert run(["solve", *flags, "--prover", f"{script} {{file}}", path]) == code
+    assert capsys.readouterr().out.splitlines()[-1] == f"% SZS status {status} for {path}"
 
 
 def test_solve_only_flags_conflict(corpus_dir):

@@ -10,6 +10,7 @@ from dtf.core import Axiom, BaseApp, Binder, Const, Pi, TypeDecl, Var, children
 from dtf.printer import print_problem
 from dtf.syntax import Problem, locate, parse_problem
 
+from conftest import _set_collector
 from genutil import load_generator
 
 REPO = Path(__file__).resolve().parents[1]
@@ -91,22 +92,6 @@ def test_front_end_output_is_pinned(key):
     assert _front_end_digest(problem) == DIGESTS[key]
 
 
-@pytest.fixture
-def collections():
-    """The generation of each cyclic collection started while the test runs."""
-    started: list = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    gc.callbacks.append(count)
-    try:
-        yield started
-    finally:
-        gc.callbacks.remove(count)
-
-
 def test_parsing_runs_no_collection(collections):
     text, _ = generate.family("terms", 1)
     gc.collect()
@@ -134,10 +119,3 @@ def test_parsing_restores_the_collector_state(text, message, enabled):
             assert [d.message for d in result] == [message]
     finally:
         _set_collector(was_enabled)
-
-
-def _set_collector(enabled: bool) -> None:
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()

@@ -186,6 +186,24 @@ def test_parenthesized_typing():
     assert const_decl(problem.theory, "zero") is not None
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_a_typing_in_nested_parentheses_parses_and_round_trips(depth):
+    # <thf_atom_typing> ::= <untyped_atom> : <thf_top_level_type> | (<thf_atom_typing>)
+    text = f"thf(t, type, {'(' * depth}c: $o{')' * depth})."
+    printed = print_problem(parse_ok(text))
+    assert printed == "thf(t, type, c: $o).\n"
+    assert print_problem(parse_ok(printed)) == printed
+
+
+@pytest.mark.parametrize("text, message", [
+    ("thf(t, type, ((c: $o)).", "1:23: expected ')', found '.'"),
+    ("thf(t, type, (c): $o).", "1:14: expected the declared symbol name"),
+], ids=["unbalanced", "parenthesized_name"])
+def test_a_typing_in_parentheses_is_refused_where_it_is_not_one(text, message):
+    diags = parse_bad(text)
+    assert [f"{d.span.line}:{d.span.column}: {d.message}" for d in diags] == [message]
+
+
 def test_duplicate_declaration_rejected():
     diags = parse_bad("""
         thf(t1, type, nat: $tType).
