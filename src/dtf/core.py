@@ -441,9 +441,11 @@ def in_own_chunk(func, *args):
 # across a chunk boundary pays an mmap, a munmap and a page fault at every
 # crossing, at depths set only by how deep the caller's stack was.  This frame
 # claims 512 KiB of operand stack that it never touches: CPython gives it a
-# 1 MiB chunk of its own and puts every frame it calls in the rest, where the
-# deepest walk at MAX_NESTING needs 136 kB (808 frames).  A deeper walk still
-# runs, on ordinary chunks past this one.  3.10 keeps frames on the heap, and
+# 1 MiB chunk of its own and puts every frame it calls in the rest.  A written
+# formula at MAX_NESTING needs at most 136 kB there (808 frames); the deepest
+# walk, over a normal form that beta reduction built and the recursion limit
+# bounds, needs 259 kB (991 frames).  A deeper walk still runs, on ordinary
+# chunks past this one.  3.10 keeps frames on the heap, and
 # would keep such a frame in its free list after a run, so it is left as it is.
 if sys.version_info >= (3, 11):
     in_own_chunk.__code__ = in_own_chunk.__code__.replace(co_stacksize=64 * 1024)

@@ -62,8 +62,7 @@ def format_type(ty: Type) -> str:
         head = ty.head.text if ty.head.kind.value == "variable" else atom(ty.head.text)
         if not ty.args:
             return head
-        parts = [head] + [_format_operand(a) for a in ty.args]
-        return " @ ".join(parts)
+        return " @ ".join([head] + [format_term(a, True) for a in ty.args])
     if isinstance(ty, Pi):
         binders: list = []
         while isinstance(ty, Pi):
@@ -107,7 +106,10 @@ def _format_component(ty: Type) -> str:
 # ---------------------------------------------------------------------------
 # Terms
 
-def format_term(t: Term) -> str:
+def format_term(t: Term, operand: bool = False) -> str:
+    """Format a term; as an `operand` of '@', '=', '~' or a connective, an
+    application, a binder or a negation is put in parentheses.  Every level of
+    the term costs one call."""
     if isinstance(t, Var) or isinstance(t, Const):
         return t.name.text if isinstance(t, Var) else atom(t.name.text)
     if isinstance(t, Top):
@@ -120,31 +122,25 @@ def format_term(t: Term) -> str:
         while isinstance(fun, App):
             spine.append(fun.arg)
             fun = fun.fun
-        spine.reverse()
-        parts = [_format_operand(fun)] + [_format_operand(a) for a in spine]
-        return " @ ".join(parts)
-    if isinstance(t, Binder):
+        text = format_term(fun, True)
+        for arg in reversed(spine):
+            text += " @ " + format_term(arg, True)
+    elif isinstance(t, Binder):
         group: list = []
         body: Term = t
         while type(body) is type(t):
             group.append(f"{body.binder.text}: {_format_domain(body.domain)}")
             body = body.body
-        return f"{t.op} [{', '.join(group)}]: ({format_term(body)})"
-    if isinstance(t, Connective):
-        return f"({_format_operand(t.left)} {t.op} {_format_operand(t.right)})"
-    if isinstance(t, Not):
-        return f"~ {_format_operand(t.arg)}"
-    if isinstance(t, Eq):
-        return f"({_format_operand(t.left)} = {_format_operand(t.right)})"
-    raise TypeError(f"format_term: unexpected term {t!r}")
-
-
-def _format_operand(t: Term) -> str:
-    """Format a term so it can sit under '@', '=', or a binary connective."""
-    text = format_term(t)
-    if isinstance(t, (Var, Const, Top, Bottom, Connective, Eq)):
-        return text  # atomic, or already parenthesized by format_term
-    return f"({text})"
+        text = f"{t.op} [{', '.join(group)}]: ({format_term(body)})"
+    elif isinstance(t, Connective):
+        return f"({format_term(t.left, True)} {t.op} {format_term(t.right, True)})"
+    elif isinstance(t, Eq):
+        return f"({format_term(t.left, True)} = {format_term(t.right, True)})"
+    elif isinstance(t, Not):
+        text = f"~ {format_term(t.arg, True)}"
+    else:
+        raise TypeError(f"format_term: unexpected term {t!r}")
+    return f"({text})" if operand else text
 
 
 # ---------------------------------------------------------------------------

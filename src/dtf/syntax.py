@@ -311,7 +311,9 @@ def _too_deep(tree: object, limit: int) -> object:
 
 # The parser and every later stage recurse over the formula, using up to four
 # interpreter frames per level; at this depth every subcommand stays within
-# Python's default recursion limit of 1000.
+# Python's default recursion limit of 1000.  A term the deep check builds, such
+# as an index instantiated with an argument, can be about twice as deep as a
+# written formula, and the walks over such terms take one frame per level.
 MAX_NESTING = 200
 # An included file is parsed in place, two frames deeper than the file that
 # includes it; a MAX_NESTING-deep formula this deep parses within 880 frames.
@@ -624,7 +626,7 @@ class _Parser:
         while True:
             var_tok = self.expect("upper")
             self.expect(":")
-            ty = self.parse_var_type()
+            ty = self.parse_expr()  # binder types share the declaration-type grammar
             is_type_var = isinstance(ty, Token) and ty.text == "$tType"
             if op_tok.kind == "!>":
                 if is_type_var and seen_term_var:
@@ -643,16 +645,6 @@ class _Parser:
         if op_tok.kind == "@+" and len(variables) != 1:
             raise self.fail("choice binds exactly one variable", op_tok)
         return SBinder(op_tok.kind, tuple(variables), body, op_tok.span)
-
-    def parse_var_type(self) -> object:
-        operands = [self.parse_unit()]
-        while self.peek().kind == ">":
-            at = self.next()
-            operands.append(self.parse_unit())
-        result = operands[-1]
-        for lhs in reversed(operands[:-1]):
-            result = SBin(">", lhs, result, at.span)
-        return result
 
 
 # ---------------------------------------------------------------------------

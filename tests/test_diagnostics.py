@@ -74,6 +74,13 @@ def _check(args: list, capsys) -> tuple:
      "4:34: error: type application needs a type-symbol head"),
     ("thf(c_type, type, c: nat > nat & nat).", EXIT_PARSE, "4:32: error: '&' after '>' needs parentheses"),
     ("thf(a, axiom, ! [X: nat = nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
+    # a binder's variable type is read with the declaration-type grammar
+    ("thf(a, axiom, ! [X: nat & nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
+    ("thf(a, axiom, ! [X: nat > nat & nat]: $true).", EXIT_PARSE,
+     "4:31: error: '&' after '>' needs parentheses"),
+    ("thf(a, axiom, ! [X: nat <=> nat]: $true).", EXIT_PARSE, "4:25: error: expected a type"),
+    ("thf(a, axiom, ! [X: nat <~> nat > nat]: $true).", EXIT_PARSE,
+     "4:33: error: '>' after '<~>' needs parentheses"),
     ("include(X).", EXIT_PARSE, "4:9: error: include expects a quoted file name"),
     ("thf(, axiom, $true).", EXIT_PARSE, "4:5: error: expected a formula name"),
     ("thf(t, type, X: $o).", EXIT_PARSE, "4:14: error: expected the declared symbol name"),

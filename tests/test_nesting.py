@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dtf import cli
-from dtf.cli import EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
+from dtf.cli import EXIT_CHECK, EXIT_OK, EXIT_PARSE, EXIT_SYSTEM, run
 from dtf.core import in_own_chunk
 from dtf.diagnostics import DiagnosticError
 from dtf.printer import print_problem
@@ -109,6 +109,79 @@ def test_every_subcommand_at_and_past_the_limit(shape, tmp_path, fake_prover, ca
         err = capsys.readouterr().err
         assert err.startswith(f"{too_deep}:8:"), name
         assert f"error: formula nests deeper than {MAX_NESTING} levels" in err, name
+
+
+def _succ(d: int, x: str) -> str:
+    return "(s @ " * d + x + ")" * d
+
+
+def _built(d: int, arg: str, premises: int = 0) -> str:
+    """A file whose line-12 axiom gives arg to `mk: !> [N: nat]: vec @ s^d(N)`
+    under `premises` premises; the deep check builds the index s^d(arg), which
+    is deeper than any written formula."""
+    return (HEADER + "thf(zero_type, type, zero: nat).\n"
+            "thf(s_type, type, s: nat > nat).\n"
+            f"thf(mk_type, type, mk: !> [N: nat]: vec @ {_succ(d, 'N')}).\n"
+            "thf(q_type, type, q: vec @ zero > $o).\n"
+            f"thf(built, axiom, {'(p => ' * premises}q @ (mk @ {arg}){')' * premises}).\n")
+
+
+def _twice(k: int) -> str:
+    """`twice` nested k times around the successor, applied to zero: its
+    normal form is s^(2^k)(zero)."""
+    twice = "(^ [G: nat > nat]: ^ [X: nat]: (G @ (G @ X)))"
+    f = "(^ [Y: nat]: (s @ Y))"
+    for _ in range(k):
+        f = f"({twice} @ {f})"
+    return f"({f} @ zero)"
+
+
+# Terms the deep check builds, about twice as deep as anything written.
+BUILT = {
+    "composed index term": lambda: _built(MAX_NESTING - 3, _succ(MAX_NESTING - 3, "zero")),
+    "under premises": lambda: _built(MAX_NESTING - 4, _succ(40, "zero"), 150),
+    "lambda-built normal form": lambda: _built(0, _twice(9)),  # 512 deep
+}
+
+
+@pytest.mark.parametrize("shape", BUILT)
+def test_every_subcommand_on_the_terms_the_deep_check_builds(shape, tmp_path, fake_prover, capsys):
+    prover = fake_prover("echo '% SZS status Theorem'") + " {file}"
+    path = tmp_path / "built.p"
+    path.write_text(BUILT[shape]())
+    for name, argv in _commands(str(path), str(tmp_path / "obs"), prover).items():
+        with _at_most(20):
+            assert run(argv) == EXIT_OK, name
+        assert capsys.readouterr().err in ("", "no obligations to export\n"), name
+
+
+@pytest.mark.parametrize("shape", BUILT)
+def test_the_terms_the_deep_check_builds_from_the_command_line(shape, tmp_path, fake_prover):
+    prover = fake_prover("echo '% SZS status Theorem'") + " {file}"
+    (tmp_path / "built.p").write_text(BUILT[shape]())
+    for name, argv in _commands("built.p", "obs", prover).items():
+        if name in ("check --deep", "translate", "obligations", "solve"):
+            proc = _dtf(tmp_path, *argv)
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, ""), name
+
+
+def test_a_composed_index_term_past_the_limit_is_refused(tmp_path, fake_prover, capsys):
+    prover = fake_prover("echo '% SZS status Theorem'") + " {file}"
+    d = MAX_NESTING - 2
+    path = tmp_path / "built.p"
+    path.write_text(_built(d, _succ(d, "zero")))
+    for name, argv in _commands(str(path), str(tmp_path / "obs"), prover).items():
+        assert run(argv) == EXIT_PARSE, name
+        assert capsys.readouterr().err == "".join(  # the declaration and the axiom
+            f"{path}:{at}: error: formula nests deeper than {MAX_NESTING} levels\n"
+            for at in ("10:1033", "12:1019")), name
+
+
+def test_a_lambda_built_normal_form_past_the_budget_is_located(tmp_path, capsys):
+    path = tmp_path / "built.p"
+    path.write_text(_built(0, _twice(10)))  # 1024 deep
+    assert run(["check", "--deep", str(path)]) == EXIT_CHECK
+    assert capsys.readouterr().err == f"{path}:12:27: error: normalization budget exceeded\n"
 
 
 def test_limit_counts_declaration_types():

@@ -1,11 +1,14 @@
 """Canonical printing and the print -> parse round trip."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 import genutil
 from theoryutil import axioms, theory_alpha_equal
 from dtf.core import (
+    BOOL,
     TYPE_KIND,
     App,
     Axiom,
@@ -13,7 +16,9 @@ from dtf.core import (
     Const,
     ConstDecl,
     Eq,
+    Exists,
     Forall,
+    Implies,
     Lam,
     Name,
     NameKind,
@@ -115,6 +120,48 @@ def test_format_lambda_argument_parenthesized():
     text = format_term(applied)
     assert text.startswith("(^ [X: nat]:")
     assert "@ zero" in text
+
+
+def _nested(n: int, level) -> object:
+    """level(t, i) applied n times, innermost first, around the constant `a`."""
+    t = Const(Name("a", NameKind.CONST))
+    for i in range(n):
+        t = level(t, i)
+    return t
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+_S = Const(Name("s", NameKind.CONST))
+_P = Const(Name("p", NameKind.CONST))
+_BINDERS = (Forall, Exists)
+
+
+@pytest.mark.parametrize("level", [
+    lambda t, i: App(_S, t),
+    lambda t, i: Implies(_P, t),
+    lambda t, i: Not(t),
+    lambda t, i: Eq(t, _P, BOOL) if i % 2 else App(_S, t),
+    lambda t, i: _BINDERS[i % 2](Name(f"X{i}", NameKind.VAR), BOOL, t),
+], ids=["application spine", "implications", "negations", "equations in arguments",
+        "alternating binders"])
+def test_format_term_takes_one_frame_a_level(level):
+    # An operand is parenthesized by the call that formats it, so a term n
+    # levels deep prints within n frames and a few more.
+    n = 600
+    term = _nested(n, level)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + n + 50)
+    try:
+        text = format_term(term)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text.count("(") == text.count(")") >= n - 1
 
 
 def test_format_annotated_wraps_long_lines():
