@@ -6,15 +6,17 @@ as the subcommand asks (`parse` and `stats`: not at all; `check`: shallow,
 or deep with `--deep`; the rest: deep) and hands on the problems that pass.
 
 Exit codes: 0 success (solve: proved), 1 check failure or unproved goal,
-2 parse or usage error, 3 prover or system error, 141 (128 + SIGPIPE) when
-the reader of stdout closed it early, as `| head` does.
+2 parse or usage error, 3 prover or system error, 130 (128 + SIGINT) when
+interrupted, as by Ctrl-C, 141 (128 + SIGPIPE) when the reader of stdout
+closed it early, as `| head` does.  `solve` kills its running provers first.
 
 `deep`, `erasure`, `printer` and `prover` are imported where they are
 called, so `parse`, `check` and `stats` load none of them and only `solve`
-loads the process and thread stack.  `shallow` loads for every subcommand,
-though `stats` does not use it.  `print_problem` and `print_th0` stay globals
-of this module, as `parse_file` does, since `perfbench/tracing.py` wraps them
-here; each imports `printer` when called.
+loads the process stack; it runs its provers from the calling thread, and
+starts none.  `shallow` loads for every subcommand, though `stats` does not
+use it.  `print_problem` and `print_th0` stay globals of this module, as
+`parse_file` does, since `perfbench/tracing.py` wraps them here; each
+imports `printer` when called.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_PARSE = 2
 EXIT_SYSTEM = 3
-EXIT_PIPE = 141  # 128 + SIGPIPE, the status a shell gives a process the signal ended
+EXIT_INTERRUPT = 130  # 128 + SIGINT, the status a shell gives a process the signal ended
+EXIT_PIPE = 141  # 128 + SIGPIPE, likewise
 
 
 def print_problem(problem) -> str:
@@ -344,6 +347,9 @@ def _run(argv) -> int:
         # Restoring SIG_DFL instead would kill solve before it reaps its provers.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except KeyboardInterrupt:
+        print("dtf: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except (ValueError, OSError) as exc:
         print(f"dtf: {exc}", file=sys.stderr)
         return EXIT_SYSTEM

@@ -5,26 +5,24 @@ placeholder.  Results are classified by the first `SZS status` line of the
 prover's output; anything else degrades to Unknown or Error rather than
 guessing.
 
-`discharge_all` runs many tasks as a pipeline: on at most `jobs` plain
-threads, each worker draws the next (label, text) pair only when its prover
-has ended, so a generator of pairs makes each text while earlier provers
-run.  All task files of one call go in one temporary run directory, each
-named by its escaped label and removed when its prover has ended.
+`discharge_all` runs many tasks as a pipeline on one thread: while at most
+`jobs` provers run, it makes the next task's text.  An error or an interrupt
+kills every running prover's process group, and no task file outlives the run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import selectors
 import shlex
 import signal
 import subprocess
 import tempfile
-import threading
 import time
 from typing import NamedTuple
 
-from .core import Record, in_own_chunk
+from .core import Record
 
 DEFAULT_TIMEOUT = 30.0
 #: The longest timeout the wait can take: poll() counts 2**31 - 1 milliseconds.
@@ -82,21 +80,15 @@ def parse_szs(output: str) -> SzsVerdict | None:
     """
     statuses: list = []
     for line in output.splitlines():
-        idx = line.find("SZS status")
-        if idx < 0:
-            continue
-        rest = line[idx + len("SZS status"):].strip()
-        word = rest.split()[0] if rest.split() else ""
-        if word:
-            statuses.append((word, line.strip()))
+        _, found, rest = line.partition("SZS status")
+        if found and rest.split():
+            statuses.append((rest.split()[0], line.strip()))
     if not statuses:
         return None
     first_word, first_line = statuses[0]
     if any(word != first_word for word, _ in statuses[1:]):
         return SzsVerdict("Error", first_line)
-    if first_word in KNOWN_STATUSES:
-        return SzsVerdict(first_word, first_line)
-    return SzsVerdict("Unknown", first_line)
+    return SzsVerdict(first_word if first_word in KNOWN_STATUSES else "Unknown", first_line)
 
 
 def _task_file(directory: str, stem: str) -> str:
@@ -118,124 +110,132 @@ def _task_file(directory: str, stem: str) -> str:
 
 def run_prover(config: ProverConfig, problem_text: str, stem: str = "problem",
                directory: str | None = None) -> ProverResult:
-    """Run the prover on a TH0 problem given as text.  The text is written to
-    the file of `stem` in `directory`, which is removed once the prover has
-    ended; without a directory, in a temporary directory of its own."""
+    """Run the prover on a TH0 problem given as text, the one task of a
+    `discharge_all` run.  The text goes in the file of `stem` in `directory`,
+    removed once the prover has ended; by default, in a run directory of its own."""
     if directory is None:
-        with tempfile.TemporaryDirectory(prefix="dtf_prover_") as tmp:
-            return _run_in(config, problem_text, _task_file(tmp, stem))
-    return _run_in(config, problem_text, _task_file(directory, stem))
-
-
-def _run_in(config: ProverConfig, problem_text: str, path: str) -> ProverResult:
-    start = time.monotonic()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(problem_text)
-    try:
-        try:
-            proc = subprocess.Popen(
-                config.argv(path),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                start_new_session=True,
-            )
-        except OSError as exc:
-            return ProverResult(
-                SzsVerdict("Error", None), "", str(exc), None,
-                time.monotonic() - start)
-        try:
-            stdout, stderr = proc.communicate(timeout=config.timeout)
-        except BaseException as exc:
-            # Kill the prover's process group and reap the prover, however
-            # the wait ended, so that nothing it started outlives dtf.
-            try:
-                os.killpg(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                proc.kill()
-            stdout, stderr = proc.communicate()
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
-            return ProverResult(
-                SzsVerdict("Timeout", None), stdout or "", stderr or "",
-                proc.returncode, time.monotonic() - start, timed_out=True)
-    finally:
-        # The prover has ended; it may have removed its input itself.
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(path)
-    elapsed = time.monotonic() - start
-    verdict = parse_szs(stdout) or parse_szs(stderr)
-    if verdict is None:
-        verdict = SzsVerdict("Unknown" if proc.returncode == 0 else "Error", None)
-    return ProverResult(verdict, stdout, stderr, proc.returncode, elapsed)
+        return discharge_all(config, [(stem, problem_text)])[stem]
+    return _prove(config, [(stem, problem_text)], 1, directory)[stem]
 
 
 def discharge_all(config: ProverConfig, problems, jobs: int = 1) -> dict:
     """Prove (label, problem_text) pairs; returns label -> ProverResult, in
     the order of the pairs.
 
-    At most `jobs` workers (at least one) run the prover, each on a thread
-    started when a pair is drawn for it.  A worker draws the next pair only
-    when its prover has ended, so when `problems` is a generator each text
-    is made only once a worker is free to prove it.  Every task file goes in
-    one temporary run directory.  Once drawing a pair or running a prover
-    raises, no further pair is drawn: the provers already started are
-    reaped, and the first exception is raised again.  Labels must be
-    distinct, as they key the results and name the task files.
-    """
-    tasks = iter(problems)
-    results: dict = {}
-    errors: list = []
-    lock = threading.Lock()  # guards all three; a generator runs in one thread at a time
+    At most `jobs` provers (at least one) run at once, and while they run
+    the next pair is drawn, so that a generator makes each text while earlier
+    provers run.  Once drawing a pair or starting a prover raises, or the
+    wait is interrupted, no further pair is drawn: every running prover's
+    process group is killed and reaped, and the exception is raised again.
+    Labels must be distinct: they key the results and name the task files."""
+    with tempfile.TemporaryDirectory(prefix="dtf_prover_") as run_dir:
+        return _prove(config, problems, max(1, jobs), run_dir)
 
-    def fail(exc: BaseException) -> None:
-        with lock:
-            errors.append(exc)
+
+class _Running:
+    """A started prover, and the bytes read so far from each of its pipes."""
+    __slots__ = ("label", "path", "proc", "begun", "killed", "chunks")
+
+
+def _prove(config: ProverConfig, problems, jobs: int, directory: str) -> dict:
+    """`discharge_all`'s loop: one selector reads every running prover's pipes
+    until the nearest deadline, and the pair drawn ahead replaces each prover
+    that is reaped once both its pipes have ended."""
+    tasks, results, running = iter(problems), {}, []
+    selector = selectors.DefaultSelector()
 
     def draw():
-        with lock:
-            if errors:
-                return None
-            try:
-                label, text = next(tasks)
-                if label in results:
-                    raise ValueError(f"duplicate prover task label {label!r}")
-            except StopIteration:
-                return None
-            except BaseException as exc:
-                errors.append(exc)
-                return None
-            results[label] = None  # holds the label's place in task order
-            return label, text
+        pair = next(tasks, None)
+        if pair is not None:
+            if pair[0] in results:
+                raise ValueError(f"duplicate prover task label {pair[0]!r}")
+            results[pair[0]] = None  # holds the label's place in task order
+        return pair
 
-    def work(task, run_dir: str) -> None:
-        while task is not None:
-            label, text = task
-            try:
-                result = run_prover(config, text, label, run_dir)
-            except BaseException as exc:
-                fail(exc)
-                return
-            with lock:
-                results[label] = result
-            task = draw()
-
-    with tempfile.TemporaryDirectory(prefix="dtf_prover_") as run_dir:
-        threads: list = []
+    def start(label, text) -> None:
+        run = _Running()
+        run.label, run.path, run.killed = label, _task_file(directory, label), False
+        run.begun = time.monotonic()
+        with open(run.path, "w", encoding="utf-8") as handle:
+            handle.write(text)
         try:
-            while len(threads) < max(1, jobs) and (task := draw()) is not None:
-                thread = threading.Thread(target=in_own_chunk, args=(work, task, run_dir))
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:  # an interrupt, or a thread that would not start
-            fail(exc)
-            for thread in threads:
-                thread.join()
-    if errors:
-        raise errors[0]
+            run.proc = subprocess.Popen(config.argv(run.path), stdout=subprocess.PIPE,
+                                        stderr=subprocess.PIPE, start_new_session=True)
+        except OSError as exc:
+            _remove(run.path)
+            results[label] = ProverResult(
+                SzsVerdict("Error", None), "", str(exc), None, time.monotonic() - run.begun)
+            return
+        run.chunks = {run.proc.stdout: [], run.proc.stderr: []}
+        running.append(run)
+        for pipe in run.chunks:
+            selector.register(pipe, selectors.EVENT_READ, run)
+
+    def finish(run: _Running) -> None:
+        # Both pipes have ended: the prover has ended, or has closed them.
+        if not run.killed:
+            try:
+                run.proc.wait(max(0.0, run.begun + config.timeout - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                _kill(run)
+        returncode = run.proc.wait()
+        _remove(run.path)
+        running.remove(run)
+        # In UTF-8 whatever the locale, with line ends as a text-mode pipe reads them.
+        out, err = (b"".join(chunks).decode("utf-8", "replace").replace("\r\n", "\n")
+                    .replace("\r", "\n") for chunks in run.chunks.values())
+        verdict = SzsVerdict("Timeout", None) if run.killed else (
+            parse_szs(out) or parse_szs(err)
+            or SzsVerdict("Unknown" if returncode == 0 else "Error", None))
+        results[run.label] = ProverResult(verdict, out, err, returncode,
+                                          time.monotonic() - run.begun, run.killed)
+
+    try:
+        ahead = draw()
+        while ahead is not None or running:
+            if ahead is not None and len(running) < jobs:
+                start(*ahead)
+                ahead = draw()
+                continue
+            deadlines = [run.begun + config.timeout for run in running if not run.killed]
+            timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+            for key, _ in selector.select(timeout):
+                if data := os.read(key.fd, 32768):
+                    key.data.chunks[key.fileobj].append(data)
+                    continue
+                selector.unregister(key.fileobj)
+                key.fileobj.close()
+                if all(pipe.closed for pipe in key.data.chunks):
+                    finish(key.data)
+            now = time.monotonic()
+            for run in running:
+                if not run.killed and run.begun + config.timeout <= now:
+                    _kill(run)  # its pipes end soon after, and finish reaps it
+    except BaseException:
+        for run in running:
+            _kill(run)
+            for pipe in run.chunks:
+                pipe.close()
+            run.proc.wait()
+            _remove(run.path)
+        raise
+    finally:
+        selector.close()
     return results
+
+
+def _kill(run: _Running) -> None:
+    """Kill the prover's process group, so that nothing it started outlives it."""
+    run.killed = True
+    try:
+        os.killpg(run.proc.pid, signal.SIGKILL)
+    except (ProcessLookupError, PermissionError):
+        run.proc.kill()
+
+
+def _remove(path: str) -> None:
+    with contextlib.suppress(FileNotFoundError):  # the prover may have removed it
+        os.remove(path)
 
 
 def config_from_env(command: str | None = None,

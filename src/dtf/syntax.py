@@ -532,13 +532,14 @@ class _Parser:
 
     def parse_expr(self) -> object:
         left = self.parse_unit()
-        op_tok = self.tokens[self.pos]
-        op = op_tok.kind
+        op = self.tokens[self.pos].kind
         if op not in _BINARY_OPS:
             return left
-        # Only `&`, `|` and `>` chain; `>` nests to the right, the rest to the left.
-        operands = [left]
+        # Only `&`, `|` and `>` chain; `>` nests to the right, the rest to the
+        # left.  Each node is located at its own operator.
+        operands, spans = [left], []
         while True:
+            spans.append(self.tokens[self.pos].span)
             self.pos += 1
             operands.append(self.parse_unit())
             if op not in ("&", "|", ">") or self.tokens[self.pos].kind != op:
@@ -547,11 +548,11 @@ class _Parser:
         if op == ">":
             result = operands.pop()
             while operands:
-                result = SBin(op, operands.pop(), result, op_tok.span)
+                result = SBin(op, operands.pop(), result, spans.pop())
             return result
         result = left
-        for rhs in operands[1:]:
-            result = SBin(op, result, rhs, op_tok.span)
+        for rhs, span in zip(operands[1:], spans):
+            result = SBin(op, result, rhs, span)
         return result
 
     def _reject_chain_mixing(self, op: str) -> None:

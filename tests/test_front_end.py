@@ -17,20 +17,22 @@ REPO = Path(__file__).resolve().parents[1]
 generate = load_generator()
 
 # sha256 of `_front_end_digest`, recorded with the frozen-dataclass tokens,
-# spans and surface nodes that the front end used to build.
+# spans and surface nodes that the front end used to build.  Re-recorded where
+# a `>` chain of three or more types gives each of its `Pi` nodes the span of
+# its own `>`, not of the first: no other node and no printed byte moved.
 DIGESTS = {
     "choice.p": "1ea0dea25deeb8b5acc3b060f8b15ed5e0f05c323dc778f809ff08a9491639b8",
-    "dep_impl.p": "4ae32bab7612af7dabe6fb5f4be8365a1303644164fbce8acd6101b11c44aea3",
-    "dep_impl_rev.p": "c4ae2eebdd03b9321dcdbd4d13d70a2054c24b7dbcda3cd626cecb02aff7cdd7",
+    "dep_impl.p": "6d6bfe8c14653e8993bea71fb56cecab4a31900a94e5be0f90632a082496a030",
+    "dep_impl_rev.p": "645942a0a947c92e8979a67017aed3e27af76ea6077009e36f64012c3177f33e",
     # Recorded once `<=>` became equality at $o, one `Eq` node.
     "desugar.p": "cc0abf62f9c97741561c68139e3c83ca40a6b479a0749f545a239830bf26ffd4",
     "hol.p": "685bb5bbf57ca0f53cb23af9fdbef7b66f79c0070969f7f97ee11b61b110448e",
-    "list_append.p": "fdcadeac7497c0cbd994aa9d31ccd242de94d3888be4426517158d13171313aa",
+    "list_append.p": "0e59330e1be5a21d497ca085b23066af960777604c142fd00426ef0dac368589",
     "roles.p": "ca0322b45368d41718bcac659777f1bd94981609285caa6dee6b9d730631e568",
-    "vect.p": "6bee53dfc7d93d488dc4d1d56baa95e8064775c2d6703c40b7330ace74b926e1",
-    "axioms": "87e3fcced928be90c1dc68b220f6f8b3c2dca62bceee82752362bd928bf3f6c0",
-    "terms": "fc297b65888a66c0732c73d2635dee4bf2c6eb979466d1e53a8d5b28c20f66ed",
-    "discharge": "bae06d7b4be3cb873f848e960d069c4c3288c5b2cd4e54763b9c463ef47f52a5",
+    "vect.p": "441e3fd00582cafd47fa442a534ea0a7ad08cbffecbca51aa0924d9f0a09a443",
+    "axioms": "2b4de9dead7e8d125fc73ea4a2b659d16887ae068ff1fde58b0ab41637610fba",
+    "terms": "8894630c79d2d65745698004cc020c660401327b23d3410a1904bd67d2f2c400",
+    "discharge": "38d30db62d9e9d87acca73a13daf500661e79f77b1f71c31a754711b920644d8",
 }
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -189,6 +190,21 @@ def test_limit_counts_declaration_types():
     result = parse_problem(f"thf(c_type, type, c: {arrows}).\n")
     assert not isinstance(result, Problem)
     assert "nests deeper" in result[0].message
+
+
+# Each node of a `>` chain is located at its own operator, so a chain past
+# the limit is located at the operator one level past it, not at its first.
+@pytest.mark.parametrize("line, nth", [
+    ("thf(f_type, type, f: " + " > ".join(["nat"] * (MAX_NESTING + 2)) + ").", MAX_NESTING + 1),
+    ("thf(a, axiom, ! [X: " + " > ".join(["$o"] * (MAX_NESTING + 1)) + "]: p).", MAX_NESTING),
+], ids=["declaration type", "binder type"])
+def test_a_chain_past_the_limit_is_located_at_the_operator_past_it(line, nth, tmp_path, capsys):
+    path = tmp_path / "chain.p"
+    path.write_text(HEADER + line + "\n")
+    assert run(["check", str(path)]) == EXIT_PARSE
+    column = [match.start() for match in re.finditer(">", line)][nth - 1] + 1
+    assert capsys.readouterr().err == (
+        f"{path}:8:{column}: error: formula nests deeper than {MAX_NESTING} levels\n")
 
 
 def test_parser_recovers_after_a_too_deep_formula():

@@ -2,16 +2,18 @@
 
 import os
 import re
+import selectors
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from dtf import prover
-from dtf.cli import EXIT_OK, EXIT_SYSTEM, run
+from dtf.cli import EXIT_INTERRUPT, EXIT_OK, EXIT_SYSTEM, run
 from dtf.prover import (
     DEFAULT_TIMEOUT,
     MAX_TIMEOUT,
@@ -20,10 +22,13 @@ from dtf.prover import (
     SzsVerdict,
     config_from_env,
     discharge_all,
-    ProverResult,
     parse_szs,
     run_prover,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
 # -- configuration -----------------------------------------------------------------
@@ -163,18 +168,15 @@ def test_run_prover_kills_its_process_group_when_the_wait_raises(fake_prover, tm
     # The prover is a shell that starts a child of its own, so both must go.
     pids = tmp_path / "pids"
     script = fake_prover(f"sleep 30 &\necho $$ $! > '{pids}.tmp'\nmv '{pids}.tmp' '{pids}'\nwait")
-    communicate, calls = subprocess.Popen.communicate, []
 
-    def interrupted(proc, *args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:  # the wait: once the prover has written its pids, fail
+    class Interrupted(selectors.DefaultSelector):
+        def select(self, timeout=None):  # the wait: once the prover has written its pids, fail
             deadline = time.monotonic() + 10
             while not pids.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             raise RuntimeError("injected")
-        return communicate(proc, *args, **kwargs)
 
-    monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+    monkeypatch.setattr(selectors, "DefaultSelector", Interrupted)
     with pytest.raises(RuntimeError, match="injected"):
         run_prover(ProverConfig(f"{script} {{file}}", timeout=60), "x")
     started = [int(pid) for pid in pids.read_text().split()]
@@ -235,9 +237,9 @@ def test_discharge_all_clamps_the_pool(fake_prover, jobs):
     assert all(r.verdict.proved for r in results.values())
 
 
-# -- dispatch: tasks drawn as workers free up ------------------------------------------
+# -- dispatch: one thread, one text made ahead ------------------------------------------
 
-PROVED = ProverResult(SzsVerdict("Theorem"), "", "", 0, 0.0)
+THEOREM = "echo '% SZS status Theorem'"
 
 
 class Pairs:
@@ -256,7 +258,7 @@ class Pairs:
             raise RuntimeError("no text")
         if self.drawn > self.n:
             raise StopIteration
-        self.log.append(("make", self.drawn))
+        self.log.append(("make", f"t{self.drawn}"))
         return f"t{self.drawn}", f"text {self.drawn}"
 
 
@@ -275,151 +277,224 @@ def assert_left_nothing(tmp) -> None:
     assert list(tmp.parent.iterdir()) == [tmp]
 
 
-def test_discharge_all_makes_a_text_only_once_a_prover_is_free(monkeypatch):
-    log: list = []
+class ProverLog(list):
+    """Each prover started, as ("start", label), and each reaped, as ("end",
+    label); starting the prover of the label `refuse` raises instead."""
+    refuse = None
 
-    def fake(config, text, stem="problem", directory=None):
-        time.sleep(0.01)
-        log.append(("end", stem))
-        return PROVED
 
-    monkeypatch.setattr(prover, "run_prover", fake)
-    results = discharge_all(ProverConfig("p {file}"), Pairs(6, log), jobs=2)
+@pytest.fixture
+def provers(monkeypatch):
+    """The ProverLog of every prover the test runs."""
+    log = ProverLog()
+
+    class Logged(subprocess.Popen):
+        def __init__(self, argv, *args, **kwargs):
+            label = os.path.basename(argv[-1])[:-len(".p")]
+            if label == log.refuse:
+                raise RuntimeError("prover broke")
+            super().__init__(argv, *args, **kwargs)
+            self.label = label
+            log.append(("start", label))
+
+        def wait(self, timeout=None):
+            running = self.returncode is None
+            code = super().wait(timeout)
+            if running:
+                log.append(("end", self.label))
+            return code
+
+    monkeypatch.setattr(subprocess, "Popen", Logged)
+    return log
+
+
+def most_running(log: list) -> int:
+    running = most = 0
+    for event, _ in log:
+        running += {"start": 1, "end": -1}.get(event, 0)
+        most = max(most, running)
+    return most
+
+
+def assert_all_reaped(log: list) -> None:
+    started = [label for event, label in log if event == "start"]
+    assert sorted(label for event, label in log if event == "end") == sorted(started)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_discharge_all_makes_at_most_one_text_ahead(fake_prover, provers, jobs):
+    config = ProverConfig(f"{fake_prover('sleep 0.01; ' + THEOREM)} {{file}}")
+    results = discharge_all(config, Pairs(6, provers), jobs=jobs)
     assert list(results) == [f"t{k}" for k in range(1, 7)]
-    for k in range(3, 7):
-        ended = [e for e in log[:log.index(("make", k))] if e[0] == "end"]
-        assert len(ended) >= k - 2, log
+    for k in range(1, 7):
+        before = [event for event, _ in provers[:provers.index(("make", f"t{k}"))]]
+        assert before.count("start") == k - 1, provers  # every text before it has started
+        assert before.count("end") >= k - jobs - 1, provers
+    assert most_running(provers) == jobs
+    assert_all_reaped(provers)
 
 
-def test_discharge_all_returns_results_in_task_order(monkeypatch):
-    fast_done = threading.Event()
-    finished: list = []
-
-    def fake(config, text, stem="problem", directory=None):
-        if stem == "slow":
-            assert fast_done.wait(10)
-        finished.append(stem)
-        if stem == "fast":
-            fast_done.set()
-        return ProverResult(SzsVerdict("Theorem"), stem, "", 0, 0.0)
-
-    monkeypatch.setattr(prover, "run_prover", fake)
-    results = discharge_all(ProverConfig("p {file}"), [("slow", "a"), ("fast", "b")], jobs=2)
-    assert finished == ["fast", "slow"]
+def test_discharge_all_returns_results_in_task_order(fake_prover, tmp_path):
+    finished = tmp_path / "finished"
+    script = fake_prover('case "$1" in *slow.p) sleep 0.5;; esac\n'
+                         f'basename "$1" >> "{finished}"\nbasename "$1"\n{THEOREM}')
+    results = discharge_all(ProverConfig(f"{script} {{file}}"), [("slow", "a"), ("fast", "b")],
+                            jobs=2)
+    assert finished.read_text().split() == ["fast.p", "slow.p"]
     assert list(results) == ["slow", "fast"]
-    assert [r.stdout for r in results.values()] == ["slow", "fast"]
+    assert [r.stdout.split()[0] for r in results.values()] == ["slow.p", "fast.p"]
 
 
-def test_discharge_all_loses_no_result_under_thread_switches(monkeypatch):
-    # More workers than cores, switching threads as often as possible.
-    active, most, calls = [0], [0], []
-    count = threading.Lock()
-
-    def fake(config, text, stem="problem", directory=None):
-        with count:
-            active[0] += 1
-            most[0] = max(most[0], active[0])
-        calls.append(stem)
-        time.sleep(0)
-        with count:
-            active[0] -= 1
-        return ProverResult(SzsVerdict("Theorem"), text, "", 0, 0.0)
-
-    monkeypatch.setattr(prover, "run_prover", fake)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        start = time.monotonic()
-        results = discharge_all(ProverConfig("p {file}"), Pairs(300, []), jobs=8)
-        assert time.monotonic() - start < 30
-    finally:
-        sys.setswitchinterval(interval)
+def test_discharge_all_loses_no_result_over_300_tasks(provers):
+    # More provers than cores, each ending almost at once.
+    start = time.monotonic()
+    results = discharge_all(ProverConfig("cat {file}"), Pairs(300, []), jobs=8)
+    assert time.monotonic() - start < 30
     assert list(results) == [f"t{k}" for k in range(1, 301)]
     assert all(r.stdout == f"text {label[1:]}" for label, r in results.items())
-    assert sorted(calls) == sorted(results)
-    assert 1 <= most[0] <= 8
+    assert sorted(label for event, label in provers if event == "start") == sorted(results)
+    assert 1 <= most_running(provers) <= 8
+    assert_all_reaped(provers)
 
 
-def test_discharge_all_runs_no_more_workers_than_tasks(monkeypatch):
-    before = set(threading.enumerate())
-    alive: list = []
-
-    def fake(config, text, stem="problem", directory=None):
-        alive.append(len(set(threading.enumerate()) - before))
-        return PROVED
-
-    monkeypatch.setattr(prover, "run_prover", fake)
-    assert list(discharge_all(ProverConfig("p {file}"), [("a", "x"), ("b", "y")], jobs=8)) \
-        == ["a", "b"]
-    assert alive and max(alive) <= 2
+def test_discharge_all_runs_no_more_workers_than_tasks(fake_prover, provers):
+    config = ProverConfig(f"{fake_prover('sleep 0.05; ' + THEOREM)} {{file}}")
+    assert list(discharge_all(config, [("a", "x"), ("b", "y")], jobs=8)) == ["a", "b"]
+    assert most_running(provers) == 2
 
 
-def test_discharge_all_starts_a_thread_per_task_drawn_at_most(monkeypatch):
-    # A Thread that refuses a fourth start, so a huge `jobs` cannot start
-    # more than three threads even when the pool ignores the task count.
-    started: list = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            if len(started) > 3:
-                raise RuntimeError("a fourth thread for three tasks")
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    monkeypatch.setattr(prover, "run_prover", lambda *args: PROVED)
+def test_discharge_all_starts_a_prover_per_task_drawn_at_most(fake_prover, provers):
+    # A fourth start raises, so a huge `jobs` cannot start more than three
+    # provers even when the loop ignores the task count.
+    provers.refuse = "d"
     pairs = [("a", "x"), ("b", "y"), ("c", "z")]
-    assert list(discharge_all(ProverConfig("p {file}"), pairs, jobs=2**62)) == ["a", "b", "c"]
-    assert 1 <= len(started) <= 3
+    config = ProverConfig(f"{fake_prover(THEOREM)} {{file}}")
+    assert list(discharge_all(config, pairs, jobs=2**62)) == ["a", "b", "c"]
+    assert [label for event, label in provers if event == "start"] == ["a", "b", "c"]
+
+
+def test_solve_starts_no_thread(corpus_dir, fake_prover, monkeypatch, capsys):
+    def refuse(thread):
+        raise AssertionError(f"a thread started: {thread!r}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    script = fake_prover(THEOREM)
+    assert run(["solve", str(corpus_dir / "list_append.p"), "--prover", f"{script} {{file}}",
+                "--jobs", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("% SZS status Theorem for "
+                                            f"{corpus_dir / 'list_append.p'}\n")
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_discharge_all_draws_nothing_after_a_text_fails(monkeypatch, jobs):
-    log: list = []
-    proved: list = []
-
-    def fake(config, text, stem="problem", directory=None):
-        proved.append(stem)
-        return PROVED
-
-    monkeypatch.setattr(prover, "run_prover", fake)
-    pairs = Pairs(6, log, fail_at=3)
+def test_discharge_all_draws_nothing_after_a_text_fails(fake_prover, provers, jobs):
+    pairs = Pairs(6, [], fail_at=3)
     with pytest.raises(RuntimeError, match="no text"):
-        discharge_all(ProverConfig("p {file}"), pairs, jobs=jobs)
+        discharge_all(ProverConfig(f"{fake_prover(THEOREM)} {{file}}"), pairs, jobs=jobs)
     assert pairs.drawn == 3
-    assert sorted(proved) == ["t1", "t2"]
+    assert sorted(label for event, label in provers if event == "start") == ["t1", "t2"]
+    assert_all_reaped(provers)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_discharge_all_draws_nothing_after_a_prover_raises(monkeypatch, jobs):
-    # With two workers, t1 raises once t2 runs, and t2 ends only once t1's
-    # worker has given up, so a draw after the raise would be t3.
-    t2_started = threading.Event()
-    raised = []
-
-    def fake(config, text, stem="problem", directory=None):
-        if stem == "t1":
-            assert jobs == 1 or t2_started.wait(10)
-            raised.append(threading.current_thread())
-            raise RuntimeError("prover broke")
-        t2_started.set()
-        deadline = time.monotonic() + 10
-        while not raised or raised[0].is_alive():
-            assert time.monotonic() < deadline
-            time.sleep(0.005)
-        return PROVED
-
-    monkeypatch.setattr(prover, "run_prover", fake)
+def test_discharge_all_draws_nothing_after_a_prover_raises(fake_prover, provers, jobs):
+    # The start of t<jobs + 1> raises once t1 has ended, with t2 to t<jobs>
+    # still running; the pair drawn ahead is the last one drawn.
+    provers.refuse = f"t{jobs + 1}"
     pairs = Pairs(6, [])
     with pytest.raises(RuntimeError, match="prover broke"):
-        discharge_all(ProverConfig("p {file}"), pairs, jobs=jobs)
-    assert pairs.drawn == jobs
+        discharge_all(ProverConfig(f"{fake_prover('sleep 0.05; ' + THEOREM)} {{file}}"),
+                      pairs, jobs=jobs)
+    assert pairs.drawn == jobs + 1
+    assert [label for event, label in provers if event == "start"] == \
+        [f"t{k}" for k in range(1, jobs + 1)]
+    assert_all_reaped(provers)
 
 
-def test_discharge_all_refuses_a_repeated_label(monkeypatch):
-    monkeypatch.setattr(prover, "run_prover", lambda *args: PROVED)
+def test_discharge_all_refuses_a_repeated_label(fake_prover, provers):
+    config = ProverConfig(f"{fake_prover(THEOREM)} {{file}}")
     with pytest.raises(ValueError, match="duplicate prover task label 'a'"):
-        discharge_all(ProverConfig("p {file}"), [("a", "x"), ("a", "y")])
+        discharge_all(config, [("a", "x"), ("a", "y")])
+    assert_all_reaped(provers)
+
+
+def _group_left(pgid: int) -> list:
+    """The processes of process group pgid, zombies aside."""
+    left = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                state, _, group = handle.read().rsplit(")", 1)[1].split()[:3]
+        except (OSError, ValueError):
+            continue
+        if int(group) == pgid and state != "Z":
+            left.append(int(entry))
+    return left
+
+
+def _await_lines(path, n: int, seconds: float = 10) -> list:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if path.exists() and len(lines := path.read_text().split()) >= n:
+            return [int(pid) for pid in lines]
+        time.sleep(0.01)
+    raise AssertionError(f"{path} never had {n} lines")
+
+
+# Each prover writes its pid, which is its process group, and waits on a child.
+SLEEPER = "sleep 20 &\necho $$ >> '{pids}'\nwait"
+
+
+def test_discharge_all_kills_its_provers_when_interrupted(fake_prover, tmp_path, own_tmpdir,
+                                                          monkeypatch):
+    pids = tmp_path / "pids"
+    select = selectors.DefaultSelector.select
+
+    class Interrupted(selectors.DefaultSelector):
+        def select(self, timeout=None):  # Ctrl-C, once both provers run
+            _await_lines(pids, 2)
+            os.kill(os.getpid(), signal.SIGINT)
+            return select(self, timeout)
+
+    monkeypatch.setattr(selectors, "DefaultSelector", Interrupted)
+    pairs = Pairs(6, [])
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        discharge_all(ProverConfig(f"{fake_prover(SLEEPER.format(pids=pids))} {{file}}"),
+                      pairs, jobs=2)
+    assert time.monotonic() - start < 10
+    assert pairs.drawn == 3
+    assert all(_group_left(pgid) == [] for pgid in _await_lines(pids, 2))
+    assert_left_nothing(own_tmpdir)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_interrupted_solve_kills_its_provers_and_exits_130(corpus_dir, fake_prover, tmp_path,
+                                                              jobs):
+    pids = tmp_path / "pids"
+    script = fake_prover(SLEEPER.format(pids=pids))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dtf", "solve", str(corpus_dir / "list_append.p"),
+         "--prover", f"{script} {{file}}", "--jobs", str(jobs)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV)
+    try:
+        groups = _await_lines(pids, jobs)
+        proc.send_signal(signal.SIGINT)
+        start = time.monotonic()
+        _, err = proc.communicate(timeout=10)
+        assert time.monotonic() - start < 2
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert (proc.returncode, err) == (EXIT_INTERRUPT, "dtf: interrupted\n")
+    assert all(_group_left(pgid) == [] for pgid in groups)
+
+
+def test_a_stray_byte_in_the_output_keeps_the_verdict(corpus_dir, fake_prover, capsys):
+    script = fake_prover("printf '\\377\\n'\necho \"% SZS status Theorem for $1\"")
+    path = corpus_dir / "list_append.p"
+    assert run(["solve", str(path), "--prover", f"{script} {{file}}"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"% SZS status Theorem for {path}\n")
+    assert "�" in run_prover(ProverConfig(f"{script} {{file}}"), "x").stdout
 
 
 @pytest.mark.parametrize("case", ["proved", "error", "timeout", "raise"])
@@ -433,14 +508,12 @@ def test_discharge_all_keeps_at_most_jobs_task_files(fake_prover, own_tmpdir, tm
                           timeout=0.3 if case == "timeout" else 10)
     if case == "error":
         config = ProverConfig("/nonexistent/prover_binary {file}", timeout=10)
-    communicate = subprocess.Popen.communicate
     if case == "raise":
-        def interrupted(proc, *args, **kwargs):
-            if kwargs.get("timeout"):  # the wait, not the reaping after it
-                communicate(proc, *args, **kwargs)
+        class Broken(selectors.DefaultSelector):
+            def select(self, timeout=None):  # the wait, once something is read
+                super().select(timeout)
                 raise RuntimeError("wait broke")
-            return communicate(proc, *args, **kwargs)
-        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        monkeypatch.setattr(selectors, "DefaultSelector", Broken)
 
     pairs = [(f"t{k}", "thf(a, axiom, $true).") for k in range(5)]
     if case == "raise":

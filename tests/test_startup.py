@@ -242,11 +242,12 @@ def test_solve_timeout_defaults_to_the_prover_default(corpus_dir, monkeypatch, c
                                                       extra, timeout):
     seen = []
 
-    def fake_run_prover(config, text, stem="problem", directory=None):
+    def fake_discharge_all(config, problems, jobs=1):
         seen.append(config.timeout)
-        return ProverResult(SzsVerdict("Theorem"), "", "", 0, 0.0)
+        return {label: ProverResult(SzsVerdict("Theorem"), "", "", 0, 0.0)
+                for label, _ in problems}
 
-    monkeypatch.setattr(prover, "run_prover", fake_run_prover)
+    monkeypatch.setattr(prover, "discharge_all", fake_discharge_all)
     argv = ["solve", str(corpus_dir / "list_append.p"), "--prover", "p {file}", *extra]
     assert run(argv) == EXIT_OK
     assert seen and set(seen) == {timeout}
