@@ -217,8 +217,10 @@ class DeepChecker:
 
     def type_equal(self, ctx: Context, a: Type, b: Type, span: int | None,
                    origin: str) -> None:
-        """Require a and b equal, emitting obligations for term arguments."""
-        if a is b or alpha_equal(a, b):
+        """Require a and b equal, emitting obligations for term arguments; two
+        argument-less base types of one head are equal without a walk."""
+        if a is b or (isinstance(a, BaseApp) and isinstance(b, BaseApp) and not a.args
+                      and not b.args and a.head == b.head) or alpha_equal(a, b):
             return
         a_n = self._normalize(a, span)
         b_n = self._normalize(b, span)

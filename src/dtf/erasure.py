@@ -145,10 +145,12 @@ class Eraser:
     # -- terms ---------------------------------------------------------------
 
     def erase_term(self, t: Term) -> Term:
+        """The erasure of t; like substitute, t itself where nothing changes."""
         if isinstance(t, (Var, Const, Top, Bottom)):
             return t
         if isinstance(t, App):
-            return App(self.erase_term(t.fun), self.erase_term(t.arg), t.span)
+            fun, arg = self.erase_term(t.fun), self.erase_term(t.arg)
+            return t if fun is t.fun and arg is t.arg else App(fun, arg, t.span)
         if isinstance(t, Lam):
             return Lam(t.binder, erased_image(t.domain), self.erase_term(t.body), t.span)
         if isinstance(t, Binder):

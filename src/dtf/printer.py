@@ -8,6 +8,7 @@ The printed text reparses to an alpha-equal problem.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .core import (
@@ -37,11 +38,12 @@ from .core import (
 _BARE_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
+@functools.lru_cache(maxsize=4096)
 def atom(text: str) -> str:
     """Render an atomic word, quoting it unless it is a bare lower word.
 
     A user symbol such as `'$false'` stays quoted: printed bare, it would read
-    back as the defined `$false`.
+    back as the defined `$false`.  Renderings are cached: names recur.
     """
     if _BARE_ATOM.match(text):
         return text
@@ -154,8 +156,14 @@ def check_simply_typed(problem) -> None:
 
 
 def check_simple(node):
-    """Raise ValueError if a declaration, type or term is dependently typed; else return it."""
-    if isinstance(node, (ConstDecl, Axiom)):
+    """Raise ValueError if a declaration, type or term is dependently typed; else return it.
+    Applications, variables and constants, most of a problem, skip `children`."""
+    if isinstance(node, App):
+        check_simple(node.fun)
+        check_simple(node.arg)
+    elif isinstance(node, (Var, Const)):
+        return node
+    elif isinstance(node, (ConstDecl, Axiom)):
         check_simple(node.ty if isinstance(node, ConstDecl) else node.formula)
     elif isinstance(node, TypeDecl) and node.telescope or isinstance(node, BaseApp) and node.args:
         head = node.name if isinstance(node, TypeDecl) else node.head

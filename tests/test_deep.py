@@ -34,6 +34,7 @@ from dtf.deep import (
     export_obligations,
     obligation_problem,
 )
+from dtf.diagnostics import DiagnosticError
 from dtf.shallow import check_shallow
 from dtf.syntax import Problem, parse_file, parse_problem
 
@@ -635,3 +636,45 @@ def test_beta_redex_in_an_axiom_discharges_through_its_normal_form():
     [ob] = report.discharged
     assert ob.discharged_by == "ax"
     assert alpha_equal(ob.goal, Eq(const("zero"), const("one"), nat()))
+
+
+# -- type_equal's comparison by head ----------------------------------------------
+
+
+def _by_head(a, b) -> bool:
+    """The pairs that type_equal answers by head, without alpha_equal."""
+    return (a is not b and isinstance(a, BaseApp) and isinstance(b, BaseApp)
+            and not a.args and not b.args and a.head == b.head)
+
+
+def test_every_pair_compared_by_head_is_alpha_equal(monkeypatch, corpus_dir):
+    pairs = []
+    type_equal = DeepChecker.type_equal
+
+    def recording(self, ctx, a, b, *rest):
+        if _by_head(a, b):
+            pairs.append((a, b))
+        return type_equal(self, ctx, a, b, *rest)
+
+    monkeypatch.setattr(DeepChecker, "type_equal", recording)
+    problems = [parse_file(str(path)) for path in sorted(corpus_dir.glob("*.p"))]
+    problems += [parse_problem(generate.family(name, 1)[0])
+                 for name in ("axioms", "terms", "discharge")]
+    for problem in problems:
+        check_problem(problem)
+    assert len(pairs) > 4_000
+    assert all(alpha_equal(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("other", [Name("A", NameKind.VAR), Name("A", NameKind.TYPE),
+                                   Name("B", NameKind.VAR)], ids=["same", "kind", "name"])
+def test_a_type_variable_head_is_compared_as_alpha_equal_compares_it(other):
+    a, b = BaseApp(Name("A", NameKind.VAR)), BaseApp(other)
+    checker = DeepChecker()
+    if alpha_equal(a, b):
+        assert other == a.head
+        checker.type_equal(Context(), a, b, None, "origin")
+    else:
+        with pytest.raises(DiagnosticError, match="types differ: A vs "):
+            checker.type_equal(Context(), a, b, None, "origin")
+    assert not checker.obligations

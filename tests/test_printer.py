@@ -1,6 +1,7 @@
 """Canonical printing and the print -> parse round trip."""
 
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,11 +26,16 @@ from dtf.core import (
     Not,
     Pi,
     Theory,
+    TypeDecl,
     Var,
     alpha_equal,
+    children,
+    free_vars,
 )
+from dtf.erasure import erase_problem
 from dtf.printer import (
     atom,
+    check_simple,
     check_simply_typed,
     format_annotated,
     format_term,
@@ -258,3 +264,90 @@ def test_check_simply_typed_finds_a_nested_dependent_type(problem):
     for check in (check_simply_typed, print_th0):
         with pytest.raises(ValueError, match="type 'vec' takes term arguments"):
             check(problem)
+
+
+# -- the TH0 check against the walk it replaced ---------------------------------
+
+
+def reference_check_simple(node):
+    """`check_simple` as it was when every node went through `children`."""
+    if isinstance(node, (ConstDecl, Axiom)):
+        reference_check_simple(node.ty if isinstance(node, ConstDecl) else node.formula)
+    elif isinstance(node, TypeDecl) and node.telescope or isinstance(node, BaseApp) and node.args:
+        head = node.name if isinstance(node, TypeDecl) else node.head
+        raise ValueError(f"cannot print TH0: type {head.text!r} takes term arguments")
+    elif isinstance(node, Pi) and node.binder.text in free_vars(node.codomain):
+        raise ValueError(f"cannot print TH0: dependent product over {node.binder.text!r}")
+    elif not isinstance(node, TypeDecl):
+        for child in children(node):
+            reference_check_simple(child)
+    return node
+
+
+def _verdict(check, node) -> str:
+    try:
+        returned = check(node)
+    except ValueError as exc:
+        return str(exc)
+    assert returned is node
+    return "simple"
+
+
+def _subtrees(decl) -> list:
+    """decl, then every node below its formula, type or telescope."""
+    found = [decl]
+    stack = ([decl.formula] if isinstance(decl, Axiom) else [decl.ty] if isinstance(decl, ConstDecl)
+             else [ty for _, ty in decl.telescope])
+    while stack:
+        t = stack.pop()
+        found.append(t)
+        stack.extend(children(t))
+    return found
+
+
+def _vec(arg) -> BaseApp:
+    return BaseApp(Name("vec", NameKind.TYPE), (arg,))
+
+
+_F = Const(Name("f", NameKind.CONST))
+_N = Name("N", NameKind.VAR)
+DEPENDENT_BY_HAND = [
+    # A lambda in an argument position, over `vec @ zero`.
+    Axiom("lam_arg", App(App(_F, Lam(X, _vec_zero(), Var(X))), Const(Name("a", NameKind.CONST)))),
+    # A dependent `Eq.at` under an application.
+    Axiom("eq_arg", App(_F, Eq(Var(X), Var(X), _vec(Var(X))))),
+    # A dependent product nested in a constant's type.
+    ConstDecl(Name("g", NameKind.CONST),
+              Pi(X, nat(), Pi(X, Pi(_N, nat(), _vec(Var(_N))), BOOL)), "g_type"),
+]
+
+
+def _with_erasures(problems) -> list:
+    return [d for p in problems for d in p.decls() + erase_problem(p).decls()]
+
+
+def _differential_inputs() -> list:
+    """Declarations; each node below the small ones is checked on its own too."""
+    generate = genutil.load_generator()
+    problems = [genutil.gen_problem(seed) for seed in range(40)]
+    problems += [genutil.gen_formula_problem(seed) for seed in range(40)]
+    problems += [parse_file(str(path))
+                 for path in sorted((Path(__file__).resolve().parents[1] / "corpus").glob("*.p"))]
+    small = _with_erasures(problems) + DEPENDENT_BY_HAND + [
+        ConstDecl(Name(f"c{seed}", NameKind.CONST), genutil.gen_dependent_type(seed))
+        for seed in range(60)]
+    families = _with_erasures(parse_problem(generate.family(name, 1, 0.05)[0])
+                              for name in ("axioms", "terms", "discharge"))
+    return [node for decl in small for node in _subtrees(decl)] + families
+
+
+def test_check_simple_gives_the_verdicts_and_messages_of_the_walk_it_replaced():
+    verdicts = set()
+    for node in _differential_inputs():
+        verdict = _verdict(check_simple, node)
+        assert verdict == _verdict(reference_check_simple, node), node
+        verdicts.add(verdict.split(":")[0])
+    assert verdicts == {"simple", "cannot print TH0"}
+    messages = [_verdict(check_simple, decl) for decl in DEPENDENT_BY_HAND]
+    assert messages == ["cannot print TH0: type 'vec' takes term arguments"] * 2 + [
+        "cannot print TH0: dependent product over 'N'"]
